@@ -15,7 +15,8 @@ from conftest import emit
 
 from repro.analysis.experiments import evaluation_machine
 from repro.kernel.kernel import Kernel
-from repro.vm.policy import CONFIG_F, CONFIG_GLOBAL, by_name
+from repro.policy import get_policy
+from repro.vm.policy import CONFIG_F, CONFIG_GLOBAL
 from repro.workloads.shmem_ring import run_ring
 
 RECORDS = 400
@@ -31,7 +32,7 @@ def test_shared_ring(once):
             Kernel(policy=CONFIG_F, config=evaluation_machine()),
             records=RECORDS, aligned=False)
         rows["Sun (uncached), conflicting"] = run_ring(
-            Kernel(policy=by_name("Sun"), config=evaluation_machine()),
+            Kernel(policy=get_policy("Sun"), config=evaluation_machine()),
             records=RECORDS, aligned=False)
         rows["G (global AS)"] = run_ring(
             Kernel(policy=CONFIG_GLOBAL, config=evaluation_machine()),

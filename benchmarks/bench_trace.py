@@ -34,8 +34,8 @@ if str(REPO_ROOT / "src") not in sys.path:      # standalone invocation
 
 from repro.analysis.experiments import (evaluation_machine, make_workload,
                                         run_workload)
+from repro.policy import get_policy
 from repro.trace import compile_workload, replay_trace
-from repro.vm.policy import by_name
 
 # bench_full_scale's settings: paper-sized workloads on the large-memory
 # machine.
@@ -57,7 +57,7 @@ def measure() -> dict:
     all_equivalent = True
     for name in NAMES:
         for policy_name in POLICIES:
-            policy = by_name(policy_name)
+            policy = get_policy(policy_name)
             t0 = time.perf_counter()
             run_workload(make_workload(name, FULL_SCALE), policy,
                          config=config,

@@ -19,12 +19,13 @@ demonstrated here:
 Run:  python examples/extensions_tour.py
 """
 
-from repro import CONFIG_GLOBAL, Kernel, MachineConfig, NEW_SYSTEM, by_name
+from repro import CONFIG_GLOBAL, Kernel, MachineConfig, NEW_SYSTEM
 from repro.hw.params import CacheGeometry, CostModel
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.smp import CoherentCluster
 from repro.hw.stats import Clock, Counters, FaultKind
 from repro.kernel.process import UserProcess
+from repro.policy import get_policy
 from repro.prot import Prot
 from repro.vm.vm_object import VMObject
 
@@ -51,7 +52,7 @@ def global_address_space() -> None:
 
 def uncached_aliases() -> None:
     print("=== 2. uncached aliases (the Sun fallback) ===")
-    kernel = Kernel(policy=by_name("Sun"))
+    kernel = Kernel(policy=get_policy("Sun"))
     proc = UserProcess(kernel, "p")
     obj = VMObject(1)
     va1 = proc.task.map_shared(obj, Prot.READ_WRITE, color=1)

@@ -11,13 +11,14 @@ paper in about fifteen lines of events.
 Run:  python examples/trace_tour.py
 """
 
-from repro import Kernel, MachineConfig, by_name
+from repro import Kernel, MachineConfig
 from repro.analysis.trace import Tracer
 from repro.kernel.process import UserProcess
+from repro.policy import get_policy
 
 
 def trace_one_read(policy_name: str) -> Tracer:
-    kernel = Kernel(policy=by_name(policy_name),
+    kernel = Kernel(policy=get_policy(policy_name),
                     config=MachineConfig(phys_pages=128))
     kernel.fs.create("/data/file", size_pages=1, on_disk=True)
     UserProcess(kernel, "init")   # occupy the first channel slot, which
@@ -33,7 +34,7 @@ def trace_one_read(policy_name: str) -> Tracer:
 
 def show(policy_name: str) -> None:
     tracer = trace_one_read(policy_name)
-    policy = by_name(policy_name)
+    policy = get_policy(policy_name)
     print(f"=== one read() under configuration {policy.name} "
           f"({policy.description}) ===")
     for event in tracer.events:

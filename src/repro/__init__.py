@@ -44,15 +44,14 @@ from repro.hw.params import (CacheGeometry, CostModel, MachineConfig,
 from repro.kernel.kernel import Kernel
 from repro.obs import CycleProfiler, EventBus, profile_run
 from repro.vm.policy import (CONFIG_GLOBAL, CONFIG_LADDER, NEW_SYSTEM,
-                             OLD_SYSTEM, TABLE5_SYSTEMS, PolicyConfig,
-                             by_name)
+                             OLD_SYSTEM, TABLE5_SYSTEMS, PolicyConfig)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "CacheGeometry", "CostModel", "MachineConfig", "Machine", "Kernel",
     "PolicyConfig", "CONFIG_GLOBAL", "CONFIG_LADDER", "TABLE5_SYSTEMS", "OLD_SYSTEM",
-    "NEW_SYSTEM", "by_name", "small_machine",
+    "NEW_SYSTEM", "small_machine",
     "ReproError", "ConfigurationError", "KernelError", "ProtectionError",
     "StaleDataError",
     "EventBus", "CycleProfiler", "profile_run",

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from repro.analysis.experiments import make_workload, run_workload
 from repro.analysis.metrics import RunMetrics
 from repro.hw.params import CacheGeometry, MachineConfig
-from repro.vm.policy import PolicyConfig, by_name
+from repro.policy import ConsistencyPolicy, get_policy
+from repro.vm.policy import PolicyConfig
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,8 @@ def machine_with_dcache(kib: int, phys_pages: int = 320) -> MachineConfig:
         phys_pages=phys_pages)
 
 
-def sweep_cache_sizes(workload_name: str, policy: PolicyConfig,
+def sweep_cache_sizes(workload_name: str,
+                      policy: ConsistencyPolicy | PolicyConfig,
                       sizes_kib: tuple[int, ...] = (32, 64, 128, 256),
                       scale: float = 0.5, jobs: int = 1,
                       executor=None,
@@ -82,12 +84,11 @@ def run_sweep(workload_name: str, policy_names: tuple[str, ...],
     """The CLI's sweep: every policy across every cache size.  When
     farmed, the whole (policy, size) grid runs as one spec batch, so
     every point shares the worker pool."""
-    for name in policy_names:
-        by_name(name)                  # fail fast on unknown policies
+    policies = [get_policy(name) for name in policy_names]  # fail fast
     if jobs <= 1 and executor is None:
-        return {name: sweep_cache_sizes(workload_name, by_name(name),
+        return {name: sweep_cache_sizes(workload_name, policy,
                                         sizes_kib, scale, geometry=geometry)
-                for name in policy_names}
+                for name, policy in zip(policy_names, policies)}
     from repro.farm import Executor, farm_sweep_grid
 
     if executor is None:

@@ -22,11 +22,11 @@ Usage::
                           [--sizes 32,64,128,256] [--geometry SPEC]
                           [--jobs N] [--out FILE]
     python -m repro farm {stats,gc,clear,run} [--specs FILE] [--jobs N]
-    python -m repro trace <workload> [--out FILE] [--diff GOLDEN]
+    python -m repro trace events <workload> [--out FILE] [--diff GOLDEN]
     python -m repro trace compile <workload> --out FILE [--policy F]
                           [--inject PLAN --seed N] [--conform]
                           [--trace-events]
-    python -m repro trace replay <FILE> [--exact] [--events-out FILE]
+    python -m repro trace replay <FILE> [--events-out FILE]
     python -m repro metrics [workload|micro] [--format json|prom]
     python -m repro profile <workload> [--policy F] [--scale 1.0]
     python -m repro all [--scale 1.0]
@@ -49,13 +49,15 @@ obeys the same derived Table 2 (docs/hierarchy.md).
 ``--list-points`` prints the injection-point catalog.  ``conform`` runs the lockstep conformance
 engine (see docs/conformance.md): an explorer sweep, an arc-coverage run,
 and live shadowing of the paper workloads — or, with ``--mutant``,
-demonstrates detection and shrinking against a seeded bug.  ``trace``
-records a workload's consistency event trace, optionally writing it as
-JSON lines or diffing it against a golden artifact; ``trace compile``
-lowers a whole run into a replayable op-stream artifact (composing with
-``--inject``/``--conform``/``--trace-events``) and ``trace replay``
-re-executes one through the batched interpreter, verifying bit-identical
-counters, clock and event hashes (see docs/trace-compiler.md).
+demonstrates detection and shrinking against a seeded bug.  ``trace
+events`` records a workload's consistency event trace, optionally
+writing it as JSON lines or diffing it against a golden artifact;
+``trace compile`` lowers a whole run into a replayable op-stream
+artifact (composing with ``--inject``/``--conform``/``--trace-events``)
+and ``trace replay`` re-executes one through the threaded-code
+interpreter, verifying bit-identical counters, clock and event hashes
+(see docs/trace-compiler.md).  Each ``trace`` mode accepts only its own
+flags.
 ``metrics`` runs a
 workload (or the alignment microbenchmark) and exports the complete
 counter state as JSON or Prometheus text; ``profile`` runs a workload
@@ -595,12 +597,7 @@ def _cmd_farm(args) -> None:
         raise SystemExit(1)
 
 
-def _cmd_trace(args) -> None:
-    if args.target == "compile":
-        return _cmd_trace_compile(args)
-    if args.target == "replay":
-        return _cmd_trace_replay(args)
-
+def _cmd_trace_events(args) -> None:
     from repro.analysis.trace import Tracer, diff_traces
     from repro.kernel.kernel import Kernel
 
@@ -608,9 +605,9 @@ def _cmd_trace(args) -> None:
     kernel = Kernel(policy=policy, config=evaluation_machine(),
                     buffer_cache_pages=48)
     with Tracer(kernel) as tracer:
-        run_workload(make_workload(args.target, args.scale), policy,
+        run_workload(make_workload(args.workload, args.scale), policy,
                      kernel=kernel)
-    print(f"{args.target} under configuration {policy.name}: "
+    print(f"{args.workload} under configuration {policy.name}: "
           f"{len(tracer.events)} events")
     summary = tracer.summary()
     for kind in sorted(k for k in summary if ":" not in k):
@@ -631,18 +628,13 @@ def _cmd_trace(args) -> None:
 def _cmd_trace_compile(args) -> None:
     from repro.trace import compile_workload, save_trace
 
-    if args.arg not in WORKLOAD_NAMES:
-        raise SystemExit("trace compile: give a workload name "
-                         f"(one of {', '.join(WORKLOAD_NAMES)})")
-    if not args.out:
-        raise SystemExit("trace compile: --out FILE is required")
     policy = get_policy(args.policy)
-    trace = compile_workload(make_workload(args.arg, args.scale), policy,
-                             inject=args.inject, seed=args.seed,
+    trace = compile_workload(make_workload(args.workload, args.scale),
+                             policy, inject=args.inject, seed=args.seed,
                              conform=args.conform,
                              trace_events=args.record_events)
     save_trace(args.out, trace)
-    print(f"compiled {args.arg}/{policy.name} at scale {args.scale}: "
+    print(f"compiled {args.workload}/{policy.name} at scale {args.scale}: "
           f"{len(trace.ops)} ops, {len(trace.values)} values, "
           f"{trace.n_events} events -> {args.out}")
     if args.conform:
@@ -653,14 +645,10 @@ def _cmd_trace_compile(args) -> None:
 def _cmd_trace_replay(args) -> None:
     from repro.trace import load_trace, replay_trace
 
-    if not args.arg:
-        raise SystemExit("trace replay: give a trace artifact path")
-    trace = load_trace(args.arg)
-    result = replay_trace(trace, batched=not args.exact)
+    trace = load_trace(args.file)
+    result = replay_trace(trace)
     print(f"replayed {trace.meta.get('workload')}: {result.n_ops} ops, "
-          f"clock {result.clock}, {result.batches} fused windows "
-          f"({result.batched_ops} ops, {result.fallbacks} fallbacks), "
-          f"{result.n_events} events")
+          f"clock {result.clock}, {result.n_events} events")
     if args.events_out and result.events_jsonl is not None:
         with open(args.events_out, "w") as handle:
             handle.write(result.events_jsonl)
@@ -905,7 +893,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", default="kernel-build",
                    choices=list(WORKLOAD_NAMES))
     p.add_argument("--policies", default="A,F",
-                   help="comma-separated configuration names (A..F, G)")
+                   help="comma-separated policy names (any from "
+                        "`repro policies`)")
     p.add_argument("--sizes", default="32,64,128,256",
                    help="comma-separated data-cache sizes in KiB")
     p.add_argument("--scale", type=float, default=0.25)
@@ -929,41 +918,53 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write 'run' outcomes as JSON lines")
     add_farm_args(p)
 
-    p = add("trace", _cmd_trace,
-            "record an event trace, or compile/replay an op-stream trace")
-    p.add_argument("target",
-                   choices=list(WORKLOAD_NAMES) + ["compile", "replay"],
-                   help="a workload name records its consistency event "
-                        "trace; 'compile' lowers a run to a replayable "
-                        "op-stream artifact; 'replay' re-executes one "
-                        "and verifies bit-identical counters/clock")
-    p.add_argument("arg", nargs="?", metavar="ARG",
-                   help="compile: the workload to record; replay: the "
-                        "trace artifact path")
+    trace = sub.add_parser(
+        "trace", help="record an event trace, or compile/replay an "
+                      "op-stream trace")
+    modes = trace.add_subparsers(dest="mode", required=True)
+
+    def add_mode(name, fn, help_text):
+        p = modes.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        return p
+
+    p = add_mode("events", _cmd_trace_events,
+                 "record a workload's consistency event trace")
+    p.add_argument("workload", choices=list(WORKLOAD_NAMES))
     p.add_argument("--policy", default="F")
     p.add_argument("--scale", type=float, default=0.25)
     p.add_argument("--out", metavar="FILE",
-                   help="event trace: write JSON lines; compile: the "
-                        "trace artifact to write (required)")
+                   help="write the events as JSON lines")
     p.add_argument("--diff", metavar="GOLDEN",
                    help="diff against a golden .jsonl trace; exit 1 and "
                         "pinpoint the first diverging event on mismatch")
+
+    p = add_mode("compile", _cmd_trace_compile,
+                 "lower a run to a replayable op-stream artifact")
+    p.add_argument("workload", choices=list(WORKLOAD_NAMES))
+    p.add_argument("--policy", default="F")
+    p.add_argument("--scale", type=float, default=0.25)
+    p.add_argument("--out", metavar="FILE", required=True,
+                   help="the trace artifact to write")
     p.add_argument("--inject", metavar="PLAN",
-                   help="compile: arm the fault injector; its effects "
-                        "are baked into the recorded stream")
+                   help="arm the fault injector; its effects are baked "
+                        "into the recorded stream")
     p.add_argument("--seed", type=int, default=0,
-                   help="compile: injection plan seed")
+                   help="injection plan seed")
     p.add_argument("--conform", action="store_true",
-                   help="compile: shadow the recorded run with the "
-                        "lockstep conformance monitor")
+                   help="shadow the recorded run with the lockstep "
+                        "conformance monitor")
     p.add_argument("--trace-events", action="store_true",
                    dest="record_events",
-                   help="compile: record the event stream; replay must "
-                        "then reproduce its JSONL hash bit for bit")
-    p.add_argument("--exact", action="store_true",
-                   help="replay: disable window fusion (exact tier only)")
+                   help="record the event stream; replay must then "
+                        "reproduce its JSONL hash bit for bit")
+
+    p = add_mode("replay", _cmd_trace_replay,
+                 "re-execute an artifact and verify bit-identical "
+                 "counters, clock and events")
+    p.add_argument("file", metavar="FILE", help="the trace artifact")
     p.add_argument("--events-out", metavar="FILE",
-                   help="replay: write the replayed event JSONL")
+                   help="write the replayed event JSONL")
 
     p = add("metrics", _cmd_metrics,
             "run a workload and export the complete counter state")

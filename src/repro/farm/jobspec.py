@@ -84,7 +84,7 @@ class JobSpec:
                         conform=conform or None, geometry=geometry)
 
     @classmethod
-    def replay(cls, trace_path: str, exact: bool = False) -> "JobSpec":
+    def replay(cls, trace_path: str) -> "JobSpec":
         """One trace replay with equivalence verification.
 
         The artifact's SHA-256 digest is part of the spec: a path alone
@@ -93,8 +93,7 @@ class JobSpec:
         """
         with open(trace_path, "rb") as handle:
             digest = hashlib.sha256(handle.read()).hexdigest()
-        return cls.make("replay", trace=trace_path, digest=digest,
-                        exact=exact or None)
+        return cls.make("replay", trace=trace_path, digest=digest)
 
     @classmethod
     def chaos(cls, seed: int, preset: str = "mixed", steps: int = 200,

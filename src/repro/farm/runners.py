@@ -21,8 +21,8 @@ Kinds:
     (a deterministic result of the spec) rather than failing the job.
 ``replay``
     One trace replay with equivalence verification (trace path + content
-    digest, optional ``exact`` to disable window fusion); payload is the
-    replay verdict, clock, fusion statistics and event hash.  Replays
+    digest); payload is the replay verdict, clock, op count and event
+    hash.  Replays
     are pure functions of the artifact bytes, so the farm's cache makes
     re-verifying an unchanged trace free.
 ``chaos``
@@ -169,15 +169,12 @@ def _run_replay_job(spec: JobSpec) -> dict:
     from repro.trace import load_trace, replay_trace
 
     trace = load_trace(spec["trace"])
-    result = replay_trace(trace, batched=not spec.get("exact", False))
+    result = replay_trace(trace)
     return {
         "equivalent": result.equivalent,
         "mismatches": list(result.mismatches),
         "clock": result.clock,
         "n_ops": result.n_ops,
-        "batches": result.batches,
-        "batched_ops": result.batched_ops,
-        "fallbacks": result.fallbacks,
         "n_events": result.n_events,
         "events_sha256": result.events_sha256,
         "workload": trace.meta.get("workload"),

@@ -91,11 +91,6 @@ class PhysicalMemory:
         idx = self._word_index(paddr)
         self._words[idx:idx + len(values)] = values
 
-    def read_lines(self, tags: np.ndarray, words_per_line: int) -> np.ndarray:
-        """Gather whole cache lines by physical line number (vectorized
-        fills: one fancy-indexed read instead of a per-line loop)."""
-        return self._words.reshape(-1, words_per_line)[tags]
-
     def write_lines(self, tags: np.ndarray, values: np.ndarray,
                     words_per_line: int) -> None:
         """Scatter whole cache lines by physical line number (vectorized

@@ -3,9 +3,8 @@
 ``--policy NAME`` anywhere in the CLI, the farm, the chaos harness, the
 serve cohorts and the sweeps resolves through :func:`get_policy`, so an
 external strategy registered here is immediately first-class everywhere
-a paper configuration is.  Names are case-insensitive (matching the
-long-standing behaviour of :func:`repro.vm.policy.by_name`), duplicates
-are rejected at registration time, and an unknown name reports the full
+a paper configuration is.  Names are case-insensitive, duplicates are
+rejected at registration time, and an unknown name reports the full
 sorted list of valid names.
 """
 

@@ -1,4 +1,4 @@
-"""Workload->trace compiler and batched replay interpreter.
+"""Workload->trace compiler and replay interpreter.
 
 A *trace* is a workload run lowered to a flat structured-numpy op-stream
 of hardware-level memory-system operations plus enough captured state to
@@ -10,9 +10,8 @@ clock cycles and event traces at a fraction of the interpreted cost.
   counters codec and the deterministic on-disk artifact container.
 * :mod:`repro.trace.record` -- the compiler: records a live run through
   depth-guarded instrumentation and drift-reconciling SYNC ops.
-* :mod:`repro.trace.interp` -- the interpreter: an exact per-op tier and
-  a batched tier that fuses contiguous access runs into single
-  vectorized cache transactions.
+* :mod:`repro.trace.interp` -- the interpreter: lowers the op-stream
+  to a threaded program of pre-resolved instructions, one per op.
 """
 
 from repro.trace.format import Trace, load_trace, save_trace

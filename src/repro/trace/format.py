@@ -287,12 +287,23 @@ _ARRAY_DTYPES = {
 
 
 def load_trace(path: str) -> Trace:
+    """Read an artifact written by :func:`save_trace`.
+
+    A file that is not a trace, or one cut short or garbled in its
+    header, array region or sidecar, raises :class:`TraceFormatError`.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(MAGIC):
         raise TraceFormatError(f"{path} is not a trace artifact")
-    nl = blob.index(b"\n", len(MAGIC))
-    header = json.loads(blob[len(MAGIC):nl].decode("utf-8"))
+    nl = blob.find(b"\n", len(MAGIC))
+    if nl < 0:
+        raise TraceFormatError(f"{path}: header is truncated")
+    try:
+        header = json.loads(blob[len(MAGIC):nl].decode("utf-8"))
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: header is not JSON ({exc})") \
+            from None
     if header.get("format") != FORMAT_VERSION:
         raise TraceFormatError(
             f"trace format {header.get('format')} unsupported "
@@ -302,13 +313,22 @@ def load_trace(path: str) -> Trace:
     for spec in header["arrays"]:
         name, shape = spec["name"], tuple(spec["shape"])
         dtype = np.dtype(_ARRAY_DTYPES[name])
-        nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
-        arr = np.frombuffer(blob, dtype=dtype, count=int(np.prod(shape)),
-                            offset=offset).reshape(shape)
-        arrays[name] = arr
+        count = int(np.prod(shape))
+        nbytes = dtype.itemsize * count
+        if offset + nbytes > len(blob):
+            raise TraceFormatError(f"{path}: array {name!r} is truncated")
+        arrays[name] = np.frombuffer(blob, dtype=dtype, count=count,
+                                     offset=offset).reshape(shape)
         offset += nbytes
-    sidecar = json.loads(blob[offset:offset + header["sidecar_bytes"]]
-                         .decode("utf-8"))
+    if len(blob) - offset != header["sidecar_bytes"]:
+        raise TraceFormatError(
+            f"{path}: sidecar holds {len(blob) - offset} bytes, header "
+            f"says {header['sidecar_bytes']}")
+    try:
+        sidecar = json.loads(blob[offset:].decode("utf-8"))
+    except ValueError as exc:
+        raise TraceFormatError(f"{path}: sidecar is not JSON ({exc})") \
+            from None
 
     def image(prefix: str, tick: int) -> CacheImage:
         return CacheImage(tags=arrays[f"{prefix}_tags"].copy(),

@@ -1,4 +1,4 @@
-"""The trace interpreter: a threaded-code exact tier plus fused windows.
+"""The trace interpreter: threaded-code replay of a compiled op-stream.
 
 Replay rebuilds only the hardware below the kernel — physical memory, the
 two caches, the clock and counters — restores the captured start images,
@@ -8,31 +8,16 @@ clock and counters during recording is already in the stream as SYNC
 deltas, and everything they contributed to memory is there as explicit
 ops.  That asymmetry is the speedup.
 
-Execution happens in two layers:
-
-* the op-stream is first *compiled* into a threaded program — a flat list
-  of instruction tuples with every operand pre-resolved (set index and
-  physical line tag computed, value-stream slices taken, SYNC counter
-  deltas parsed into attribute adds, flush reasons interned).  Hot
-  single-line runs and SYNC deltas become specialized instructions whose
-  handlers are a few scalar operations; everything else becomes a direct
-  call into the very same :class:`~repro.hw.cache.Cache` methods the live
-  machine uses, so equivalence there is inherited rather than argued;
-* maximal windows of contiguous ``*_READ_RUN``/``*_WRITE_RUN`` (and
-  interleaved ``SYNC``) ops whose set ranges are pairwise disjoint are
-  fused into single vectorized cache transactions when they cover enough
-  words to pay the fixed numpy cost.  Anything consistency-relevant —
-  flush, purge, DMA memory writes, bus events, page ops — is a window
-  boundary and always executes on the exact tier.
-
-A window is *statically* legal when its cache is direct-mapped and
-write-back and its runs touch pairwise-disjoint set ranges (SYNC deltas
-are purely additive, so they commute to the window end).  It is
-*dynamically* legal when, probed against the live tags, every victim
-line is unique and no victim is also wanted by the window — otherwise
-write-back/fill ordering between runs would matter, and the window falls
-back to per-op execution of its member instructions.  The fallback is
-checked before any mutation, so it is always safe.
+The op-stream is first *compiled* into a threaded program — a flat list
+of instruction tuples with every operand pre-resolved (set index and
+physical line tag computed, value-stream slices taken, SYNC counter
+deltas parsed into attribute adds, flush reasons interned).  Hot
+single-line runs, page operations and SYNC deltas become specialized
+instructions whose handlers are a few scalar (or page-vector) operations;
+everything else becomes a direct call into the very same
+:class:`~repro.hw.cache.Cache` methods the live machine uses, so
+equivalence there is inherited rather than argued.  Every op executes in
+stream order, exactly once.
 """
 
 from __future__ import annotations
@@ -43,36 +28,22 @@ from functools import partial
 
 import numpy as np
 
-from repro.hw.cache import RUN_FALLBACK_WORDS, _INVALID, Cache
+from repro.hw.cache import _INVALID, Cache
 from repro.hw.params import WORD_SIZE, CacheGeometry, CostModel
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.stats import Clock, Counters, FaultKind, Reason
 from repro.obs.events import EventBus
 from repro.trace.format import (
-    COUNTER_KIND_FIELDS, COUNTER_PAIR_FIELDS, OP_BUS, OP_D_FLUSH,
-    OP_D_INVAL, OP_D_PURGE, OP_D_READ_PAGE, OP_D_READ_RUN, OP_D_WRITE_PAGE,
-    OP_D_WRITE_RUN, OP_D_ZERO_PAGE, OP_I_FLUSH, OP_I_INVAL, OP_I_PURGE,
-    OP_I_READ_PAGE, OP_I_READ_RUN, OP_I_WRITE_PAGE, OP_I_WRITE_RUN,
-    OP_I_ZERO_PAGE, OP_MEM_WRITE, OP_SYNC, REASONS, Trace, TraceFormatError,
-    apply_counters_delta, diff_counters, encode_counters,
+    COUNTER_KIND_FIELDS, COUNTER_PAIR_FIELDS, OP_BUS, OP_D_INVAL,
+    OP_D_READ_PAGE, OP_D_READ_RUN, OP_D_WRITE_RUN, OP_I_INVAL,
+    OP_I_READ_PAGE, OP_I_READ_RUN, OP_I_WRITE_RUN, OP_MEM_WRITE, OP_SYNC,
+    REASONS, Trace, TraceFormatError, apply_counters_delta, diff_counters,
+    encode_counters,
 )
 
-#: fuse a window only when it holds at least this many runs *and* covers
-#: at least this many words; smaller windows execute on the exact tier
-#: (the fixed per-batch numpy overhead would not pay for itself).
-MIN_BATCH_RUNS = 4
-MIN_BATCH_WORDS = 256
-
-#: open a window only at a run of at least this many words.  Streams of
-#: short runs (a few words between consistency ops) can never reach
-#: ``MIN_BATCH_WORDS`` before a boundary closes them, so tracking window
-#: state for them is pure compile-time overhead; a run this long signals
-#: a bulk-copy phase where fusion has a chance to pay.
-MIN_OPEN_WORDS = 16
-
-#: opcode -> (cache index, is_write) for the batchable run ops.
-_BATCHABLE = {OP_D_READ_RUN: (0, False), OP_D_WRITE_RUN: (0, True),
-              OP_I_READ_RUN: (1, False), OP_I_WRITE_RUN: (1, True)}
+#: opcode -> (cache index, is_write) for the word-run ops.
+_RUN_OPS = {OP_D_READ_RUN: (0, False), OP_D_WRITE_RUN: (0, True),
+            OP_I_READ_RUN: (1, False), OP_I_WRITE_RUN: (1, True)}
 
 # Threaded-program instruction codes (first element of each tuple).
 # SYNC instructions appear only on the events path: without a bus, every
@@ -85,34 +56,10 @@ _D_READ1 = 3        # (op, set, tag, n_words)
 _D_WRITE1 = 4       # (op, set, tag, n_words, first_word, values_view)
 _I_READ1 = 5        # (op, set, tag, n_words)
 _CALL = 6           # (op, callable, args_tuple)
-_BATCH = 7          # (op, _BatchItem, member_instructions)
-_FLUSH = 8          # (op, pack, s0, s1, want, cell)
-_PURGE = 9          # (op, pack, s0, s1, want, cell, const_cycles)
-_RPAGE = 10         # (op, pack, s0, s1, want)
-_WPAGE = 11         # (op, pack, s0, s1, want, values_page_view)
-
-
-@dataclass
-class _SubBatch:
-    """One cache's share of a fused window (line-granularity arrays)."""
-
-    cache_idx: int
-    sets: np.ndarray       # unique set indices, one per line
-    want: np.ndarray       # wanted physical line tags, aligned with sets
-    is_write: np.ndarray   # bool per line: belongs to a write run
-    lru_rel: np.ndarray    # LRU stamps relative to the cache tick at entry
-    total_words: int
-    words_read: int
-    words_written: int
-    write_slices: list     # (flat word offset into _data[0], n_words, vpos)
-
-
-@dataclass
-class _BatchItem:
-    n_ops: int
-    subs: list
-    sync_clock: int
-    sync_delta: dict
+_FLUSH = 7          # (op, pack, s0, s1, want, cell)
+_PURGE = 8          # (op, pack, s0, s1, want, cell, const_cycles)
+_RPAGE = 9          # (op, pack, s0, s1, want)
+_WPAGE = 10         # (op, pack, s0, s1, want, values_page_view)
 
 
 @dataclass
@@ -125,9 +72,6 @@ class ReplayResult:
     counters: Counters
     counters_state: dict
     n_ops: int
-    batches: int = 0
-    batched_ops: int = 0
-    fallbacks: int = 0
     n_events: int = 0
     events_sha256: str | None = None
     events_jsonl: str | None = field(default=None, repr=False)
@@ -136,7 +80,7 @@ class ReplayResult:
     icache: Cache | None = field(default=None, repr=False)
 
 
-def _merge_delta(acc: dict, delta: dict, times: int = 1) -> None:
+def _merge_delta(acc: dict, delta: dict, times: int) -> None:
     """Additively merge ``times`` copies of a sparse counters delta."""
     for name, value in delta.items():
         if isinstance(value, dict):
@@ -207,105 +151,21 @@ def _compile_sync(counters: Counters, delta: dict):
     return (tuple(scalars), tuple(ctr))
 
 
-class _Window:
-    """Accumulator for one candidate fused window during compilation."""
-
-    __slots__ = ("members", "runs", "ivs", "ticks", "words", "syncs",
-                 "n_ops")
-
-    def __init__(self):
-        self.members: list = []         # exact-tier instructions (fallback)
-        # per-run shape tuples: (cache, s0, n_lines, tag0, fw, ln, is_w,
-        #                        vp, rel_tick)
-        self.runs: list = []
-        self.ivs = ([], [])             # per cache: sorted (s0, s1) spans
-        self.ticks = [0, 0]             # per cache: words so far (tick rel)
-        self.words = 0
-        self.syncs: list = []           # (clock_delta, sidecar_idx) pairs
-        self.n_ops = 0
-
-    def admits(self, cache_idx: int, s0: int, s1: int) -> bool:
-        """True when the span is disjoint from every accepted span."""
-        ivs = self.ivs[cache_idx]
-        lo, hi = 0, len(ivs)
-        while lo < hi:                  # bisect on span starts
-            mid = (lo + hi) // 2
-            if ivs[mid][0] < s0:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo > 0 and ivs[lo - 1][1] > s0:
-            return False
-        if lo < len(ivs) and ivs[lo][0] < s1:
-            return False
-        ivs.insert(lo, (s0, s1))
-        return True
-
-
-def _materialize(win: _Window, wpls: tuple[int, int],
-                 sidecar: list) -> _BatchItem:
-    """Build the vectorized arrays for a qualifying window.
-
-    The window's SYNC ops are merged here, once per *qualifying* window,
-    rather than incrementally during compilation (almost no window
-    qualifies, so eager merging would be wasted work).
-    """
-    sync_clock = 0
-    sync_delta: dict = {}
-    for clock_delta, aux in win.syncs:
-        sync_clock += clock_delta
-        if aux >= 0:
-            _merge_delta(sync_delta, sidecar[aux])
-    subs = []
-    for cache_idx in (0, 1):
-        runs = [r for r in win.runs if r[0] == cache_idx]
-        if not runs:
-            continue
-        sets_parts, want_parts, isw_parts, lru_parts = [], [], [], []
-        wr = ww = 0
-        wslices = []
-        wpl = wpls[cache_idx]
-        for (_, s0, n_lines, tag0, fw, ln, is_w, vp, rel_tick) in runs:
-            sets_parts.append(np.arange(s0, s0 + n_lines, dtype=np.int64))
-            want_parts.append(np.arange(tag0, tag0 + n_lines,
-                                        dtype=np.int64))
-            isw_parts.append(np.full(n_lines, is_w, dtype=bool))
-            if n_lines == 1:
-                counts = np.array([ln], dtype=np.int64)
-            else:
-                counts = np.full(n_lines, wpl, dtype=np.int64)
-                counts[0] = wpl - fw
-                counts[-1] = ln - counts[0] - (n_lines - 2) * wpl
-            lru_parts.append(rel_tick + np.cumsum(counts))
-            if is_w:
-                ww += ln
-                wslices.append((s0 * wpl + fw, ln, vp))
-            else:
-                wr += ln
-        subs.append(_SubBatch(cache_idx, np.concatenate(sets_parts),
-                              np.concatenate(want_parts),
-                              np.concatenate(isw_parts),
-                              np.concatenate(lru_parts),
-                              wr + ww, wr, ww, wslices))
-    return _BatchItem(win.n_ops, subs, sync_clock, sync_delta)
-
-
-def _compile(rows, values, sidecar, dcache, icache, memory, clock,
-             counters, bus, batched: bool):
+def _compile(rows, values, sidecar, dcache, icache, memory, counters,
+             bus):
     """Lower the op-stream into a threaded program for this machine.
 
     Every instruction operand is resolved against the live replay state
     (array views, bound methods, interned enum keys), so execution is a
     tight dispatch loop with no per-op parsing.  Returns ``(program,
-    words_consumed)``.
+    words_consumed, deferred)``.
     """
     geos = (dcache.geo, icache.geo)
-    # The specialized single-line instructions and the fused windows both
-    # assume direct-mapped write-back semantics.
+    # The specialized instructions assume direct-mapped write-back
+    # semantics.
     fast = tuple(g.associativity == 1 and not g.write_through for g in geos)
     line_size = tuple(g.line_size for g in geos)
     num_sets = tuple(g.num_sets for g in geos)
-    wpls = tuple(g.words_per_line for g in geos)
     phys_idx = tuple(g.physically_indexed for g in geos)
     caches = (dcache, icache)
     zeros = tuple(np.zeros(g.words_per_page, dtype=np.uint64) for g in geos)
@@ -323,7 +183,6 @@ def _compile(rows, values, sidecar, dcache, icache, memory, clock,
 
     sync_cache: dict[int, tuple] = {}
     prog: list = []
-    win: _Window | None = None
     vpos = 0
     deferred = _Deferred()
     # Events need the clock exact at every publish, so the events path
@@ -331,18 +190,6 @@ def _compile(rows, values, sidecar, dcache, icache, memory, clock,
     # compile time (every instruction runs exactly once) and applied once.
     defer = bus is None
     sync_aux = deferred.sync_aux
-
-    def close_window():
-        nonlocal win
-        if win is None:
-            return
-        if (len(win.runs) >= MIN_BATCH_RUNS
-                and win.words >= MIN_BATCH_WORDS):
-            prog.append((_BATCH, _materialize(win, wpls, sidecar),
-                         tuple(win.members)))
-        else:
-            prog.extend(win.members)
-        win = None
 
     for op, asid, va, ln, aux in rows:
         if op == OP_SYNC:
@@ -362,70 +209,34 @@ def _compile(rows, values, sidecar, dcache, icache, memory, clock,
                     instr = (_SYNC_TLB, va, compiled[1])
                 else:
                     instr = (_SYNC_DELTA, va, compiled[0], compiled[1])
-            if win is not None:
-                win.members.append(instr)
-                win.syncs.append((va, aux))
-                win.n_ops += 1
-            else:
-                prog.append(instr)
+            prog.append(instr)
             continue
-        info = _BATCHABLE.get(op)
+        info = _RUN_OPS.get(op)
         if info is not None:
             cache_idx, is_write = info
-            if fast[cache_idx]:
-                ls = line_size[cache_idx]
-                tag0 = aux // ls
-                n_lines = (aux + (ln - 1) * WORD_SIZE) // ls - tag0 + 1
-                addr = aux if phys_idx[cache_idx] else va
-                s0 = (addr // ls) % num_sets[cache_idx]
-                fw = (aux % ls) // WORD_SIZE
-                # Exact-tier instruction for this run.
-                if is_write:
-                    vals = values[vpos:vpos + ln]
-                    vp = vpos
-                    vpos += ln
-                    if n_lines == 1 and cache_idx == 0:
-                        instr = (_D_WRITE1, s0, tag0, ln, fw, vals)
-                    else:
-                        instr = (_CALL, caches[cache_idx].write_run,
-                                 (va, aux, vals))
-                else:
-                    vp = 0
-                    if n_lines == 1:
-                        instr = (read1_code[cache_idx], s0, tag0, ln)
-                    else:
-                        instr = (_CALL, caches[cache_idx].read_run,
-                                 (va, aux, ln))
-                if batched and (win is not None or ln >= MIN_OPEN_WORDS):
-                    if win is None:
-                        win = _Window()
-                    if not win.admits(cache_idx, s0, s0 + n_lines):
-                        close_window()
-                        win = _Window()
-                        win.admits(cache_idx, s0, s0 + n_lines)
-                    win.members.append(instr)
-                    win.runs.append((cache_idx, s0, n_lines, tag0, fw, ln,
-                                     is_write, vp,
-                                     win.ticks[cache_idx]))
-                    win.ticks[cache_idx] += ln
-                    win.words += ln
-                    win.n_ops += 1
-                else:
-                    prog.append(instr)
-                continue
-            # Associative or write-through: generic, never fused.
-            close_window()
             if is_write:
                 vals = values[vpos:vpos + ln]
                 vpos += ln
+            if fast[cache_idx]:
+                ls = line_size[cache_idx]
+                tag0 = aux // ls
+                if (aux + (ln - 1) * WORD_SIZE) // ls == tag0:  # one line
+                    addr = aux if phys_idx[cache_idx] else va
+                    s0 = (addr // ls) % num_sets[cache_idx]
+                    if not is_write:
+                        prog.append((read1_code[cache_idx], s0, tag0, ln))
+                        continue
+                    if cache_idx == 0:
+                        prog.append((_D_WRITE1, s0, tag0, ln,
+                                     (aux % ls) // WORD_SIZE, vals))
+                        continue
+            if is_write:
                 prog.append((_CALL, caches[cache_idx].write_run,
                              (va, aux, vals)))
             else:
                 prog.append((_CALL, caches[cache_idx].read_run,
                              (va, aux, ln)))
             continue
-        # Everything below is a consistency-relevant boundary.
-        close_window()
         if op == OP_MEM_WRITE:
             vals = values[vpos:vpos + ln]
             vpos += ln
@@ -507,12 +318,11 @@ def _compile(rows, values, sidecar, dcache, icache, memory, clock,
         else:                                           # *_ZERO_PAGE
             prog.append((_WPAGE, pack, s0, s1, want,
                          zeros[cache_idx].reshape(lpp[cache_idx], -1)))
-    close_window()
     return prog, vpos, deferred
 
 
-def _execute(prog, ctx) -> tuple[int, int, int]:
-    """Run a threaded program; returns (batches, batched_ops, fallbacks).
+def _execute(prog, ctx) -> None:
+    """Run a threaded program against the replay machine.
 
     The handlers for the specialized instructions reproduce, in scalar
     form, exactly what the equivalent :class:`Cache` word loop does to
@@ -521,15 +331,15 @@ def _execute(prog, ctx) -> tuple[int, int, int]:
     The hot counters (hits, misses, write-backs, deferred clock cycles,
     the LRU ticks) accumulate in locals and are flushed to the live
     objects at the points where other code can observe them — before
-    every ``_CALL``/``_BATCH`` (cache methods advance the clock and the
+    every ``_CALL`` (cache methods advance the clock and the
     LRU tick themselves, and on the events path a publish stamps the
     clock) and once at the end.  Counter updates are pure additions, so
     the deferral commutes with everything in between.
     """
-    (ck, co, mem, caches, memory, cost, values,
+    (ck, co, mem, (dcache, icache),
      td, dyd, datd, lrud, wpl_d,
      ti, dyi, dati, lrui, wpl_i) = ctx
-    dcache, icache = caches
+    cost = dcache.cost
     cost_hit = cost.cache_hit
     cost_fill = cost.line_fill
     cost_wb = cost.write_back
@@ -537,7 +347,6 @@ def _execute(prog, ctx) -> tuple[int, int, int]:
     fl_miss = cost.flush_line_miss
     pl_hit = cost.purge_line_hit
     pl_miss = cost.purge_line_miss
-    batches = batched_ops = fallbacks = 0
     cyc = tlb_h = r_hit = r_miss = w_hit = w_miss = wbk = 0
     tick_d = dcache._tick
     tick_i = icache._tick
@@ -708,23 +517,6 @@ def _execute(prog, ctx) -> tuple[int, int, int]:
             tv[:] = want
             dat[s0:s1] = vals2d
             dyv[:] = True
-        elif code == _BATCH:
-            ck.cycles += cyc
-            cyc = 0
-            dcache._tick = tick_d
-            icache._tick = tick_i
-            if _execute_batch(item[1], caches, memory, ck, co, cost,
-                              values):
-                batches += 1
-                batched_ops += item[1].n_ops
-            else:
-                fallbacks += 1
-                b, bo, fb = _execute(item[2], ctx)
-                batches += b
-                batched_ops += bo
-                fallbacks += fb
-            tick_d = dcache._tick
-            tick_i = icache._tick
         else:  # pragma: no cover - compile emits only the codes above
             raise TraceFormatError(f"unknown instruction code {code}")
     ck.cycles += cyc
@@ -736,66 +528,6 @@ def _execute(prog, ctx) -> tuple[int, int, int]:
     co.write_backs += wbk
     dcache._tick = tick_d
     icache._tick = tick_i
-    return batches, batched_ops, fallbacks
-
-
-def _execute_batch(item: _BatchItem, caches, memory, clock, counters,
-                   cost, values) -> bool:
-    """Apply one fused window; returns False (touching nothing) when the
-    dynamic legality probe fails and the caller must replay it exactly."""
-    probes = []
-    victim_parts = []
-    want_parts = []
-    for sub in item.subs:
-        cache = caches[sub.cache_idx]
-        tags = cache._tags[0][sub.sets]
-        miss = tags != sub.want
-        victims = miss & (tags != _INVALID) & cache._dirty[0][sub.sets]
-        victim_tags = tags[victims]
-        probes.append((cache, miss, victims, victim_tags))
-        if victim_tags.size:
-            victim_parts.append(victim_tags)
-        want_parts.append(sub.want)
-    if victim_parts:
-        all_victims = np.concatenate(victim_parts)
-        if (len(np.unique(all_victims)) != len(all_victims)
-                or np.intersect1d(all_victims,
-                                  np.concatenate(want_parts)).size):
-            return False
-    for sub, (cache, miss, victims, victim_tags) in zip(item.subs, probes):
-        wpl = cache.geo.words_per_line
-        data0 = cache._data[0]
-        if victim_tags.size:
-            memory.write_lines(victim_tags, data0[sub.sets[victims]], wpl)
-        fill_sets = sub.sets[miss]
-        if fill_sets.size:
-            data0[fill_sets] = memory.read_lines(sub.want[miss], wpl)
-        cache._tags[0][sub.sets] = sub.want
-        dirty0 = cache._dirty[0]
-        dirty0[fill_sets] = False
-        if sub.words_written:
-            dirty0[sub.sets[sub.is_write]] = True
-        flat = data0.reshape(-1)
-        for start, k, vp in sub.write_slices:
-            flat[start:start + k] = values[vp:vp + k]
-        cache._lru[0][sub.sets] = cache._tick + sub.lru_rel
-        cache._tick += sub.total_words
-        n_miss_read = int((miss & ~sub.is_write).sum())
-        n_miss_write = int((miss & sub.is_write).sum())
-        n_victims = int(victims.sum())
-        counters.read_misses += n_miss_read
-        counters.read_hits += sub.words_read - n_miss_read
-        counters.write_misses += n_miss_write
-        counters.write_hits += sub.words_written - n_miss_write
-        counters.write_backs += n_victims
-        clock.cycles += (sub.total_words * cost.cache_hit
-                         + (n_miss_read + n_miss_write)
-                         * (cost.line_fill - cost.cache_hit)
-                         + n_victims * cost.write_back)
-    clock.cycles += item.sync_clock
-    if item.sync_delta:
-        apply_counters_delta(counters, item.sync_delta)
-    return True
 
 
 def _restore_image(cache: Cache, image) -> None:
@@ -806,15 +538,13 @@ def _restore_image(cache: Cache, image) -> None:
     cache._tick = image.tick
 
 
-def replay_trace(trace: Trace, batched: bool = True) -> ReplayResult:
+def replay_trace(trace: Trace) -> ReplayResult:
     """Re-execute a compiled trace and verify the equivalence contract.
 
     The result's ``equivalent`` flag is True iff the replayed clock,
     the full-fidelity counters state and (when the trace recorded
     events) the event JSONL hash are bit-identical to what the recorder
-    captured.  ``batched=False`` disables window fusion (every op runs
-    on the exact tier) — useful for isolating a fusion bug from a
-    recording bug.
+    captured.
     """
     config = trace.config
     geo_d = CacheGeometry(**config["dcache"])
@@ -853,15 +583,13 @@ def replay_trace(trace: Trace, batched: bool = True) -> ReplayResult:
             for name in ("op", "asid", "va", "len", "aux")]
     rows = zip(*cols)
     prog, vpos, deferred = _compile(rows, trace.values, trace.sidecar,
-                                    dcache, icache, memory, clock, counters,
-                                    bus, batched)
-    ctx = (clock, counters, memory._words, (dcache, icache), memory, cost,
-           trace.values,
+                                    dcache, icache, memory, counters, bus)
+    ctx = (clock, counters, memory._words, (dcache, icache),
            dcache._tags[0], dcache._dirty[0], dcache._data[0],
            dcache._lru[0], geo_d.words_per_line,
            icache._tags[0], icache._dirty[0], icache._data[0],
            icache._lru[0], geo_i.words_per_line)
-    batches, batched_ops, fallbacks = _execute(prog, ctx)
+    _execute(prog, ctx)
     deferred.apply(clock, counters, trace.sidecar)
 
     mismatches: list[str] = []
@@ -887,7 +615,6 @@ def replay_trace(trace: Trace, batched: bool = True) -> ReplayResult:
         equivalent=not mismatches, mismatches=mismatches,
         clock=clock.cycles, counters=counters,
         counters_state=counters_state, n_ops=n_ops,
-        batches=batches, batched_ops=batched_ops, fallbacks=fallbacks,
         n_events=len(events), events_sha256=sha, events_jsonl=jsonl,
         memory=memory, dcache=dcache, icache=icache,
     )

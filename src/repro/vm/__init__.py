@@ -7,7 +7,7 @@ from repro.vm.pmap import Pmap
 from repro.vm.policy import (CONFIG_A, CONFIG_B, CONFIG_C, CONFIG_D, CONFIG_E,
                              CONFIG_F, CONFIG_GLOBAL, CONFIG_LADDER,
                              NEW_SYSTEM, OLD_SYSTEM, TABLE5_SYSTEMS,
-                             PolicyConfig, by_name)
+                             PolicyConfig)
 from repro.vm.prot import AccessKind, Prot
 from repro.vm.vm_object import Backing, VMObject
 
@@ -16,5 +16,5 @@ __all__ = [
     "PageTable", "PageTableEntry", "Pmap", "PolicyConfig", "CONFIG_A",
     "CONFIG_B", "CONFIG_C", "CONFIG_D", "CONFIG_E", "CONFIG_F",
     "CONFIG_GLOBAL", "CONFIG_LADDER", "TABLE5_SYSTEMS", "OLD_SYSTEM", "NEW_SYSTEM",
-    "by_name", "AccessKind", "Prot", "Backing", "VMObject",
+    "AccessKind", "Prot", "Backing", "VMObject",
 ]

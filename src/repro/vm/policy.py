@@ -137,14 +137,3 @@ SYSTEM_SUN = CONFIG_A.derive(
 TABLE5_SYSTEMS: tuple[PolicyConfig, ...] = (
     SYSTEM_CMU, SYSTEM_UTAH, SYSTEM_TUT, SYSTEM_APOLLO, SYSTEM_SUN)
 
-
-def by_name(name: str) -> PolicyConfig:
-    """Look up a configuration by name (A..F, G, or a Table 5 system)."""
-    for config in CONFIG_LADDER + (CONFIG_GLOBAL,) + TABLE5_SYSTEMS:
-        if config.name.lower() == name.lower():
-            return config
-    valid = ", ".join(sorted(
-        (c.name for c in CONFIG_LADDER + (CONFIG_GLOBAL,) + TABLE5_SYSTEMS),
-        key=str.lower))
-    raise KeyError(f"unknown policy configuration {name!r}; "
-                   f"valid names: {valid}")

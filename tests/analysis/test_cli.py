@@ -13,8 +13,8 @@ class TestParser:
         for command in ("table1", "table2", "table4", "table5", "micro",
                         "run", "chaos", "conform", "sweep", "farm",
                         "trace", "metrics", "profile", "all"):
-            extra = (["latex-paper"]
-                     if command in ("run", "trace", "profile")
+            extra = (["latex-paper"] if command in ("run", "profile")
+                     else ["events", "latex-paper"] if command == "trace"
                      else ["stats"] if command == "farm" else [])
             args = parser.parse_args([command] + extra)
             assert args.command == command
@@ -36,8 +36,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "nonesuch"])
 
+    @pytest.mark.parametrize("argv", [
+        ["trace", "replay", "a.trace", "--diff", "g.jsonl"],
+        ["trace", "events", "latex-paper", "--inject", "p"],
+        ["trace", "events", "latex-paper", "--events-out", "e.jsonl"],
+        ["trace", "compile", "afs-bench", "--out", "a", "--diff", "g"],
+        ["trace", "compile", "afs-bench"],          # --out is required
+        ["trace", "latex-paper"],                   # no mode given
+    ])
+    def test_trace_flag_for_another_mode_is_an_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "error" in capsys.readouterr().err
+
 
 class TestCommands:
+    def test_trace_compile_then_replay(self, tmp_path, capsys):
+        artifact = str(tmp_path / "a.trace")
+        assert main(["trace", "compile", "latex-paper", "--scale", "0.1",
+                     "--out", artifact]) == 0
+        assert main(["trace", "replay", artifact]) == 0
+        assert "equivalent: true" in capsys.readouterr().out
+
     def test_table2_prints_the_transition_table(self, capsys):
         assert main(["table2"]) == 0
         out = capsys.readouterr().out

@@ -5,7 +5,7 @@ a diff naming the first diverging event.
 
 Regenerate after an *intended* change with::
 
-    python -m repro trace <workload> --out tests/golden/<workload>.jsonl
+    python -m repro trace events <workload> --out tests/golden/<workload>.jsonl
 """
 
 from pathlib import Path
@@ -81,7 +81,7 @@ class TestGoldenArtifacts:
 @pytest.mark.conform
 class TestTraceCli:
     def test_diff_against_golden_matches(self, capsys):
-        assert main(["trace", "latex-paper",
+        assert main(["trace", "events", "latex-paper",
                      "--diff", str(GOLDEN_DIR / "latex-paper.jsonl")]) == 0
         assert "trace matches" in capsys.readouterr().out
 
@@ -89,7 +89,7 @@ class TestTraceCli:
             self, capsys):
         # A different scale produces a genuinely different run.
         with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "latex-paper", "--scale", "0.5",
+            main(["trace", "events", "latex-paper", "--scale", "0.5",
                   "--diff", str(GOLDEN_DIR / "latex-paper.jsonl")])
         assert excinfo.value.code == 1
         out = capsys.readouterr().out
@@ -98,6 +98,7 @@ class TestTraceCli:
 
     def test_out_writes_jsonl(self, tmp_path, capsys):
         out_file = tmp_path / "t.jsonl"
-        assert main(["trace", "latex-paper", "--out", str(out_file)]) == 0
+        assert main(["trace", "events", "latex-paper",
+                     "--out", str(out_file)]) == 0
         events = Tracer.load_jsonl(out_file)
         assert events and all("kind" in e for e in events)

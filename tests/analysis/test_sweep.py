@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.sweep import (machine_with_dcache, render_sweep,
-                                  sweep_cache_sizes)
+                                  run_sweep, sweep_cache_sizes)
 from repro.vm.policy import CONFIG_F
 
 
@@ -26,3 +26,14 @@ class TestSweep:
         text = render_sweep({"F": points}, "latex-paper")
         assert "64Ki" in text
         assert "latex-paper" in text
+
+    def test_serial_sweep_runs_external_policies(self):
+        points = run_sweep("afs-bench", ("rlt", "vespa"), (32,), scale=0.1)
+        assert list(points) == ["rlt", "vespa"]
+        for name in points:
+            assert [p.dcache_kib for p in points[name]] == [32]
+            assert points[name][0].metrics.cycles > 0
+
+    def test_unknown_policy_fails_fast(self):
+        with pytest.raises(KeyError, match="unknown policy 'nope'"):
+            run_sweep("afs-bench", ("F", "nope"), (32,), scale=0.1)

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import make_workload, run_workload
-from repro.vm.policy import (CONFIG_GLOBAL, CONFIG_LADDER, TABLE5_SYSTEMS,
-                             by_name)
+from repro.policy import get_policy
+from repro.vm.policy import CONFIG_GLOBAL, CONFIG_LADDER, TABLE5_SYSTEMS
 from repro.workloads.serve import run_serve_cohort
 
 ALL_NAMED = [c.name for c in
@@ -29,7 +29,8 @@ SCALE = 0.25
 @pytest.mark.parametrize("name", ALL_NAMED)
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_registry_policy_matches_flag_path(name, workload):
-    via_flags = run_workload(make_workload(workload, SCALE), by_name(name))
+    via_flags = run_workload(make_workload(workload, SCALE),
+                             get_policy(name).flags)
     via_registry = run_workload(make_workload(workload, SCALE), name)
     # RunMetrics is a frozen dataclass of counts and cycles; equality is
     # the whole measured surface, clock included.
@@ -38,7 +39,7 @@ def test_registry_policy_matches_flag_path(name, workload):
 
 @pytest.mark.parametrize("name", ["A", "F", "Tut", "Sun", "G"])
 def test_serve_checksum_identical_across_paths(name):
-    via_flags = run_serve_cohort(0, 40, policy=by_name(name))
+    via_flags = run_serve_cohort(0, 40, policy=get_policy(name).flags)
     via_registry = run_serve_cohort(0, 40, policy=name)
     assert via_flags == via_registry
     assert via_flags.checksum == via_registry.checksum

@@ -7,10 +7,11 @@ from repro.policy import (ConsistencyPolicy, all_policies, get_policy,
                           register, resolve)
 from repro.policy.registry import _REGISTRY
 from repro.vm.policy import (CONFIG_F, CONFIG_GLOBAL, CONFIG_LADDER,
-                             TABLE5_SYSTEMS, by_name)
+                             TABLE5_SYSTEMS)
 
-LEGACY_NAMES = [c.name for c in
-                CONFIG_LADDER + (CONFIG_GLOBAL,) + TABLE5_SYSTEMS]
+LEGACY_CONFIGS = {c.name: c for c in
+                  CONFIG_LADDER + (CONFIG_GLOBAL,) + TABLE5_SYSTEMS}
+LEGACY_NAMES = list(LEGACY_CONFIGS)
 
 
 class TestLookup:
@@ -84,17 +85,19 @@ class TestResolve:
 
 
 class TestByNameLegacy:
-    """The vm-layer lookup keeps working and names the valid set."""
+    """Every flag-configuration name resolves through :func:`get_policy`
+    to a policy wrapping that very :class:`PolicyConfig`, and an unknown
+    name lists the valid set."""
 
     @pytest.mark.parametrize("name", LEGACY_NAMES)
     def test_case_insensitive(self, name):
-        assert by_name(name.lower()).name == name
-        assert by_name(name.upper()).name == name
+        assert get_policy(name.lower()).flags is LEGACY_CONFIGS[name]
+        assert get_policy(name.upper()).flags is LEGACY_CONFIGS[name]
 
     def test_unknown_name_message(self):
         with pytest.raises(KeyError) as exc:
-            by_name("nope")
+            get_policy("nope")
         message = str(exc.value)
-        assert "unknown policy configuration 'nope'" in message
+        assert "unknown policy 'nope'" in message
         for name in LEGACY_NAMES:
             assert name in message

@@ -20,7 +20,7 @@ class TestPublicSurface:
     def test_quickstart_imports(self):
         from repro import (CONFIG_GLOBAL, CONFIG_LADDER, Kernel,  # noqa
                            MachineConfig, NEW_SYSTEM, OLD_SYSTEM,
-                           StaleDataError, by_name, small_machine)
+                           StaleDataError, small_machine)
 
     def test_readme_snippet_runs(self):
         # The README's quickstart, verbatim in spirit.
@@ -42,7 +42,7 @@ class TestPublicSurface:
         assert repro.__version__
 
     def test_policy_registry_is_complete(self):
-        from repro import by_name
+        from repro.policy import get_policy
         for name in list("ABCDEF") + ["G", "CMU", "Utah", "Tut", "Apollo",
-                                      "Sun"]:
-            assert by_name(name).name.lower() == name.lower()
+                                      "Sun", "rlt", "vespa"]:
+            assert get_policy(name).name.lower() == name.lower()

@@ -30,8 +30,8 @@ if __name__ == "__main__":                       # --regenerate entry point
 import repro.kernel.process as process_mod
 from repro.analysis.experiments import make_workload
 from repro.kernel.task import Task
+from repro.policy import get_policy
 from repro.trace import compile_workload, replay_trace
-from repro.vm.policy import by_name
 
 GOLDEN_PATH = (pathlib.Path(__file__).resolve().parent.parent / "golden"
                / "latex-paper-compiled.json")
@@ -47,7 +47,7 @@ def compile_golden_run():
     process_mod._token_counter = itertools.count(0x1000)
     try:
         return compile_workload(make_workload(GOLDEN_WORKLOAD, GOLDEN_SCALE),
-                                by_name(GOLDEN_POLICY))
+                                get_policy(GOLDEN_POLICY))
     finally:
         Task._names, process_mod._token_counter = names, tokens
 

@@ -6,10 +6,10 @@ Two artifacts are pinned, one per representative configuration:
 * ``tests/golden/latex-paper-2way-compiled.json`` — digests of the
   compiled op/value/sidecar streams for latex-paper on a **2-way** L1.
   Associativity flows through the artifact's encoded geometry and replay
-  reconstructs the set-associative cache via the exact interpreter tier
-  (the batched tier's specialized kernels assume a direct-mapped
-  write-back L1 and fall back; see docs/trace-compiler.md), so the trace
-  must still verify bit-identical under both exact and batched replay.
+  reconstructs the set-associative cache through the generic cache
+  methods (the interpreter's specialized instructions assume a
+  direct-mapped write-back L1; see docs/trace-compiler.md), so the
+  trace must still replay bit-identically.
 * ``tests/golden/latex-paper-victim8-run.json`` — the measured metrics
   and victim-cache counters of a **live** run (victim/L2 geometries are
   rejected by the compiler: the artifact cannot carry lower-level fill
@@ -40,8 +40,8 @@ from repro.analysis.sweep import machine_with_dcache
 from repro.hw.params import apply_geometry
 from repro.kernel.kernel import Kernel
 from repro.kernel.task import Task
+from repro.policy import get_policy
 from repro.trace import compile_workload, replay_trace
-from repro.vm.policy import by_name
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden"
 COMPILED_GOLDEN = GOLDEN_DIR / "latex-paper-2way-compiled.json"
@@ -76,7 +76,7 @@ def compile_2way_run():
     config = apply_geometry(machine_with_dcache(RUN_DCACHE_KIB), "2way")
     with _fresh_counters():
         return compile_workload(make_workload(WORKLOAD, SCALE),
-                                by_name(POLICY), config=config)
+                                get_policy(POLICY), config=config)
 
 
 def summarize_compiled(trace) -> dict:
@@ -102,7 +102,7 @@ def summarize_compiled(trace) -> dict:
 def run_victim8():
     config = apply_geometry(machine_with_dcache(RUN_DCACHE_KIB),
                             RUN_GEOMETRY)
-    policy = by_name(POLICY)
+    policy = get_policy(POLICY)
     with _fresh_counters():
         kernel = Kernel(policy=policy, config=config)
         metrics = run_workload(make_workload(WORKLOAD, SCALE), policy,
@@ -140,14 +140,11 @@ def _assert_matches(actual: dict, golden_path: pathlib.Path):
 def test_two_way_compiled_run_matches_golden():
     trace = compile_2way_run()
     _assert_matches(summarize_compiled(trace), COMPILED_GOLDEN)
-    # The non-direct-mapped geometry replays through the exact tier;
-    # both replay modes must still verify bit-identically and agree
-    # with each other on the final clock and event stream.
-    exact = replay_trace(trace, batched=False)
-    batched = replay_trace(trace)
-    assert exact.equivalent and batched.equivalent
-    assert exact.clock == batched.clock
-    assert exact.events_sha256 == batched.events_sha256
+    # The non-direct-mapped geometry replays through the generic cache
+    # methods and must still verify bit-identically.
+    result = replay_trace(trace)
+    assert result.equivalent, result.mismatches
+    assert result.clock == trace.end_clock
 
 
 def test_victim_cache_run_matches_golden():

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.policy import get_policy
 from repro.vm.policy import (CONFIG_A, CONFIG_B, CONFIG_C, CONFIG_D,
                              CONFIG_E, CONFIG_F, CONFIG_LADDER, NEW_SYSTEM,
-                             OLD_SYSTEM, SYSTEM_TUT, TABLE5_SYSTEMS, by_name)
+                             OLD_SYSTEM, SYSTEM_TUT, TABLE5_SYSTEMS)
 
 
 class TestLadder:
@@ -55,18 +56,18 @@ class TestTable5Systems:
 
     def test_eager_systems(self):
         for name in ("Utah", "Apollo", "Sun"):
-            system = by_name(name)
+            system = get_policy(name).flags
             assert not system.lazy_unmap
 
 
 class TestLookup:
     def test_by_name_case_insensitive(self):
-        assert by_name("f") is CONFIG_F
-        assert by_name("tut") is SYSTEM_TUT
+        assert get_policy("f").flags is CONFIG_F
+        assert get_policy("tut").flags is SYSTEM_TUT
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            by_name("nonesuch")
+            get_policy("nonesuch")
 
     def test_derive_changes_only_requested_fields(self):
         derived = CONFIG_F.derive("X", "test", opt_need_data=False)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.hw.params import MachineConfig
 from repro.kernel.kernel import Kernel
-from repro.vm.policy import CONFIG_F, CONFIG_GLOBAL, OLD_SYSTEM, by_name
+from repro.policy import get_policy
+from repro.vm.policy import CONFIG_F, CONFIG_GLOBAL, OLD_SYSTEM
 from repro.workloads.shmem_ring import run_ring
 
 
@@ -29,7 +30,7 @@ class TestCorrectness:
 
     @pytest.mark.parametrize("policy",
                              [OLD_SYSTEM, CONFIG_F, CONFIG_GLOBAL,
-                              by_name("Sun")],
+                              get_policy("Sun")],
                              ids=["old", "new", "global", "sun"])
     def test_correct_under_every_policy(self, policy):
         kernel = make_kernel(policy)
@@ -61,7 +62,7 @@ class TestPerformanceShape:
         # Sun's uncached fallback is the better mechanism for genuinely
         # unaligned ping-pong sharing: no faults, memory-speed accesses.
         trap = run_ring(make_kernel(CONFIG_F), records=200, aligned=False)
-        uncached = run_ring(make_kernel(by_name("Sun")), records=200,
+        uncached = run_ring(make_kernel(get_policy("Sun")), records=200,
                             aligned=False)
         assert uncached.consistency_faults < trap.consistency_faults / 10
         assert uncached.cycles < trap.cycles
