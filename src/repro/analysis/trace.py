@@ -19,134 +19,81 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.hw.stats import FaultKind
+from repro.obs.events import Event
+from repro.obs.patch import Observer, Patches
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One recorded event."""
-
-    seq: int
-    cycles: int          # machine time when the event happened
-    kind: str            # "flush" | "purge" | "fault" | "dma-read" | ...
-    detail: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        return json.dumps({"seq": self.seq, "cycles": self.cycles,
-                           "kind": self.kind, **self.detail},
-                          sort_keys=True)
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        detail = " ".join(f"{k}={v}" for k, v in sorted(self.detail.items()))
-        return f"[{self.cycles:>10}] {self.kind:<10} {detail}"
-
-
-class Tracer:
+class Tracer(Observer):
     """Attachable event recorder for one kernel."""
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.events: list[TraceEvent] = []
+        self.events: list[Event] = []
         self._seq = 0
-        self._originals: dict[str, object] = {}
-        self._attached = False
 
-    # ---- attachment ------------------------------------------------------------
-
-    def attach(self) -> "Tracer":
-        """Install the instrumentation (idempotent)."""
-        if self._attached:
-            return self
-        pmap = self.kernel.pmap
+    def _install(self, patches: Patches) -> None:
         kernel = self.kernel
-        dma = self.kernel.machine.dma
-        self._originals = {
-            "flush": pmap._flush_cache_page,
-            "purge": pmap._purge_cache_page,
-            "fault": kernel.handle_fault,
-            "dma_write": dma.dma_write,
-            "dma_read": dma.dma_read,
-        }
+        machine = kernel.machine
+        record = self._record
 
-        def traced_flush(cache_page, ppage, reason):
-            self._record("flush", cache_page=cache_page, frame=ppage,
-                         reason=str(reason))
-            self._originals["flush"](cache_page, ppage, reason)
+        def cache_op(kind):
+            def make(original):
+                def traced(cache_page, ppage, reason):
+                    record(kind, cache_page=cache_page, frame=ppage,
+                           reason=str(reason))
+                    original(cache_page, ppage, reason)
+                return traced
+            return make
 
-        def traced_purge(cache_page, ppage, reason):
-            self._record("purge", cache_page=cache_page, frame=ppage,
-                         reason=str(reason))
-            self._originals["purge"](cache_page, ppage, reason)
+        def dma(kind):
+            def make(original):
+                def traced(ppage, *rest):
+                    record(kind, frame=ppage)
+                    return original(ppage, *rest)
+                return traced
+            return make
 
-        def traced_fault(info):
-            vpage = info.vaddr // kernel.machine.page_size
-            before = dict(kernel.machine.counters.faults)
-            self._originals["fault"](info)
-            after = kernel.machine.counters.faults
-            kind = next((k for k in FaultKind
-                         if after[k] > before.get(k, 0)), None)
-            self._record("fault", asid=info.asid, vpage=vpage,
-                         access=info.access.value,
-                         classified=str(kind) if kind else "retried")
+        def fault(handle_fault):
+            def traced(info):
+                vpage = info.vaddr // machine.page_size
+                before = dict(machine.counters.faults)
+                handle_fault(info)
+                after = machine.counters.faults
+                kind = next((k for k in FaultKind
+                             if after[k] > before.get(k, 0)), None)
+                record("fault", asid=info.asid, vpage=vpage,
+                       access=info.access.value,
+                       classified=str(kind) if kind else "retried")
+            return traced
 
-        def traced_dma_write(ppage, values):
-            self._record("dma-write", frame=ppage)
-            return self._originals["dma_write"](ppage, values)
-
-        def traced_dma_read(ppage):
-            self._record("dma-read", frame=ppage)
-            return self._originals["dma_read"](ppage)
-
-        pmap._flush_cache_page = traced_flush
-        pmap._purge_cache_page = traced_purge
-        # the engine holds bound references; repoint them too
-        pmap.engine._flush = traced_flush
-        pmap.engine._purge = traced_purge
-        kernel.handle_fault = traced_fault
-        kernel.machine.fault_handler = traced_fault
-        dma.dma_write = traced_dma_write
-        dma.dma_read = traced_dma_read
-        self._attached = True
-        return self
-
-    def detach(self) -> None:
-        """Remove the instrumentation, restoring the original plumbing."""
-        if not self._attached:
-            return
-        pmap = self.kernel.pmap
-        pmap._flush_cache_page = self._originals["flush"]
-        pmap._purge_cache_page = self._originals["purge"]
-        pmap.engine._flush = self._originals["flush"]
-        pmap.engine._purge = self._originals["purge"]
-        self.kernel.handle_fault = self._originals["fault"]
-        self.kernel.machine.fault_handler = self._originals["fault"]
-        self.kernel.machine.dma.dma_write = self._originals["dma_write"]
-        self.kernel.machine.dma.dma_read = self._originals["dma_read"]
-        self._attached = False
-
-    def __enter__(self) -> "Tracer":
-        return self.attach()
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
+        pmap = kernel.pmap
+        # the engine and the machine hold bound references; repoint them
+        patches.set(pmap.engine, "_flush", patches.wrap(
+            pmap, "_flush_cache_page", cache_op("flush")))
+        patches.set(pmap.engine, "_purge", patches.wrap(
+            pmap, "_purge_cache_page", cache_op("purge")))
+        patches.set(machine, "fault_handler", patches.wrap(
+            kernel, "handle_fault", fault))
+        patches.wrap(machine.dma, "dma_write", dma("dma-write"))
+        patches.wrap(machine.dma, "dma_read", dma("dma-read"))
 
     # ---- recording -----------------------------------------------------------------
 
     def _record(self, kind: str, **detail) -> None:
-        self.events.append(TraceEvent(self._seq,
-                                      self.kernel.machine.clock.cycles,
-                                      kind, detail))
+        self.events.append(Event(self._seq, self.kernel.machine.clock.cycles,
+                                 kind, detail))
         self._seq += 1
 
     # ---- consumption -----------------------------------------------------------------
 
-    def filter(self, kind: str) -> list[TraceEvent]:
+    def filter(self, kind: str) -> list[Event]:
         return [e for e in self.events if e.kind == kind]
 
     def summary(self) -> dict[str, int]:
@@ -162,18 +109,6 @@ class Tracer:
     def frames_touched(self) -> set[int]:
         return {e.detail["frame"] for e in self.events
                 if "frame" in e.detail}
-
-    def to_jsonl(self, path) -> int:
-        """Write the trace as JSON lines; returns the event count."""
-        with open(path, "w") as handle:
-            for event in self.events:
-                handle.write(event.to_json() + "\n")
-        return len(self.events)
-
-    @staticmethod
-    def load_jsonl(path) -> list[dict]:
-        with open(path) as handle:
-            return [json.loads(line) for line in handle if line.strip()]
 
 
 @dataclass(frozen=True)
@@ -198,16 +133,17 @@ class TraceDiff:
 
 
 def _normalize(event) -> dict:
-    """Canonical comparison form: a TraceEvent or a loaded dict both
-    reduce to the same sorted-key dict (the to_json round trip)."""
-    if isinstance(event, TraceEvent):
+    """Canonical comparison form: an Event or a loaded dict both reduce
+    to the same sorted-key dict (the to_json round trip)."""
+    if isinstance(event, Event):
         return json.loads(event.to_json())
     return dict(event)
 
 
 def diff_traces(expected, actual) -> TraceDiff | None:
     """Compare two traces event by event; each side may be a list of
-    :class:`TraceEvent` or of dicts (as loaded from a golden ``.jsonl``).
+    :class:`~repro.obs.events.Event` or of dicts (as loaded from a golden
+    ``.jsonl``).
     Returns the first divergence, or None when the traces are identical
     — including in length."""
     for i, (want, got) in enumerate(zip(expected, actual)):

@@ -600,6 +600,7 @@ def _cmd_farm(args) -> None:
 def _cmd_trace_events(args) -> None:
     from repro.analysis.trace import Tracer, diff_traces
     from repro.kernel.kernel import Kernel
+    from repro.obs import load_jsonl, write_jsonl
 
     policy = get_policy(args.policy)
     kernel = Kernel(policy=policy, config=evaluation_machine(),
@@ -613,10 +614,10 @@ def _cmd_trace_events(args) -> None:
     for kind in sorted(k for k in summary if ":" not in k):
         print(f"  {kind:<10} {summary[kind]}")
     if args.out:
-        count = tracer.to_jsonl(args.out)
+        count = write_jsonl(tracer.events, args.out)
         print(f"wrote {count} events to {args.out}")
     if args.diff:
-        golden = Tracer.load_jsonl(args.diff)
+        golden = load_jsonl(args.diff)
         diff = diff_traces(golden, tracer.events)
         if diff is not None:
             print(f"trace DIVERGES from {args.diff}:")

@@ -49,9 +49,41 @@ from repro.core.page_state import PhysPageState
 from repro.core.states import LineState, MemoryOp
 from repro.core.variants import model_factory_for_geometry
 from repro.errors import ConformanceError
+from repro.obs.patch import Observer, Patches
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
+
+
+#: the data-cache entry points the monitor observes, as (name, model
+#: event, full-page write).  A full-page write may skip the purge of its
+#: stale target page (see :meth:`ConformanceMonitor._check_access`);
+#: ``write_run`` is one only when it covers exactly one aligned page,
+#: which is decided per call (``None``).
+_DCACHE_EVENTS = (
+    ("read", MemoryOp.CPU_READ, False),
+    ("write", MemoryOp.CPU_WRITE, False),
+    ("read_run", MemoryOp.CPU_READ, False),
+    ("write_run", MemoryOp.CPU_WRITE, None),
+    ("read_page", MemoryOp.CPU_READ, False),
+    ("write_page", MemoryOp.CPU_WRITE, True),
+    ("zero_page", MemoryOp.CPU_WRITE, True),
+    ("flush_page_frame", MemoryOp.FLUSH, False),
+    ("purge_page_frame", MemoryOp.PURGE, False),
+)
+
+
+def _wrap_dma(patches: Patches, dma, observe) -> None:
+    """Wrap both DMA directions to call ``observe(op, frame)`` before the
+    transfer."""
+    for name, op in (("dma_read", MemoryOp.DMA_READ),
+                     ("dma_write", MemoryOp.DMA_WRITE)):
+        def make(orig, op=op):
+            def observed(ppage, *rest):
+                observe(op, ppage)
+                return orig(ppage, *rest)
+            return observed
+        patches.wrap(dma, name, make)
 
 
 @dataclass(frozen=True)
@@ -123,7 +155,7 @@ class ConformanceSummary:
                 f"arc coverage {self.coverage_percent:.1f}%")
 
 
-class ConformanceMonitor:
+class ConformanceMonitor(Observer):
     """Attachable lockstep differential oracle for one kernel.
 
     Args:
@@ -181,109 +213,46 @@ class ConformanceMonitor:
         # One divergence per (frame, kind): a lost flush would otherwise
         # re-report at every subsequent access of the frame.
         self._reported: set[tuple[int, str]] = set()
-        self._originals: dict[str, object] = {}
-        self._attached = False
 
     # ---- attachment ------------------------------------------------------------
 
-    def attach(self) -> "ConformanceMonitor":
-        """Install the observation wrappers (idempotent)."""
-        if self._attached:
-            return self
-        dcache = self.cache
-        dma = self.machine.dma
-        self._originals = {
-            "read": dcache.read, "write": dcache.write,
-            "read_run": dcache.read_run, "write_run": dcache.write_run,
-            "read_page": dcache.read_page, "write_page": dcache.write_page,
-            "zero_page": dcache.zero_page,
-            "flush_page_frame": dcache.flush_page_frame,
-            "purge_page_frame": dcache.purge_page_frame,
-        }
+    def _install(self, patches: Patches) -> None:
+        for name, op, full_page in _DCACHE_EVENTS:
+            patches.wrap(self.cache, name, self._dcache_wrapper(op, full_page))
         if self.wrap_dma:
-            self._originals["dma_read"] = dma.dma_read
-            self._originals["dma_write"] = dma.dma_write
-        orig = self._originals
+            _wrap_dma(patches, self.machine.dma, self._on_dma)
 
-        def read(vaddr, paddr):
-            self._on_access(MemoryOp.CPU_READ, vaddr, paddr)
-            return orig["read"](vaddr, paddr)
+    def _dcache_wrapper(self, op: MemoryOp, full_page: bool | None):
+        """The wrapper factory for one data-cache entry point."""
+        if op.is_cache_op:
+            on_cache_op = self._on_cache_op
 
-        def write(vaddr, paddr, value):
-            self._on_access(MemoryOp.CPU_WRITE, vaddr, paddr)
-            return orig["write"](vaddr, paddr, value)
+            def make(orig):
+                def observed(cache_page, pa_page_base, reason):
+                    on_cache_op(op, cache_page, pa_page_base)
+                    return orig(cache_page, pa_page_base, reason)
+                return observed
+            return make
 
-        def read_run(vaddr, paddr, n_words):
-            self._on_access(MemoryOp.CPU_READ, vaddr, paddr)
-            return orig["read_run"](vaddr, paddr, n_words)
+        on_access = self._on_access
+        if full_page is None:
+            page_size, words_per_page = self.page_size, self.words_per_page
 
-        def write_run(vaddr, paddr, values):
-            self._on_access(MemoryOp.CPU_WRITE, vaddr, paddr,
-                            full_page=(paddr % self.page_size == 0
-                                       and len(values) == self.words_per_page))
-            return orig["write_run"](vaddr, paddr, values)
+            def make(orig):
+                def observed(vaddr, paddr, values):
+                    on_access(op, vaddr, paddr,
+                              full_page=(paddr % page_size == 0
+                                         and len(values) == words_per_page))
+                    return orig(vaddr, paddr, values)
+                return observed
+            return make
 
-        def read_page(va_page_base, pa_page_base):
-            self._on_access(MemoryOp.CPU_READ, va_page_base, pa_page_base)
-            return orig["read_page"](va_page_base, pa_page_base)
-
-        def write_page(va_page_base, pa_page_base, values):
-            self._on_access(MemoryOp.CPU_WRITE, va_page_base, pa_page_base,
-                            full_page=True)
-            return orig["write_page"](va_page_base, pa_page_base, values)
-
-        def zero_page(va_page_base, pa_page_base):
-            self._on_access(MemoryOp.CPU_WRITE, va_page_base, pa_page_base,
-                            full_page=True)
-            return orig["zero_page"](va_page_base, pa_page_base)
-
-        def flush_page_frame(cache_page, pa_page_base, reason):
-            self._on_cache_op(MemoryOp.FLUSH, cache_page, pa_page_base)
-            return orig["flush_page_frame"](cache_page, pa_page_base, reason)
-
-        def purge_page_frame(cache_page, pa_page_base, reason):
-            self._on_cache_op(MemoryOp.PURGE, cache_page, pa_page_base)
-            return orig["purge_page_frame"](cache_page, pa_page_base, reason)
-
-        dcache.read, dcache.write = read, write
-        dcache.read_run, dcache.write_run = read_run, write_run
-        dcache.read_page, dcache.write_page = read_page, write_page
-        dcache.zero_page = zero_page
-        dcache.flush_page_frame = flush_page_frame
-        dcache.purge_page_frame = purge_page_frame
-
-        if self.wrap_dma:
-            def dma_read(ppage):
-                self._on_dma(MemoryOp.DMA_READ, ppage)
-                return orig["dma_read"](ppage)
-
-            def dma_write(ppage, values):
-                self._on_dma(MemoryOp.DMA_WRITE, ppage)
-                return orig["dma_write"](ppage, values)
-
-            dma.dma_read, dma.dma_write = dma_read, dma_write
-        self._attached = True
-        return self
-
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        dcache = self.cache
-        dma = self.machine.dma
-        for name in ("read", "write", "read_run", "write_run", "read_page",
-                     "write_page", "zero_page", "flush_page_frame",
-                     "purge_page_frame"):
-            setattr(dcache, name, self._originals[name])
-        if self.wrap_dma:
-            dma.dma_read = self._originals["dma_read"]
-            dma.dma_write = self._originals["dma_write"]
-        self._attached = False
-
-    def __enter__(self) -> "ConformanceMonitor":
-        return self.attach()
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
+        def make(orig):
+            def observed(vaddr, paddr, *rest):
+                on_access(op, vaddr, paddr, full_page)
+                return orig(vaddr, paddr, *rest)
+            return observed
+        return make
 
     # ---- model plumbing ---------------------------------------------------------
 
@@ -418,7 +387,7 @@ class ConformanceMonitor:
         return not self.divergences
 
 
-class SmpConformanceMonitor:
+class SmpConformanceMonitor(Observer):
     """Per-CPU lockstep over a :class:`~repro.hw.smp.CoherentCluster`.
 
     One :class:`ConformanceMonitor` shadows each CPU's data cache,
@@ -454,49 +423,15 @@ class SmpConformanceMonitor:
                                wrap_dma=False, coverage=self.coverage)
             for i, cache in enumerate(cluster.caches)
         ]
-        self._originals: dict[str, object] = {}
-        self._attached = False
 
-    def attach(self) -> "SmpConformanceMonitor":
-        if self._attached:
-            return self
+    def _install(self, patches: Patches) -> None:
         for monitor in self.monitors:
-            monitor.attach()
-        dma = self.machine.dma
-        self._originals = {"dma_read": dma.dma_read,
-                           "dma_write": dma.dma_write}
-        orig = self._originals
-        monitors = self.monitors
+            monitor._install(patches)
+        _wrap_dma(patches, self.machine.dma, self._broadcast_dma)
 
-        def dma_read(ppage):
-            for monitor in monitors:
-                monitor.observe_dma(MemoryOp.DMA_READ, ppage)
-            return orig["dma_read"](ppage)
-
-        def dma_write(ppage, values):
-            for monitor in monitors:
-                monitor.observe_dma(MemoryOp.DMA_WRITE, ppage)
-            return orig["dma_write"](ppage, values)
-
-        dma.dma_read, dma.dma_write = dma_read, dma_write
-        self._attached = True
-        return self
-
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        dma = self.machine.dma
-        dma.dma_read = self._originals["dma_read"]
-        dma.dma_write = self._originals["dma_write"]
+    def _broadcast_dma(self, op: MemoryOp, frame: int) -> None:
         for monitor in self.monitors:
-            monitor.detach()
-        self._attached = False
-
-    def __enter__(self) -> "SmpConformanceMonitor":
-        return self.attach()
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
+            monitor.observe_dma(op, frame)
 
     # ---- aggregated reporting -----------------------------------------------
 

@@ -27,6 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.hw.stats import Clock, Counters, FaultKind
+from repro.obs.patch import Patches
 
 #: scope names used by :func:`instrument_kernel`; hw scopes reconcile
 #: exactly against the corresponding cycle counters.
@@ -191,60 +192,43 @@ class CycleProfiler:
 # ---- kernel instrumentation -------------------------------------------------
 
 
-class _Instrumentation:
-    """The installed wrapper set; ``detach()`` restores everything."""
-
-    def __init__(self, profiler: CycleProfiler, kernel):
-        self.profiler = profiler
-        self.kernel = kernel
-        self._originals: list[tuple[object, str, object]] = []
-
-    def _wrap(self, owner, attr: str, scope_name: str) -> None:
-        original = getattr(owner, attr)
-        profiler = self.profiler
-
-        def wrapped(*args, **kwargs):
-            profiler.push(scope_name)
-            try:
-                return original(*args, **kwargs)
-            finally:
-                profiler.pop()
-
-        self._originals.append((owner, attr, original))
-        setattr(owner, attr, wrapped)
-        return wrapped
-
-    def detach(self) -> None:
-        for owner, attr, original in reversed(self._originals):
-            setattr(owner, attr, original)
-        self._originals.clear()
-        # the machine holds a bound reference to the fault handler
-        self.kernel.machine.fault_handler = self.kernel.handle_fault
-
-
-def instrument_kernel(profiler: CycleProfiler, kernel) -> _Instrumentation:
+def instrument_kernel(profiler: CycleProfiler, kernel) -> Patches:
     """Install the standard workload → kernel op → hw op scope set.
 
-    Wrapping happens at the instance-attribute level (the same technique
-    the tracer and the conformance monitor use), so it composes with
-    both and detaches cleanly.
+    The wrappers go in through a :class:`~repro.obs.patch.Patches`, the
+    seam every observer shares, so the scope set composes with the
+    tracer, the recorder and the conformance monitor.  Returns the
+    patches; their ``restore()`` removes the scope set again.
     """
-    inst = _Instrumentation(profiler, kernel)
+    patches = Patches()
+
+    def wrap(owner, attr: str, scope_name: str):
+        def make(original):
+            def wrapped(*args, **kwargs):
+                profiler.push(scope_name)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    profiler.pop()
+            return wrapped
+        return patches.wrap(owner, attr, make)
+
     machine = kernel.machine
-    wrapped_fault = inst._wrap(kernel, "handle_fault", SCOPE_FAULT)
-    machine.fault_handler = wrapped_fault
-    inst._wrap(kernel.disk, "read_block", SCOPE_DISK_READ)
-    inst._wrap(kernel.disk, "write_block", SCOPE_DISK_WRITE)
-    inst._wrap(kernel.buffer_cache, "read_block", SCOPE_BUFFER_CACHE)
-    inst._wrap(kernel.pageout, "maybe_reclaim", SCOPE_PAGEOUT)
-    inst._wrap(kernel.pmap, "zero_fill_page", SCOPE_PREP_ZERO)
-    inst._wrap(kernel.pmap, "copy_page", SCOPE_PREP_COPY)
+    # the machine holds a bound reference to the fault handler
+    patches.set(machine, "fault_handler",
+                wrap(kernel, "handle_fault", SCOPE_FAULT))
+    wrap(kernel.disk, "read_block", SCOPE_DISK_READ)
+    wrap(kernel.disk, "write_block", SCOPE_DISK_WRITE)
+    wrap(kernel.buffer_cache, "read_block", SCOPE_BUFFER_CACHE)
+    wrap(kernel.pageout, "maybe_reclaim", SCOPE_PAGEOUT)
+    wrap(kernel.pmap, "zero_fill_page", SCOPE_PREP_ZERO)
+    wrap(kernel.pmap, "copy_page", SCOPE_PREP_COPY)
     for cache in (machine.dcache, machine.icache):
-        inst._wrap(cache, "flush_page_frame", _hw_scope("flush", cache.name))
-        inst._wrap(cache, "purge_page_frame", _hw_scope("purge", cache.name))
-    inst._wrap(machine.dma, "dma_read", _hw_scope("dma", "read"))
-    inst._wrap(machine.dma, "dma_write", _hw_scope("dma", "write"))
-    return inst
+        wrap(cache, "flush_page_frame", _hw_scope("flush", cache.name))
+        wrap(cache, "purge_page_frame", _hw_scope("purge", cache.name))
+    wrap(machine.dma, "dma_read", _hw_scope("dma", "read"))
+    wrap(machine.dma, "dma_write", _hw_scope("dma", "write"))
+    return patches
 
 
 # ---- whole-run profiling ----------------------------------------------------
@@ -379,7 +363,7 @@ def profile_run(workload_name: str, policy=None, scale: float | None = None,
     before = copy.deepcopy(kernel.machine.counters)
     profiler = CycleProfiler(kernel.machine.clock)
     profiler.start(f"workload:{workload_name}")
-    inst = instrument_kernel(profiler, kernel)
+    patches = instrument_kernel(profiler, kernel)
     try:
         with profiler.scope("setup"):
             workload.setup(kernel)
@@ -388,7 +372,7 @@ def profile_run(workload_name: str, policy=None, scale: float | None = None,
         with profiler.scope("shutdown"):
             kernel.shutdown()
     finally:
-        inst.detach()
+        patches.restore()
         profiler.stop()
     return ProfileReport(workload_name, policy.name, profiler,
                          kernel.machine.counters, before=before)

@@ -16,11 +16,11 @@ compute time, injection recovery — is reconciled by SYNC deltas emitted
 lazily before the next op.  This is what makes the compiler total: it
 needs no model of the kernel, only of drift.
 
-Attachment order matters when composing with the conformance monitor:
-the recorder attaches *first* (innermost), the monitor second, and they
-detach in reverse, because both restore the exact attributes they saved.
-The monitor's judgments then run outside the recorder's depth guard, so
-its divergence events are recorded (and replayed) like any other.
+Composed with the conformance monitor, the recorder attaches first
+(innermost) and the monitor second, so the monitor's judgments run
+outside the recorder's depth guard and its divergence events are
+recorded (and replayed) like any other.  Detaching in reverse is
+enforced: both install through :class:`~repro.obs.patch.Patches`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.hw.machine import Machine
 from repro.hw.stats import Reason
+from repro.obs.patch import Observer, Patches
 from repro.trace.format import (
     OP_BUS, OP_D_FLUSH, OP_D_INVAL, OP_D_PURGE, OP_D_READ_PAGE,
     OP_D_READ_RUN, OP_D_WRITE_PAGE, OP_D_WRITE_RUN, OP_D_ZERO_PAGE,
@@ -57,7 +58,7 @@ def capture_cache_image(cache) -> CacheImage:
                       tick=cache._tick)
 
 
-class TraceRecorder:
+class TraceRecorder(Observer):
     """Records every depth-0 hardware transaction of a machine."""
 
     def __init__(self, machine: Machine):
@@ -69,10 +70,8 @@ class TraceRecorder:
         self._values: list = []          # ints and uint64 arrays, in op order
         self._sidecar: list = []
         self._sidecar_index: dict[str, int] = {}
-        self._originals: list[tuple[object, str, object]] = []
         self._clock_mark = 0
         self._counters_mark: dict = {}
-        self._attached = False
 
     # ---- drift reconciliation ------------------------------------------------
 
@@ -104,29 +103,28 @@ class TraceRecorder:
 
     # ---- wrapping -------------------------------------------------------------
 
-    def _wrap(self, obj, name: str, emit) -> None:
-        orig = getattr(obj, name)
-        self._originals.append((obj, name, orig))
+    def _wrap(self, patches: Patches, obj, name: str, emit) -> None:
+        def make(orig):
+            def wrapper(*args, **kwargs):
+                if self._depth:
+                    return orig(*args, **kwargs)
+                self._pre_op()
+                emit(*args, **kwargs)
+                self._depth += 1
+                try:
+                    return orig(*args, **kwargs)
+                finally:
+                    self._depth -= 1
+                    self._post_op()
+            return wrapper
 
-        def wrapper(*args, **kwargs):
-            if self._depth:
-                return orig(*args, **kwargs)
-            self._pre_op()
-            emit(*args, **kwargs)
-            self._depth += 1
-            try:
-                return orig(*args, **kwargs)
-            finally:
-                self._depth -= 1
-                self._post_op()
-
-        setattr(obj, name, wrapper)
+        patches.wrap(obj, name, make)
 
     def _emit(self, op: int, asid: int = 0, va: int = 0, length: int = 0,
               aux: int = 0) -> None:
         self._ops.append((op, asid, int(va), int(length), int(aux)))
 
-    def _wrap_cache(self, cache, base: dict) -> None:
+    def _wrap_cache(self, patches: Patches, cache, base: dict) -> None:
         emitters = {
             "read": lambda va, pa: self._emit(base["run_r"], va=va,
                                               length=1, aux=pa),
@@ -154,20 +152,18 @@ class TraceRecorder:
             "invalidate_all": lambda: self._emit(base["inval"]),
         }
         for name in _CACHE_METHODS:
-            self._wrap(cache, name, emitters[name])
+            self._wrap(patches, cache, name, emitters[name])
 
-    def attach(self) -> "TraceRecorder":
-        if self._attached:
-            return self
+    def _install(self, patches: Patches) -> None:
         machine = self.machine
         self._clock_mark = self.clock.cycles
         self._counters_mark = encode_counters(self.counters)
-        self._wrap_cache(machine.dcache, {
+        self._wrap_cache(patches, machine.dcache, {
             "run_r": OP_D_READ_RUN, "run_w": OP_D_WRITE_RUN,
             "page_r": OP_D_READ_PAGE, "page_w": OP_D_WRITE_PAGE,
             "page_z": OP_D_ZERO_PAGE, "flush": OP_D_FLUSH,
             "purge": OP_D_PURGE, "inval": OP_D_INVAL})
-        self._wrap_cache(machine.icache, {
+        self._wrap_cache(patches, machine.icache, {
             "run_r": OP_I_READ_RUN, "run_w": OP_I_WRITE_RUN,
             "page_r": OP_I_READ_PAGE, "page_w": OP_I_WRITE_PAGE,
             "page_z": OP_I_ZERO_PAGE, "flush": OP_I_FLUSH,
@@ -188,13 +184,9 @@ class TraceRecorder:
                 self._values.append(np.array(values, dtype=np.uint64))),
         }
         for name in _MEMORY_METHODS:
-            self._wrap(memory, name, mem_emitters[name])
+            self._wrap(patches, memory, name, mem_emitters[name])
 
-        bus = machine.bus
-        self._originals.append((bus, "tap", bus.tap))
-        bus.tap = self._on_publish
-        self._attached = True
-        return self
+        patches.set(machine.bus, "tap", self._on_publish)
 
     def _on_publish(self, kind: str, detail: dict) -> None:
         """Bus tap: record depth-0 publishes as explicit BUS ops.
@@ -212,14 +204,6 @@ class TraceRecorder:
         # default=str to the same leaves).
         jsonable = json.loads(json.dumps(detail, default=str))
         self._emit(OP_BUS, aux=self._sidecar_ref({"k": kind, "d": jsonable}))
-
-    def detach(self) -> None:
-        if not self._attached:
-            return
-        for obj, name, orig in reversed(self._originals):
-            setattr(obj, name, orig)
-        self._originals.clear()
-        self._attached = False
 
     # ---- assembly -------------------------------------------------------------
 

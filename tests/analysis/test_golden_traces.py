@@ -14,9 +14,10 @@ import pytest
 
 from repro.analysis.experiments import (evaluation_machine, make_workload,
                                         run_workload)
-from repro.analysis.trace import TraceDiff, TraceEvent, Tracer, diff_traces
+from repro.analysis.trace import TraceDiff, Tracer, diff_traces
 from repro.cli import main
 from repro.kernel.kernel import Kernel
+from repro.obs import Event, load_jsonl
 from repro.vm.policy import NEW_SYSTEM
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
@@ -60,7 +61,7 @@ class TestDiffTraces:
         assert diff.expected is None
 
     def test_trace_events_and_dicts_compare_interchangeably(self):
-        event = TraceEvent(0, 10, "flush", {"frame": 3})
+        event = Event(0, 10, "flush", {"frame": 3})
         assert diff_traces([self.E1], [event]) is None
 
 
@@ -71,7 +72,7 @@ class TestGoldenArtifacts:
 
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
     def test_workload_matches_its_golden_trace(self, name):
-        golden = Tracer.load_jsonl(GOLDEN_DIR / f"{name}.jsonl")
+        golden = load_jsonl(GOLDEN_DIR / f"{name}.jsonl")
         tracer = record_trace(name)
         diff = diff_traces(golden, tracer.events)
         assert diff is None, f"{name}: {diff.render()}"
@@ -100,5 +101,5 @@ class TestTraceCli:
         out_file = tmp_path / "t.jsonl"
         assert main(["trace", "events", "latex-paper",
                      "--out", str(out_file)]) == 0
-        events = Tracer.load_jsonl(out_file)
+        events = load_jsonl(out_file)
         assert events and all("kind" in e for e in events)

@@ -6,6 +6,7 @@ from repro.analysis.trace import Tracer
 from repro.hw.params import MachineConfig
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import UserProcess
+from repro.obs import load_jsonl, write_jsonl
 from repro.vm.policy import CONFIG_B, CONFIG_F
 
 
@@ -105,8 +106,8 @@ class TestPersistence:
             proc = UserProcess(kernel, "p")
             proc.touch_memory(2)
         path = tmp_path / "trace.jsonl"
-        written = tracer.to_jsonl(path)
-        loaded = Tracer.load_jsonl(path)
+        written = write_jsonl(tracer.events, path)
+        loaded = load_jsonl(path)
         assert written == len(loaded) == len(tracer.events)
         assert loaded[0]["kind"] == tracer.events[0].kind
 

@@ -129,7 +129,7 @@ class TestInstrumentation:
         task = kernel.create_task("t")
         va = task.allocate_anon(1)
         task.write(va, 0, 1)
-        inst.detach()
+        inst.restore()
         profiler.stop()
         assert profiler.root.children["kernel.fault"].count > 0
         # after detach, kernel activity must not touch the profiler
