@@ -34,8 +34,8 @@ from repro.hw.stats import Clock, Counters, Reason
 
 _INVALID = -1
 
-# Runs shorter than this take the scalar word loop: the fixed cost of the
-# vectorized run path only pays for itself on longer runs.
+# Runs shorter than this go line by line with scalar tag checks: the fixed
+# cost of the vectorized run path only pays for itself on longer runs.
 RUN_FALLBACK_WORDS = 8
 
 
@@ -329,15 +329,24 @@ class Cache:
         a victim can never belong to the run's own physical page — a
         matching tag at the page-offset set would be a hit — so victim
         write-backs and line fills touch disjoint memory and commute with
-        the word loop's interleaved order).  Associative caches and short
-        runs take the word loop directly.
+        the word loop's interleaved order).
+
+        Runs shorter than :data:`RUN_FALLBACK_WORDS` on a direct-mapped
+        cache go line by line (:meth:`_read_lines`): one scalar tag check
+        per line (at most two lines with 32-byte lines).  Associative
+        caches take the word loop, through the class's :meth:`read` so
+        that an observer wrapping this instance's entry points sees the
+        run once, not once more per word.
         """
-        if self.geo.associativity > 1 or n_words < RUN_FALLBACK_WORDS:
+        if self.geo.associativity > 1:
+            read = Cache.read
             out = np.empty(n_words, dtype=np.uint64)
             for i in range(n_words):
                 off = i * WORD_SIZE
-                out[i] = self.read(vaddr + off, paddr + off)
+                out[i] = read(self, vaddr + off, paddr + off)
             return out
+        if n_words < RUN_FALLBACK_WORDS:
+            return self._read_lines(vaddr, paddr, n_words)
         sets, want, counts, first_word, n_lines = self._run_shape(
             vaddr, paddr, n_words)
         tags = self._tags[0, sets]
@@ -373,15 +382,20 @@ class Cache:
     def write_run(self, vaddr: int, paddr: int, values: np.ndarray) -> None:
         """Store ``values`` to consecutive words starting at (vaddr -> paddr).
 
-        Word-loop equivalent (see :meth:`read_run`); like the word loop it
-        fills every missing line before storing into it, so partially
-        overwritten lines keep their memory contents.
+        Word-loop equivalent (see :meth:`read_run`, also for the short
+        and associative paths); like the word loop it fills every missing
+        line before storing into it, so partially overwritten lines keep
+        their memory contents.
         """
         n_words = len(values)
-        if self.geo.associativity > 1 or n_words < RUN_FALLBACK_WORDS:
+        if self.geo.associativity > 1:
+            write = Cache.write
             for i in range(n_words):
                 off = i * WORD_SIZE
-                self.write(vaddr + off, paddr + off, int(values[i]))
+                write(self, vaddr + off, paddr + off, int(values[i]))
+            return
+        if n_words < RUN_FALLBACK_WORDS:
+            self._write_lines(vaddr, paddr, values)
             return
         sets, want, counts, first_word, n_lines = self._run_shape(
             vaddr, paddr, n_words)
@@ -423,6 +437,89 @@ class Cache:
         self.clock.advance(cycles)
         self._lru[0, sets] = self._tick + np.cumsum(counts)
         self._tick += n_words
+
+    def _line_start(self, vaddr: int, paddr: int) -> tuple[int, int, int]:
+        """Validate a short direct-mapped run's first word; return its
+        ``(set index, physical tag, word offset within the line)``."""
+        geo = self.geo
+        if vaddr % WORD_SIZE or paddr % WORD_SIZE:
+            raise AddressError("cache word access must be word aligned")
+        if vaddr % geo.page_size != paddr % geo.page_size:
+            raise AddressError(
+                "virtual and physical addresses must share the page offset")
+        addr = paddr if geo.physically_indexed else vaddr
+        return ((addr // geo.line_size) % geo.num_sets,
+                paddr // geo.line_size,
+                (paddr % geo.line_size) // WORD_SIZE)
+
+    def _read_lines(self, vaddr: int, paddr: int,
+                    n_words: int) -> np.ndarray:
+        """A short direct-mapped :meth:`read_run`, one line at a time.
+
+        Each line does what the word loop does for its ``k`` words: a
+        miss on the first word (evict, fill) or a hit, ``k - 1`` hits
+        after it, and an LRU stamp that ends ``k`` ticks later.
+        """
+        set_idx, tag, word = self._line_start(vaddr, paddr)
+        wpl, num_sets = self.geo.words_per_line, self.geo.num_sets
+        counters, hit_cost = self.counters, self.cost.cache_hit
+        out = np.empty(n_words, dtype=np.uint64)
+        done = 0
+        while done < n_words:
+            k = min(wpl - word, n_words - done)
+            if self._tags.item(0, set_idx) == tag:
+                counters.read_hits += k
+                self.clock.cycles += k * hit_cost
+            else:
+                counters.read_misses += 1
+                counters.read_hits += k - 1
+                self._evict(0, set_idx)
+                self._fill(0, set_idx, tag)
+                self.clock.cycles += (k - 1) * hit_cost
+            self._tick += k
+            self._lru[0, set_idx] = self._tick
+            out[done:done + k] = self._data[0, set_idx, word:word + k]
+            done += k
+            set_idx, tag, word = (set_idx + 1) % num_sets, tag + 1, 0
+        return out
+
+    def _write_lines(self, vaddr: int, paddr: int, values) -> None:
+        """A short direct-mapped :meth:`write_run`, one line at a time
+        (see :meth:`_read_lines`).  A write-through line reaches memory
+        in one store and, with a hierarchy, bumps its epoch once, as in
+        the vectorized path."""
+        set_idx, tag, word = self._line_start(vaddr, paddr)
+        wpl, num_sets = self.geo.words_per_line, self.geo.num_sets
+        counters, cost = self.counters, self.cost
+        values = np.asarray(values, dtype=np.uint64)
+        n_words = len(values)
+        done = 0
+        while done < n_words:
+            k = min(wpl - word, n_words - done)
+            if self._tags.item(0, set_idx) == tag:
+                counters.write_hits += k
+                self.clock.cycles += k * cost.cache_hit
+            else:
+                counters.write_misses += 1
+                counters.write_hits += k - 1
+                self._evict(0, set_idx)
+                self._fill(0, set_idx, tag)
+                self.clock.cycles += (k - 1) * cost.cache_hit
+            self._tick += k
+            self._lru[0, set_idx] = self._tick
+            chunk = values[done:done + k]
+            self._data[0, set_idx, word:word + k] = chunk
+            if self.geo.write_through:
+                self.memory.write_words(paddr + done * WORD_SIZE, chunk)
+                self.clock.cycles += k * cost.write_back
+                if self.hierarchy is not None:
+                    self.hierarchy.note_memory_write(tag)
+                    self._fill_epoch[0, set_idx] = \
+                        self.hierarchy.epoch_of(tag)
+            else:
+                self._dirty[0, set_idx] = True
+            done += k
+            set_idx, tag, word = (set_idx + 1) % num_sets, tag + 1, 0
 
     # ---- page-granularity helpers -------------------------------------------
 
@@ -671,18 +768,23 @@ class Cache:
 
     # ---- slow generic paths for associative caches ---------------------------
 
+    # Like the associative run loops, these call the class's read/write:
+    # an observer wrapping the instance sees one page operation.
+
     def _read_page_slow(self, va_base: int, pa_base: int) -> np.ndarray:
+        read = Cache.read
         out = np.empty(self.geo.words_per_page, dtype=np.uint64)
         for i in range(self.geo.words_per_page):
             off = i * WORD_SIZE
-            out[i] = self.read(va_base + off, pa_base + off)
+            out[i] = read(self, va_base + off, pa_base + off)
         return out
 
     def _write_page_slow(self, va_base: int, pa_base: int,
                          values: np.ndarray) -> None:
+        write = Cache.write
         for i in range(self.geo.words_per_page):
             off = i * WORD_SIZE
-            self.write(va_base + off, pa_base + off, int(values[i]))
+            write(self, va_base + off, pa_base + off, int(values[i]))
 
     def _check_page_pair(self, va_base: int, pa_base: int) -> None:
         if va_base % self.geo.page_size or pa_base % self.geo.page_size:

@@ -38,7 +38,7 @@ from repro.hw.smp import CoherentCluster, SmpDataCache
 from repro.hw.stats import Clock, Counters
 from repro.hw.tlb import Tlb
 from repro.obs.events import EventBus
-from repro.prot import AccessKind, Prot
+from repro.prot import AccessKind
 
 MAX_FAULT_RETRIES = 8
 
@@ -50,10 +50,6 @@ class FaultInfo:
     asid: int
     vaddr: int
     access: AccessKind
-
-    @property
-    def vpage_addr(self) -> int:
-        return self.vaddr  # page derivation needs the page size; handler's job
 
 
 # (asid, vpage) -> (ppage, prot) or (ppage, prot, uncached) or None
@@ -162,7 +158,7 @@ class Machine:
             # the complete SMP routing layer.
             self.dcache.current_cpu = self.cpu_bindings.get(asid, 0)
         vpage = vaddr // self.page_size
-        needed = access.required
+        need = access.need
         for attempt in range(MAX_FAULT_RETRIES + 1):
             entry = self.tlb.lookup(asid, vpage)
             if entry is None and self.translation_source is not None:
@@ -172,7 +168,7 @@ class Machine:
                     self.tlb.insert(asid, vpage, ppage, prot,
                                     uncached=bool(rest and rest[0]))
                     entry = self.tlb.lookup(asid, vpage)
-            if entry is not None and entry.prot.allows(needed):
+            if entry is not None and entry.rights & need == need:
                 return (entry.ppage * self.page_size
                         + vaddr % self.page_size, entry.uncached)
             if attempt == MAX_FAULT_RETRIES:

@@ -11,7 +11,7 @@ invalidates TLB entries whenever it changes a mapping or its protection.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.hw.params import CostModel
 from repro.hw.stats import Clock, Counters
@@ -26,11 +26,20 @@ class TlbEntry:
     — the Sun system's fallback for unaligned aliases outside
     well-behaved kernel code (Section 6: "Otherwise, aliases must be
     uncached").
+
+    ``rights`` is ``prot`` as a plain ``int``, computed once when the
+    entry is built: the translate path checks
+    ``rights & access.need == access.need`` on every access, which plain
+    ints answer without the ``IntFlag`` operator calls.
     """
 
     ppage: int
     prot: Prot
     uncached: bool = False
+    rights: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rights", int(self.prot))
 
 
 class Tlb:

@@ -38,20 +38,26 @@ class Prot(enum.IntFlag):
         return (self & wanted) == wanted
 
 
+#: access value -> the rights it needs.
+_REQUIRED = {"read": Prot.READ, "write": Prot.WRITE, "execute": Prot.EXEC}
+
+
 class AccessKind(enum.Enum):
-    """What a CPU access attempted; maps onto the rights it needs."""
+    """What a CPU access attempted; maps onto the rights it needs.
+
+    ``need`` holds the same rights as :attr:`required` as a plain
+    ``int``: the machine's translate path tests it against a TLB entry's
+    ``rights`` with int arithmetic, where ``IntFlag`` operators would
+    cost several Python-level enum calls per access.
+    """
 
     READ = "read"
     WRITE = "write"
     EXECUTE = "execute"
 
+    def __init__(self, value: str):
+        self.need = int(_REQUIRED[value])
+
     @property
     def required(self) -> Prot:
-        return _REQUIRED[self]
-
-
-_REQUIRED = {
-    AccessKind.READ: Prot.READ,
-    AccessKind.WRITE: Prot.WRITE,
-    AccessKind.EXECUTE: Prot.EXEC,
-}
+        return _REQUIRED[self.value]

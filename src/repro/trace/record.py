@@ -6,9 +6,9 @@ events it would without the recorder (asserted by the round-trip
 property tests).  The recorder wraps the depth-0 entry points of the two
 caches, physical memory's mutators and the event bus with instance
 attributes; a shared reentrancy depth guard suppresses inner calls
-(``zero_page`` -> ``write_page``, ``read_run``'s word-loop fallback ->
-``read``), so each hardware transaction is recorded exactly once, at the
-granularity the machine-dependent layer issued it.
+(``zero_page`` -> ``write_page``, a write-through store ->
+``memory.write_word``), so each hardware transaction is recorded exactly
+once, at the granularity the machine-dependent layer issued it.
 
 Everything else the system does to the shared clock and counters between
 recorded ops — TLB accounting, fault handling, DMA setup charges,

@@ -8,7 +8,7 @@ from repro.conformance.lockstep import (ConformanceMonitor,
                                         ConformanceSummary, effective_decode)
 from repro.core.page_state import PhysPageState
 from repro.core.states import LineState
-from repro.hw.params import small_machine
+from repro.hw.params import apply_geometry, small_machine
 from repro.kernel.kernel import Kernel
 from repro.vm.policy import NEW_SYSTEM
 from repro.workloads.random_ops import AliasStressor
@@ -79,6 +79,30 @@ class TestAttachment:
             stressor.run(100)
         assert monitor.ok
         assert monitor.events_seen > 0
+
+
+class TestEventGranularity:
+    @pytest.mark.parametrize("ways", [1, 2, 4])
+    def test_short_run_is_one_event(self, ways):
+        # A run is one hardware transaction: the monitor logs it once,
+        # whatever path the cache takes inside it, so ``events_seen``
+        # does not depend on the short-run cutoff or the associativity.
+        config = apply_geometry(small_machine(phys_pages=192), f"{ways}way")
+        kernel = Kernel(config=config, buffer_cache_pages=24)
+        task = kernel.create_task("t")
+        vpage = task.allocate_anon(1)
+        task.write_block(vpage, 0, (1, 2, 3))   # takes the page's faults
+        task.read_block(vpage, 0, 3)
+        with ConformanceMonitor(kernel) as monitor:
+            task.write_block(vpage, 5, (4, 5, 6))
+            assert monitor.events_seen == 1
+            assert task.read_block(vpage, 5, 3).tolist() == [4, 5, 6]
+            assert monitor.events_seen == 2
+            # so is a page access (an associative cache's per-word
+            # slow path included)
+            task.read_page(vpage)
+            assert monitor.events_seen == 3
+        assert monitor.ok
 
 
 class TestCleanShadowing:

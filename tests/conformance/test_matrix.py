@@ -91,10 +91,10 @@ class TestSlowCells:
     def test_lockstep(self, name):
         summary = check_cell_lockstep(cell_by_name(name), steps=300)
         assert summary.divergences == 0
-        # Halving the page colors multiplies alias conflicts: the
-        # set-associative cells must actually exercise the monitor far
-        # harder than the direct-mapped baseline does.
-        assert summary.events > 10_000
+        # A run is one monitor event on every geometry (see
+        # TestEventGranularity in test_lockstep.py), so a set-associative
+        # cell no longer logs an extra event per run word.
+        assert summary.events > 0
 
     @pytest.mark.parametrize("name", _names(SLOW_CELLS))
     def test_exhaustive_depth_6(self, name):

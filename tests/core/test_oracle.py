@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.oracle as oracle_mod
 from repro.core.oracle import ShadowMemory, Violation
 from repro.errors import StaleDataError
 
@@ -167,6 +168,51 @@ class TestRunTracking:
         oracle.check_run_read(0, np.zeros(4, dtype=np.uint64))
         assert len(oracle.violations) == 1      # one violation per check
         assert oracle.violations[0].paddr == 0
+
+
+class TestShortRunBranch:
+    """Runs under SCALAR_RUN_WORDS compare word by word; the numpy
+    branch must agree with them on every short run."""
+
+    @staticmethod
+    def check(monkeypatch, scalar: bool, n: int, stale: list[int],
+              record_only: bool):
+        # A cutoff of 1 sends every run to the numpy branch, one of 9
+        # every run of up to 8 words to the scalar branch.
+        monkeypatch.setattr(oracle_mod, "SCALAR_RUN_WORDS", 9 if scalar else 1)
+        oracle = make_oracle(record_only=record_only)
+        paddr = PAGE + 12                   # a run not aligned to a line
+        oracle.note_run_write(paddr, np.arange(100, 100 + n, dtype=np.uint64))
+        values = np.arange(100, 100 + n, dtype=np.uint64)
+        for i in stale:
+            values[i] = 7 + i
+        raised = None
+        try:
+            oracle.check_run_read(paddr, values)
+        except StaleDataError as error:
+            raised = (error.paddr, error.expected, error.actual)
+        assert oracle.checks == 1
+        return oracle.violations, raised
+
+    @pytest.mark.parametrize("record_only", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_branches_report_the_same_violation(self, monkeypatch, n,
+                                                record_only):
+        cases = [[]] + [[first] for first in range(n)] \
+            + [[first, n - 1] for first in range(n - 1)]
+        for stale in cases:
+            scalar = self.check(monkeypatch, True, n, stale, record_only)
+            vector = self.check(monkeypatch, False, n, stale, record_only)
+            assert scalar == vector
+            violations, raised = scalar
+            if not stale:
+                assert violations == [] and raised is None
+                continue
+            first = stale[0]
+            assert violations == [Violation("cpu-read", PAGE + 12 + 4 * first,
+                                            100 + first, 7 + first)]
+            assert raised == (None if record_only else
+                              (PAGE + 12 + 4 * first, 100 + first, 7 + first))
 
 
 class TestExpectedPage:

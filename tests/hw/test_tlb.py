@@ -22,6 +22,7 @@ class TestLookup:
         entry = tlb.lookup(1, 10)
         assert entry.ppage == 5
         assert entry.prot is Prot.READ
+        assert type(entry.rights) is int and entry.rights == Prot.READ
         assert tlb.counters.tlb_misses == 1
         assert tlb.counters.tlb_hits == 1
 

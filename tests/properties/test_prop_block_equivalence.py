@@ -18,10 +18,12 @@ from hypothesis import strategies as st
 
 import repro.hw.cache as cache_mod
 from repro.hw.cache import Cache
+from repro.hw.hierarchy import CacheHierarchy
 from repro.hw.machine import Machine
 from repro.hw.params import (WORD_SIZE, CacheGeometry, CostModel,
-                             MachineConfig, small_machine)
+                             L2Geometry, MachineConfig, small_machine)
 from repro.hw.physmem import PhysicalMemory
+from repro.hw.smp import CoherentCluster
 from repro.hw.stats import Clock, Counters, FaultKind
 from repro.prot import Prot
 
@@ -37,23 +39,43 @@ VARIANTS = [
     {},                            # the 720: direct mapped, write back
     {"write_through": True},
     {"physically_indexed": True},
-    {"associativity": 2},          # takes the scalar fallback
+    {"associativity": 2},          # takes the word loop
+    # a victim cache and an L2 below the L1: fills and evictions go
+    # through the hierarchy one line at a time
+    {"victim_lines": 4, "l2": L2Geometry(size=16 * 1024, associativity=2)},
 ]
 
 
 def make_cache(**kw):
+    victim_lines, l2 = kw.pop("victim_lines", 0), kw.pop("l2", None)
     geo = CacheGeometry(size=kw.pop("size", 8 * 1024), **kw)
     mem = PhysicalMemory(NPAGES, PAGE)
-    return Cache(geo, mem, CostModel(), Clock(), Counters()), mem
+    clock, counters = Clock(), Counters()
+    hierarchy = None
+    if victim_lines or l2 is not None:
+        hierarchy = CacheHierarchy(mem, CostModel(), clock, counters,
+                                   geo.line_size, victim_lines=victim_lines,
+                                   l2=l2)
+    return Cache(geo, mem, CostModel(), clock, counters,
+                 hierarchy=hierarchy), mem
+
+
+def hierarchy_state(cache):
+    h = cache.hierarchy
+    if h is None:
+        return None
+    victim = ([(tag, line.tolist()) for tag, line in h.victim._lines.items()]
+              if h.victim is not None else None)
+    l2 = ((h.l2._tags.tolist(), h.l2._data.tolist(), h.l2._lru.tolist())
+          if h.l2 is not None else None)
+    return (h._epochs.tolist(), cache._fill_epoch.tolist(), victim, l2)
 
 
 def cache_state(cache, mem):
-    c = cache.counters
     return (cache.clock.cycles, cache._tick,
             cache._tags.tolist(), cache._dirty.tolist(),
             cache._data.tolist(), cache._lru.tolist(),
-            (c.read_hits, c.read_misses, c.write_hits, c.write_misses,
-             c.write_backs),
+            cache.counters.snapshot(), hierarchy_state(cache),
             mem._words.tolist())
 
 
@@ -68,6 +90,32 @@ warmup = st.lists(
 # page so the run is always valid.
 runs = st.tuples(st.integers(0, NPAGES - 1), st.integers(0, WPP - 1),
                  st.integers(1, WPP))
+
+
+# Short runs start in a few hot lines (the last one ends the page), a
+# few words before the line's end, so most of them cross a line
+# boundary; the warm-up for them touches the same lines of every page,
+# so the run's lines are often held by conflicting dirty or clean lines.
+WORDS_PER_LINE = CacheGeometry(size=8 * 1024).words_per_line
+HOT_LINES = (0, 1, 2, WPP // WORDS_PER_LINE - 1)
+hot_warmup = st.lists(
+    st.tuples(st.integers(0, NPAGES - 1),
+              st.builds(lambda line, word: line * WORDS_PER_LINE + word,
+                        st.sampled_from(HOT_LINES),
+                        st.integers(0, WORDS_PER_LINE - 1)),
+              st.integers(0, 2**32 - 1), st.booleans()),
+    max_size=40)
+# (page, line, words before the line's end at which it starts, length)
+short_runs = st.tuples(st.integers(0, NPAGES - 1), st.sampled_from(HOT_LINES),
+                       st.integers(1, WORDS_PER_LINE - 1),
+                       st.integers(1, cache_mod.RUN_FALLBACK_WORDS - 1))
+
+
+def short_run_span(run):
+    """Base address and length (clipped to the page) of a short run."""
+    ppage, line, before_end, length = run
+    start = (line + 1) * WORDS_PER_LINE - before_end
+    return ppage * PAGE + start * WORD_SIZE, min(length, WPP - start)
 
 
 def warm(cache, ops):
@@ -117,6 +165,29 @@ class TestRunsEqualWordLoops:
 
         assert cache_state(by_run, mem_a) == cache_state(by_word, mem_b)
 
+    @given(hot_warmup, short_runs, st.booleans(), st.sampled_from(VARIANTS))
+    @settings(max_examples=200, deadline=None)
+    def test_short_run(self, ops, run, is_write, kw):
+        # Runs under RUN_FALLBACK_WORDS take the per-line path on a
+        # direct-mapped cache; most of these cross a line boundary.
+        base, n = short_run_span(run)
+        by_run, mem_a = make_cache(**kw)
+        by_word, mem_b = make_cache(**kw)
+        warm(by_run, ops)
+        warm(by_word, ops)
+        if is_write:
+            values = np.arange(7, 7 + n, dtype=np.uint64)
+            by_run.write_run(base, base, values)
+            for i in range(n):
+                by_word.write(base + i * WORD_SIZE, base + i * WORD_SIZE,
+                              int(values[i]))
+        else:
+            got = by_run.read_run(base, base, n)
+            want = [by_word.read(base + i * WORD_SIZE, base + i * WORD_SIZE)
+                    for i in range(n)]
+            assert got.tolist() == want
+        assert cache_state(by_run, mem_a) == cache_state(by_word, mem_b)
+
     @given(warmup, st.integers(0, NPAGES - 1), st.integers(1, 16))
     @settings(max_examples=100, deadline=None)
     def test_short_runs_vectorized(self, ops, ppage, n):
@@ -140,6 +211,47 @@ class TestRunsEqualWordLoops:
             assert cache_state(by_run, mem_a) == cache_state(by_word, mem_b)
         finally:
             cache_mod.RUN_FALLBACK_WORDS = saved
+
+
+class TestClusterRunsEqualWordLoops:
+    """A 2-CPU coherent cluster: a run on one CPU (snooping the other,
+    then running the local cache's run path) equals the word loop of
+    single-word cluster accesses."""
+
+    @staticmethod
+    def make_cluster():
+        geo = CacheGeometry(size=8 * 1024)
+        mem = PhysicalMemory(NPAGES, PAGE)
+        return CoherentCluster(2, geo, mem, CostModel(), Clock(),
+                               Counters()), mem
+
+    @given(st.lists(st.integers(0, 1), min_size=40, max_size=40),
+           hot_warmup, short_runs, st.integers(0, 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_two_cpu_run(self, cpus, ops, run, cpu, is_write):
+        by_run, mem_a = self.make_cluster()
+        by_word, mem_b = self.make_cluster()
+        for cluster in (by_run, by_word):
+            for op_cpu, (ppage, word, value, op_write) in zip(cpus, ops):
+                addr = ppage * PAGE + word * WORD_SIZE
+                if op_write:
+                    cluster.write(op_cpu, addr, addr, value)
+                else:
+                    cluster.read(op_cpu, addr, addr)
+        base, n = short_run_span(run)
+        if is_write:
+            values = np.arange(7, 7 + n, dtype=np.uint64)
+            by_run.write_run(cpu, base, base, values)
+            for i in range(n):
+                by_word.write(cpu, base + i * WORD_SIZE,
+                              base + i * WORD_SIZE, int(values[i]))
+        else:
+            got = by_run.read_run(cpu, base, base, n)
+            want = [by_word.read(cpu, base + i * WORD_SIZE,
+                                 base + i * WORD_SIZE) for i in range(n)]
+            assert got.tolist() == want
+        for a, b in zip(by_run.caches, by_word.caches):
+            assert cache_state(a, mem_a) == cache_state(b, mem_b)
 
 
 # ---------------------------------------------------------------------------

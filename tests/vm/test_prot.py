@@ -32,3 +32,8 @@ class TestAccessKind:
     def test_every_kind_has_a_requirement(self):
         for kind in AccessKind:
             assert kind.required != Prot.NONE
+
+    def test_need_is_the_requirement_as_a_plain_int(self):
+        for kind in AccessKind:
+            assert type(kind.need) is int
+            assert kind.need == kind.required
