@@ -3,8 +3,10 @@ live block path, at the paper-scale settings of bench_full_scale.
 
 Each (workload, policy) pair is run once through the normal kernel
 (the block path — the baseline every table is produced on), then
-compiled to a trace and replayed three times; the best replay wall time
-counts (replay is deterministic, so repeats measure host noise only).
+compiled to a trace and replayed three times; the median replay wall
+time counts.  Replay is deterministic, so repeats differ by host noise
+only, and the median does not reward a lucky quiet moment as the best
+of the repeats would.
 The replay must verify the equivalence contract — bit-identical clock
 and full-fidelity counters against what the recorder captured — or the
 measurement is void: a fast wrong replay is worthless.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -67,22 +70,22 @@ def measure() -> dict:
             trace = compile_workload(
                 make_workload(name, FULL_SCALE), policy, config=config,
                 buffer_cache_pages=BUFFER_CACHE_PAGES)
-            best = float("inf")
-            result = None
+            times = []
             for _ in range(REPLAY_REPEATS):
                 t0 = time.perf_counter()
                 result = replay_trace(trace)
-                best = min(best, time.perf_counter() - t0)
-            all_equivalent = all_equivalent and result.equivalent
+                times.append(time.perf_counter() - t0)
+                all_equivalent = all_equivalent and result.equivalent
+            replay = statistics.median(times)
             total_direct += direct
-            total_replay += best
+            total_replay += replay
             pairs.append({
                 "workload": name,
                 "policy": policy_name,
                 "n_ops": result.n_ops,
                 "direct_seconds": round(direct, 6),
-                "replay_seconds": round(best, 6),
-                "speedup": round(direct / best, 2),
+                "replay_seconds": round(replay, 6),
+                "speedup": round(direct / replay, 2),
                 "equivalent": result.equivalent,
                 "mismatches": list(result.mismatches),
             })

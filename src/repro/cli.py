@@ -93,8 +93,9 @@ from repro.analysis.experiments import (DEFAULT_SCALE, evaluation_machine,
 from repro.analysis.tables import (render_micro, render_overhead_summary,
                                    render_table1, render_table4)
 from repro.core.transitions import render_table2
-from repro.errors import ConformanceError, ReproError
+from repro.errors import ConfigurationError, ConformanceError, ReproError
 from repro.policy import get_policy
+from repro.trace.format import TraceFormatError
 
 #: the workload names the evaluation (and the golden traces) cover.
 WORKLOAD_NAMES = ("afs-bench", "latex-paper", "kernel-build")
@@ -729,6 +730,24 @@ def _cmd_all(args) -> None:
     _cmd_micro(argparse.Namespace(iterations=10_000))
 
 
+def _policy_name(text: str) -> str:
+    """argparse type of ``--policy``: a registered policy name, checked
+    at parse time so a typo is a usage error, not a traceback."""
+    try:
+        get_policy(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
+    return text
+
+
+def _policy_names(text: str) -> str:
+    """argparse type of ``--policies``: comma-separated policy names."""
+    for name in text.split(","):
+        if name.strip():
+            _policy_name(name.strip())
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -785,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("run", _cmd_run, "run one workload under one configuration")
     p.add_argument("workload",
                    choices=["afs-bench", "latex-paper", "kernel-build"])
-    p.add_argument("--policy", default="F",
+    p.add_argument("--policy", default="F", type=_policy_name,
                    help="A..F, G, a Table 5 system, or an external "
                         "strategy (rlt, vespa); see `repro policies`")
     p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
@@ -828,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="boot each run on an N-CPU coherent cluster: "
                         "snoop-race points arm and the conformance shadow "
                         "becomes one lockstep oracle per CPU")
-    p.add_argument("--policy", default=None,
+    p.add_argument("--policy", default=None, type=_policy_name,
                    help="consistency policy for every run (any name from "
                         "`repro policies`; default: the paper's new "
                         "system)")
@@ -853,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users-per-cohort", type=int, default=500,
                    dest="users_per_cohort",
                    help="simulated users per cohort (~4.5 syscalls each)")
-    p.add_argument("--policy", default=None,
+    p.add_argument("--policy", default=None, type=_policy_name,
                    help="consistency configuration (A..F, G, or a Table 5 "
                         "system; default the paper's new system)")
     p.add_argument("--conform", action="store_true",
@@ -879,7 +898,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cache-pages", type=int, default=3,
                    help="cache pages in the explorer's machine")
-    p.add_argument("--policy", default="F",
+    p.add_argument("--policy", default="F", type=_policy_name,
                    help="configuration for the workload shadowing")
     p.add_argument("--scale", type=float, default=0.25,
                    help="workload scale for the shadowing runs")
@@ -893,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
             "cache-size sweep across policies, farmed and cached")
     p.add_argument("--workload", default="kernel-build",
                    choices=list(WORKLOAD_NAMES))
-    p.add_argument("--policies", default="A,F",
+    p.add_argument("--policies", default="A,F", type=_policy_names,
                    help="comma-separated policy names (any from "
                         "`repro policies`)")
     p.add_argument("--sizes", default="32,64,128,256",
@@ -932,7 +951,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_mode("events", _cmd_trace_events,
                  "record a workload's consistency event trace")
     p.add_argument("workload", choices=list(WORKLOAD_NAMES))
-    p.add_argument("--policy", default="F")
+    p.add_argument("--policy", default="F", type=_policy_name)
     p.add_argument("--scale", type=float, default=0.25)
     p.add_argument("--out", metavar="FILE",
                    help="write the events as JSON lines")
@@ -943,7 +962,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_mode("compile", _cmd_trace_compile,
                  "lower a run to a replayable op-stream artifact")
     p.add_argument("workload", choices=list(WORKLOAD_NAMES))
-    p.add_argument("--policy", default="F")
+    p.add_argument("--policy", default="F", type=_policy_name)
     p.add_argument("--scale", type=float, default=0.25)
     p.add_argument("--out", metavar="FILE", required=True,
                    help="the trace artifact to write")
@@ -975,7 +994,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "alignment microbenchmark (default)")
     p.add_argument("--format", default="json", choices=["json", "prom"],
                    help="export format: JSON (default) or Prometheus text")
-    p.add_argument("--policy", default="F")
+    p.add_argument("--policy", default="F", type=_policy_name)
     p.add_argument("--scale", type=float, default=0.25,
                    help="workload scale (ignored for 'micro')")
     p.add_argument("--iterations", type=int, default=2_000,
@@ -984,7 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("profile", _cmd_profile,
             "cycle-attribution profile of one workload")
     p.add_argument("workload", choices=list(WORKLOAD_NAMES))
-    p.add_argument("--policy", default="F")
+    p.add_argument("--policy", default="F", type=_policy_name)
     p.add_argument("--scale", type=float, default=0.25)
 
     p = add("all", _cmd_all, "everything")
@@ -994,8 +1013,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command.  Input the simulator rejects with a typed error
+    (:class:`ConfigurationError`, :class:`TraceFormatError`) prints one
+    line on stderr and exits with status 2, as an argparse usage error
+    does; any other error (a stale read, a kernel fault) is a simulator
+    failure and propagates with its traceback."""
     args = build_parser().parse_args(argv)
-    args.fn(args)
+    try:
+        args.fn(args)
+    except (ConfigurationError, TraceFormatError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

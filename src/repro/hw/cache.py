@@ -290,10 +290,15 @@ class Cache:
     def _run_shape(self, vaddr: int, paddr: int, n_words: int):
         """Validate a run and derive its line-level shape.
 
-        Returns ``(sets, want, counts, first_word, n_lines)``: the set
-        slice the run covers, the physical line tags it wants, the number
-        of run words falling in each line, the word offset of the run's
-        first word within its first line, and the line count.
+        Returns ``(sets, want, offsets, first_word, n_lines)``: the set
+        slice the run covers, the physical line tags it wants, each
+        line's LRU stamp as an offset from the current tick (the running
+        count of run words up to the end of that line: the word loop's
+        last touch of the line), the word offset of the run's first word
+        within its first line, and the line count.
+
+        ``want`` may be a shared, read-only array: a run over every line
+        of a page takes its tags from :meth:`_page_tags`.
         """
         geo = self.geo
         if vaddr % WORD_SIZE or paddr % WORD_SIZE:
@@ -308,16 +313,41 @@ class Cache:
         n_lines = (paddr + last_off) // geo.line_size - first_tag + 1
         addr = paddr if geo.physically_indexed else vaddr
         s0 = (addr // geo.line_size) % geo.num_sets
-        want = np.arange(first_tag, first_tag + n_lines, dtype=np.int64)
+        if n_lines == geo.lines_per_page:
+            want = self._page_tags(paddr - paddr % geo.page_size)
+        else:
+            want = np.arange(first_tag, first_tag + n_lines, dtype=np.int64)
         first_word = (paddr % geo.line_size) // WORD_SIZE
         wpl = geo.words_per_line
-        if n_lines == 1:
-            counts = np.array([n_words], dtype=np.int64)
+        offsets = np.arange(wpl - first_word, n_lines * wpl - first_word + 1,
+                            wpl, dtype=np.int64)
+        offsets[-1] = n_words
+        return slice(s0, s0 + n_lines), want, offsets, first_word, n_lines
+
+    def _fill_run(self, sets: slice, want: np.ndarray, tags: np.ndarray,
+                  misses: np.ndarray, n_miss: int, n_lines: int) -> None:
+        """Write back the dirty victims of a direct-mapped run's missing
+        lines, then fill those lines from memory (no hierarchy).
+
+        Victims are looked for only when some set of the slice is dirty,
+        and a run that misses on every line fills with one slice
+        assignment instead of masked copies.
+        """
+        dirty = self._dirty[0, sets]
+        if dirty.any():
+            self._write_back_victims(
+                sets, misses & (tags != _INVALID) & dirty)
+        mem_lines = self.memory.read_line(
+            int(want[0]) * self.geo.line_size,
+            n_lines * self.geo.words_per_line,
+        ).reshape(n_lines, self.geo.words_per_line)
+        if n_miss == n_lines:
+            self._data[0, sets] = mem_lines
+            dirty[:] = False
         else:
-            counts = np.full(n_lines, wpl, dtype=np.int64)
-            counts[0] = wpl - first_word
-            counts[-1] = n_words - (wpl - first_word) - (n_lines - 2) * wpl
-        return slice(s0, s0 + n_lines), want, counts, first_word, n_lines
+            self._data[0, sets][misses] = mem_lines[misses]
+            dirty[misses] = False
+        self._tags[0, sets] = want
 
     def read_run(self, vaddr: int, paddr: int, n_words: int) -> np.ndarray:
         """Read ``n_words`` consecutive words starting at (vaddr -> paddr).
@@ -347,11 +377,11 @@ class Cache:
             return out
         if n_words < RUN_FALLBACK_WORDS:
             return self._read_lines(vaddr, paddr, n_words)
-        sets, want, counts, first_word, n_lines = self._run_shape(
+        sets, want, offsets, first_word, n_lines = self._run_shape(
             vaddr, paddr, n_words)
         tags = self._tags[0, sets]
         misses = tags != want
-        n_miss = int(misses.sum())
+        n_miss = int(np.count_nonzero(misses))
         if self.hierarchy is not None:
             # Per-line servicing in set order (= the word loop's order):
             # fills may come from the victim cache or L2 at differing
@@ -360,21 +390,13 @@ class Cache:
             self._service_lines(sets, want, misses)
             self.clock.advance((n_words - n_miss) * self.cost.cache_hit)
         else:
-            victims = misses & (tags != _INVALID) & self._dirty[0, sets]
-            self._write_back_victims(sets, victims)
             if n_miss:
-                mem_lines = self.memory.read_line(
-                    int(want[0]) * self.geo.line_size,
-                    n_lines * self.geo.words_per_line,
-                ).reshape(n_lines, self.geo.words_per_line)
-                self._data[0, sets][misses] = mem_lines[misses]
-                self._tags[0, sets] = want
-                self._dirty[0, sets][misses] = False
+                self._fill_run(sets, want, tags, misses, n_miss, n_lines)
             self.clock.advance((n_words - n_miss) * self.cost.cache_hit
                                + n_miss * self.cost.line_fill)
         self.counters.read_hits += n_words - n_miss
         self.counters.read_misses += n_miss
-        self._lru[0, sets] = self._tick + np.cumsum(counts)
+        self._lru[0, sets] = self._tick + offsets
         self._tick += n_words
         return self._data[0, sets].reshape(-1)[
             first_word:first_word + n_words].copy()
@@ -397,26 +419,18 @@ class Cache:
         if n_words < RUN_FALLBACK_WORDS:
             self._write_lines(vaddr, paddr, values)
             return
-        sets, want, counts, first_word, n_lines = self._run_shape(
+        sets, want, offsets, first_word, n_lines = self._run_shape(
             vaddr, paddr, n_words)
         values = np.asarray(values, dtype=np.uint64)
         tags = self._tags[0, sets]
         misses = tags != want
-        n_miss = int(misses.sum())
+        n_miss = int(np.count_nonzero(misses))
         if self.hierarchy is not None:
             self._service_lines(sets, want, misses)
             cycles = (n_words - n_miss) * self.cost.cache_hit
         else:
-            victims = misses & (tags != _INVALID) & self._dirty[0, sets]
-            self._write_back_victims(sets, victims)
             if n_miss:
-                mem_lines = self.memory.read_line(
-                    int(want[0]) * self.geo.line_size,
-                    n_lines * self.geo.words_per_line,
-                ).reshape(n_lines, self.geo.words_per_line)
-                self._data[0, sets][misses] = mem_lines[misses]
-                self._tags[0, sets] = want
-                self._dirty[0, sets][misses] = False
+                self._fill_run(sets, want, tags, misses, n_miss, n_lines)
             cycles = ((n_words - n_miss) * self.cost.cache_hit
                       + n_miss * self.cost.line_fill)
         self._data[0, sets].reshape(-1)[
@@ -435,7 +449,7 @@ class Cache:
         else:
             self._dirty[0, sets] = True
         self.clock.advance(cycles)
-        self._lru[0, sets] = self._tick + np.cumsum(counts)
+        self._lru[0, sets] = self._tick + offsets
         self._tick += n_words
 
     def _line_start(self, vaddr: int, paddr: int) -> tuple[int, int, int]:
@@ -746,23 +760,23 @@ class Cache:
             self._fill(0, s, int(want[i]))
 
     def _write_back_victims(self, sets: slice, victims: np.ndarray) -> None:
-        n = int(victims.sum())
+        """Write back the masked lines of a set slice inside one cache page.
+
+        The victims' tags are distinct, so one vectorized scatter is
+        order-safe: a line fills only the set its page offset selects
+        (``tag % lines_per_page == set % lines_per_page``, under virtual
+        and physical indexing alike), so within one cache page each
+        physical line has exactly one possible set.  Doubly-dirty aliases
+        of a line sit in different cache pages and are written back by
+        different operations, in program order.
+        """
+        n = int(np.count_nonzero(victims))
         if not n:
             return
         idxs = np.flatnonzero(victims)
-        tags = self._tags[0, sets][idxs]
-        if n == 1 or len(np.unique(tags)) == n:
-            self.memory.write_lines(tags, self._data[0, sets][idxs],
-                                    self.geo.words_per_line)
-        else:
-            # Two sets hold dirty copies of the same physical line (the
-            # doubly-dirty alias hazard): preserve the word loop's
-            # last-writer-wins order, which a vectorized scatter with
-            # duplicate indices would not guarantee.
-            for line in idxs:
-                tag = int(self._tags[0, sets][line])
-                self.memory.write_line(tag * self.geo.line_size,
-                                       self._data[0, sets][line])
+        self.memory.write_lines(self._tags[0, sets][idxs],
+                                self._data[0, sets][idxs],
+                                self.geo.words_per_line)
         self.counters.write_backs += n
         self.clock.advance(n * self.cost.write_back)
 
@@ -845,7 +859,7 @@ class Cache:
                     if self._dirty[way, set_idx]:
                         dirty += 1
             return found, dirty
-        sets, want, _counts, _first, _n = self._run_shape(vaddr, paddr, n_words)
+        sets, want, _offsets, _first, _n = self._run_shape(vaddr, paddr, n_words)
         hit = self._tags[0, sets] == want
         return int(hit.sum()), int((hit & self._dirty[0, sets]).sum())
 
@@ -877,7 +891,7 @@ class Cache:
                     if got == "dirty":
                         dirty += 1
             return found, dirty
-        sets, want, _counts, _first, _n = self._run_shape(vaddr, paddr, n_words)
+        sets, want, _offsets, _first, _n = self._run_shape(vaddr, paddr, n_words)
         tags = self._tags[0, sets]
         hit = tags == want
         n_found = int(hit.sum())

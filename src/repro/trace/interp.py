@@ -18,6 +18,12 @@ everything else becomes a direct call into the very same
 :class:`~repro.hw.cache.Cache` methods the live machine uses, so
 equivalence there is inherited rather than argued.  Every op executes in
 stream order, exactly once.
+
+Multi-line runs stay such calls: in the paper's traces every one is a
+whole page, which ``Cache.read_run``/``write_run`` already handle with
+contiguous slices, and an inlined copy would duplicate that code.  The
+page handlers branch on the shape the page is in, as the paper's lazy
+management leaves it (see ``_execute``).
 """
 
 from __future__ import annotations
@@ -328,6 +334,18 @@ def _execute(prog, ctx) -> None:
     form, exactly what the equivalent :class:`Cache` word loop does to
     the tags/dirty/data/LRU arrays, the counters and the clock.
 
+    The page handlers branch on the page's shape, using counts they
+    compute anyway, so that the common shapes of the paper's traces
+    touch contiguous slices instead of masks:
+
+    * flush: no resident line touches no array; a wholly resident page
+      is the line range ``want``, so all-dirty writes back with one
+      slice copy and the slices are cleared whole; a partly resident
+      page goes line by line over its resident lines;
+    * page read: an all-hit page only counts; an all-miss page fills
+      with one slice copy, and looks for victims only if a set is dirty;
+    * page write: looks for victims only if a set of the page is dirty.
+
     The hot counters (hits, misses, write-backs, deferred clock cycles,
     the LRU ticks) accumulate in locals and are flushed to the live
     objects at the points where other code can observe them — before
@@ -436,18 +454,35 @@ def _execute(prog, ctx) -> None:
             match = tv == want
             hits = int(np.count_nonzero(match))
             cycles = hits * fl_hit + (lpp - hits) * fl_miss
-            if hits:
+            if hits == lpp:
+                # The whole page is resident: the set slice holds exactly
+                # the line range ``want``, so all-dirty writes back in one
+                # contiguous copy.
                 dyv = dy[s0:s1]
-                dm = match & dyv
-                nd = int(np.count_nonzero(dm))
+                nd = int(np.count_nonzero(dyv))
+                if nd == lpp:
+                    w0 = want.item(0)
+                    mem2d[w0:w0 + lpp] = dat[s0:s1]
+                elif nd:
+                    mem2d[want[dyv]] = dat[s0:s1][dyv]
                 if nd:
-                    # A physical line is unique within a set, so the
-                    # scatter targets are distinct (see flush_page_frame).
-                    mem2d[tv[dm]] = dat[s0:s1][dm]
                     wbk += nd
                     cycles += nd * cost_wb
-                    dyv[dm] = False
-                tv[match] = _INVALID
+                    dyv[:] = False
+                tv[:] = _INVALID
+            elif hits:
+                # Some lines resident (two, in most of the paper's
+                # flushes): scalar line moves, no masks.
+                nd = 0
+                for i in np.flatnonzero(match).tolist():
+                    s = s0 + i
+                    if dy.item(s):
+                        mem2d[want.item(i)] = dat[s]
+                        dy[s] = False
+                        nd += 1
+                    t[s] = _INVALID
+                wbk += nd
+                cycles += nd * cost_wb
             cyc += cycles
             cell[0] += 1
             cell[1] += cycles
@@ -472,48 +507,49 @@ def _execute(prog, ctx) -> None:
             t, dy, dat, mem2d, lpp, page_hit = pack
             tv = t[s0:s1]
             match = tv == want
-            n_miss = lpp - int(np.count_nonzero(match))
-            if n_miss == 0:
-                r_hit += lpp
+            n_hit = int(np.count_nonzero(match))
+            n_miss = lpp - n_hit
+            r_hit += n_hit
+            r_miss += n_miss
+            if not n_miss:
                 cyc += page_hit
-            else:
-                miss = ~match
-                dyv = dy[s0:s1]
-                victims = miss & (tv != _INVALID) & dyv
+                continue
+            cyc += n_hit * (page_hit // lpp) + n_miss * cost_fill
+            dyv = dy[s0:s1]
+            if dyv.any():
+                victims = ~match & (tv != _INVALID) & dyv
                 nv = int(np.count_nonzero(victims))
-                cyc += ((lpp - n_miss) * (page_hit // lpp)
-                        + n_miss * cost_fill)
                 if nv:
-                    vt = tv[victims]
-                    if nv == 1 or len(np.unique(vt)) == nv:
-                        mem2d[vt] = dat[s0:s1][victims]
-                    else:  # doubly-dirty aliases: last-writer-wins order
-                        for i in np.flatnonzero(victims):
-                            mem2d[tv.item(i)] = dat[s0 + i]
+                    # Victim tags within one cache page are distinct (see
+                    # Cache._write_back_victims): one scatter.
+                    mem2d[tv[victims]] = dat[s0:s1][victims]
                     wbk += nv
                     cyc += nv * cost_wb
                     dyv[victims] = False
+            if n_hit:
+                miss = ~match
                 dat[s0:s1][miss] = mem2d[want[miss]]
-                tv[:] = want
-                r_hit += lpp - n_miss
-                r_miss += n_miss
+            else:
+                # Every line misses: the page's memory lines are one
+                # contiguous range, filled with one slice copy.
+                w0 = want.item(0)
+                dat[s0:s1] = mem2d[w0:w0 + lpp]
+            tv[:] = want
         elif code == _WPAGE:
             _, pack, s0, s1, want, vals2d = item
             t, dy, dat, mem2d, lpp, page_hit = pack
             tv = t[s0:s1]
             dyv = dy[s0:s1]
-            victims = (tv != want) & (tv != _INVALID) & dyv
-            nv = int(np.count_nonzero(victims))
             cyc += page_hit
-            if nv:
-                vt = tv[victims]
-                if nv == 1 or len(np.unique(vt)) == nv:
-                    mem2d[vt] = dat[s0:s1][victims]
-                else:  # doubly-dirty aliases: last-writer-wins order
-                    for i in np.flatnonzero(victims):
-                        mem2d[tv.item(i)] = dat[s0 + i]
-                wbk += nv
-                cyc += nv * cost_wb
+            if dyv.any():
+                victims = (tv != want) & (tv != _INVALID) & dyv
+                nv = int(np.count_nonzero(victims))
+                if nv:
+                    # Victim tags within one cache page are distinct (see
+                    # Cache._write_back_victims): one scatter.
+                    mem2d[tv[victims]] = dat[s0:s1][victims]
+                    wbk += nv
+                    cyc += nv * cost_wb
             tv[:] = want
             dat[s0:s1] = vals2d
             dyv[:] = True
@@ -528,6 +564,23 @@ def _execute(prog, ctx) -> None:
     co.write_backs += wbk
     dcache._tick = tick_d
     icache._tick = tick_i
+
+
+def _run(rows, values, sidecar, dcache: Cache, icache: Cache,
+         memory: PhysicalMemory, bus) -> int:
+    """Compile and execute op-stream ``rows`` on caches sharing one
+    clock, counters and ``memory``; return the value words consumed."""
+    clock, counters = dcache.clock, dcache.counters
+    prog, vpos, deferred = _compile(rows, values, sidecar, dcache, icache,
+                                    memory, counters, bus)
+    ctx = (clock, counters, memory._words, (dcache, icache),
+           dcache._tags[0], dcache._dirty[0], dcache._data[0],
+           dcache._lru[0], dcache.geo.words_per_line,
+           icache._tags[0], icache._dirty[0], icache._data[0],
+           icache._lru[0], icache.geo.words_per_line)
+    _execute(prog, ctx)
+    deferred.apply(clock, counters, sidecar)
+    return vpos
 
 
 def _restore_image(cache: Cache, image) -> None:
@@ -581,16 +634,8 @@ def replay_trace(trace: Trace) -> ReplayResult:
     n_ops = len(trace.ops)
     cols = [trace.ops[name].tolist()
             for name in ("op", "asid", "va", "len", "aux")]
-    rows = zip(*cols)
-    prog, vpos, deferred = _compile(rows, trace.values, trace.sidecar,
-                                    dcache, icache, memory, counters, bus)
-    ctx = (clock, counters, memory._words, (dcache, icache),
-           dcache._tags[0], dcache._dirty[0], dcache._data[0],
-           dcache._lru[0], geo_d.words_per_line,
-           icache._tags[0], icache._dirty[0], icache._data[0],
-           icache._lru[0], geo_i.words_per_line)
-    _execute(prog, ctx)
-    deferred.apply(clock, counters, trace.sidecar)
+    vpos = _run(zip(*cols), trace.values, trace.sidecar, dcache, icache,
+                memory, bus)
 
     mismatches: list[str] = []
     if vpos != len(trace.values):

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+import repro.cli
 from repro.cli import build_parser, main
+from repro.errors import StaleDataError
 
 
 class TestParser:
@@ -193,3 +195,49 @@ class TestObservabilityCommands:
         # the simulated-cycle timestamp of the moment it was detected
         assert "frame" in divergences[0]
         assert divergences[0]["cycles"] >= injections[0]["cycles"]
+
+
+class TestBadInput:
+    """Bad input is rejected with one line on stderr and exit status 2,
+    never a traceback."""
+
+    @staticmethod
+    def one_line_error(capsys, expected):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert expected in lines[-1], err
+        return lines
+
+    def test_unknown_policy_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "afs-bench", "--policy", "nope"])
+        assert excinfo.value.code == 2
+        self.one_line_error(capsys, "argument --policy: unknown policy "
+                                    "'nope'; valid names:")
+
+    def test_trace_compile_rejects_an_external_policy(self, capsys,
+                                                      tmp_path):
+        assert main(["trace", "compile", "afs-bench", "--policy", "rlt",
+                     "--out", str(tmp_path / "a.trace")]) == 2
+        lines = self.one_line_error(capsys, "'rlt' is an external strategy")
+        assert lines == [lines[-1]]
+        assert lines[0].startswith("repro: error: ")
+        assert not (tmp_path / "a.trace").exists()
+
+    def test_trace_replay_rejects_a_non_trace(self, capsys, tmp_path):
+        garbage = tmp_path / "garbage.trace"
+        garbage.write_bytes(bytes(range(256)) * 4)
+        assert main(["trace", "replay", str(garbage)]) == 2
+        lines = self.one_line_error(capsys, "is not a trace artifact")
+        assert lines == [f"repro: error: {garbage} is not a trace artifact"]
+
+    def test_a_simulator_failure_keeps_its_traceback(self, monkeypatch):
+        # A stale read is a consistency defect, not bad input: main()
+        # lets it escape instead of printing it as a usage error.
+        def stale(*args, **kwargs):
+            raise StaleDataError("stale word", paddr=0x40)
+
+        monkeypatch.setattr(repro.cli, "run_workload", stale)
+        with pytest.raises(StaleDataError, match="stale word"):
+            main(["run", "afs-bench", "--scale", "0.01"])

@@ -213,6 +213,88 @@ class TestRunsEqualWordLoops:
             cache_mod.RUN_FALLBACK_WORDS = saved
 
 
+# Whole-page runs over partly resident or dirty pages: the warm-up
+# touches ranges of lines through arbitrary (virtual page, physical page)
+# pairs, so a page's lines can be held in part, dirty, by its own page
+# or by other pages' lines, and through unaligned aliases in both cache
+# pages at once (doubly-dirty victims).
+DIRECT_VARIANTS = [kw for kw in VARIANTS if "associativity" not in kw]
+alias_warmup = st.lists(
+    st.tuples(st.integers(0, NPAGES - 1), st.integers(0, NPAGES - 1),
+              st.integers(0, WPP // WORDS_PER_LINE - 1), st.integers(1, 48),
+              st.booleans()),
+    max_size=12)
+# (virtual page, physical page, is_write) of a page-aligned 1024-word run
+page_runs = st.tuples(st.integers(0, NPAGES - 1), st.integers(0, NPAGES - 1),
+                      st.booleans())
+
+
+def alias_warm(cache, ops):
+    for vpage, ppage, line, n_lines, is_write in ops:
+        for i in range(line, min(line + n_lines, WPP // WORDS_PER_LINE)):
+            off = i * WORDS_PER_LINE * WORD_SIZE
+            va, pa = vpage * PAGE + off, ppage * PAGE + off
+            if is_write:
+                cache.write(va, pa, vpage * 1000 + i)
+            else:
+                cache.read(va, pa)
+
+
+def run_both(by_run, by_word, vpage, ppage, start, n, is_write, seed):
+    """One run through the run API on one cache and the word loop on the
+    other; returns the read values of each (None for a write)."""
+    va, pa = vpage * PAGE + start * WORD_SIZE, ppage * PAGE + start * WORD_SIZE
+    if is_write:
+        values = np.arange(seed, seed + n, dtype=np.uint64)
+        by_run.write_run(va, pa, values)
+        for i in range(n):
+            by_word.write(va + i * WORD_SIZE, pa + i * WORD_SIZE,
+                          int(values[i]))
+        return None, None
+    got = by_run.read_run(va, pa, n).tolist()
+    want = [by_word.read(va + i * WORD_SIZE, pa + i * WORD_SIZE)
+            for i in range(n)]
+    return got, want
+
+
+class TestPageRunsEqualWordLoops:
+    """Page-aligned whole-page runs, the shape of every multi-line run
+    in the paper traces, and a run shape repeated at a later tick."""
+
+    @given(alias_warmup, page_runs, st.sampled_from(DIRECT_VARIANTS))
+    @settings(max_examples=100, deadline=None)
+    def test_whole_page_run(self, ops, run, kw):
+        vpage, ppage, is_write = run
+        by_run, mem_a = make_cache(**kw)
+        by_word, mem_b = make_cache(**kw)
+        alias_warm(by_run, ops)
+        alias_warm(by_word, ops)
+        got, want = run_both(by_run, by_word, vpage, ppage, 0, WPP,
+                             is_write, 7)
+        assert got == want
+        assert cache_state(by_run, mem_a) == cache_state(by_word, mem_b)
+
+    @given(alias_warmup, page_runs, page_runs, st.integers(0, WPP - 8),
+           st.integers(8, WPP), st.sampled_from(DIRECT_VARIANTS))
+    @settings(max_examples=100, deadline=None)
+    def test_repeated_run_shape(self, ops, first, second, start, n, kw):
+        # The second run has the first one's (first word, length) shape
+        # on another page pair, later in the tick order: its LRU stamps
+        # are the same offsets from a later tick.
+        n = min(n, WPP - start)
+        by_run, mem_a = make_cache(**kw)
+        by_word, mem_b = make_cache(**kw)
+        alias_warm(by_run, ops)
+        alias_warm(by_word, ops)
+        for seed, (vpage, ppage, is_write) in ((7, first), (5000, second)):
+            got, want = run_both(by_run, by_word, vpage, ppage, start, n,
+                                 is_write, seed)
+            assert got == want
+            alias_warm(by_run, ops[:2])
+            alias_warm(by_word, ops[:2])
+        assert cache_state(by_run, mem_a) == cache_state(by_word, mem_b)
+
+
 class TestClusterRunsEqualWordLoops:
     """A 2-CPU coherent cluster: a run on one CPU (snooping the other,
     then running the local cache's run path) equals the word loop of
