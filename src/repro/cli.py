@@ -93,7 +93,8 @@ from repro.analysis.experiments import (DEFAULT_SCALE, evaluation_machine,
 from repro.analysis.tables import (render_micro, render_overhead_summary,
                                    render_table1, render_table4)
 from repro.core.transitions import render_table2
-from repro.errors import ConfigurationError, ConformanceError, ReproError
+from repro.errors import (ConfigurationError, ConformanceError, ReproError,
+                          open_input)
 from repro.policy import get_policy
 from repro.trace.format import TraceFormatError
 
@@ -566,7 +567,7 @@ def _cmd_farm(args) -> None:
     if not args.specs:
         raise SystemExit("farm run requires --specs FILE.jsonl")
     specs = []
-    with open(args.specs) as handle:
+    with open_input(args.specs) as handle:
         for line in handle:
             if line.strip():
                 specs.append(JobSpec.from_dict(json.loads(line)))
@@ -603,6 +604,8 @@ def _cmd_trace_events(args) -> None:
     from repro.kernel.kernel import Kernel
     from repro.obs import load_jsonl, write_jsonl
 
+    # Read the golden first: a missing one fails before the simulation.
+    golden = load_jsonl(args.diff) if args.diff else None
     policy = get_policy(args.policy)
     kernel = Kernel(policy=policy, config=evaluation_machine(),
                     buffer_cache_pages=48)
@@ -617,8 +620,7 @@ def _cmd_trace_events(args) -> None:
     if args.out:
         count = write_jsonl(tracer.events, args.out)
         print(f"wrote {count} events to {args.out}")
-    if args.diff:
-        golden = load_jsonl(args.diff)
+    if golden is not None:
         diff = diff_traces(golden, tracer.events)
         if diff is not None:
             print(f"trace DIVERGES from {args.diff}:")
@@ -1014,8 +1016,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command.  Input the simulator rejects with a typed error
-    (:class:`ConfigurationError`, :class:`TraceFormatError`) prints one
-    line on stderr and exits with status 2, as an argparse usage error
+    (:class:`ConfigurationError`, including :class:`InputFileError` for an
+    input file that cannot be opened, or :class:`TraceFormatError`) prints
+    one line on stderr and exits with status 2, as an argparse usage error
     does; any other error (a stale read, a kernel fault) is a simulator
     failure and propagates with its traceback."""
     args = build_parser().parse_args(argv)

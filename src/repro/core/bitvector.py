@@ -27,12 +27,17 @@ class BitVector:
         if not 0 <= i < self.width:
             raise AddressError(f"bit index {i} out of range [0, {self.width})")
 
+    # The item accessors inline the bounds check: CacheControl reads and
+    # writes bits several times per fault.
+
     def __getitem__(self, i: int) -> bool:
-        self._check(i)
+        if not 0 <= i < self.width:
+            self._check(i)
         return bool((self._bits >> i) & 1)
 
     def __setitem__(self, i: int, value: bool) -> None:
-        self._check(i)
+        if not 0 <= i < self.width:
+            self._check(i)
         if value:
             self._bits |= (1 << i)
         else:
@@ -55,8 +60,19 @@ class BitVector:
         return self._bits != 0
 
     def indices(self) -> list[int]:
-        """Indices of the set bits, ascending."""
-        return [i for i in range(self.width) if (self._bits >> i) & 1]
+        """Indices of the set bits, ascending.
+
+        Walks the set bits lowest first (``bits & -bits`` isolates the
+        lowest), so the cost follows the number of set bits, not the
+        width: most vectors on the fault path hold zero or one bit.
+        """
+        out = []
+        bits = self._bits
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
 
     def first(self) -> int | None:
         """Index of the lowest set bit, or None if empty."""

@@ -132,7 +132,7 @@ class CacheControl:
         # Stanza 4: writes force all mapped and stale pages to stale and
         # all mapped pages to unmapped; a CPU-write then reinstates its
         # own target as mapped, not stale, and dirty.
-        if op in (MemoryOp.DMA_WRITE, MemoryOp.CPU_WRITE):
+        if op.is_write:
             state.stale.or_with(state.mapped)
             state.mapped.clear_all()
             if op is MemoryOp.CPU_WRITE:

@@ -34,7 +34,13 @@ class LineState(enum.Enum):
 
 
 class MemoryOp(enum.Enum):
-    """The six events of the consistency model."""
+    """The six events of the consistency model.
+
+    ``is_cpu``, ``is_dma``, ``is_cache_op`` and ``is_write`` (a CPU- or
+    DMA-write: new data enters the memory system) are plain member
+    attributes, set once here: CacheControl tests them several times per
+    call, where a property would cost a Python-level call each time.
+    """
 
     CPU_READ = "CPU-read"
     CPU_WRITE = "CPU-write"
@@ -43,17 +49,11 @@ class MemoryOp(enum.Enum):
     PURGE = "Purge"
     FLUSH = "Flush"
 
-    @property
-    def is_cpu(self) -> bool:
-        return self in (MemoryOp.CPU_READ, MemoryOp.CPU_WRITE)
-
-    @property
-    def is_dma(self) -> bool:
-        return self in (MemoryOp.DMA_READ, MemoryOp.DMA_WRITE)
-
-    @property
-    def is_cache_op(self) -> bool:
-        return self in (MemoryOp.PURGE, MemoryOp.FLUSH)
+    def __init__(self, value: str):
+        self.is_cpu = value in ("CPU-read", "CPU-write")
+        self.is_dma = value in ("DMA-read", "DMA-write")
+        self.is_cache_op = value in ("Purge", "Flush")
+        self.is_write = value in ("CPU-write", "DMA-write")
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -30,6 +30,25 @@ class ConfigurationError(ReproError):
     """A component was constructed with invalid or inconsistent parameters."""
 
 
+class InputFileError(ConfigurationError):
+    """An input file named by the caller (a trace artifact, a golden
+    event trace, a farm spec batch) cannot be opened.
+
+    A :class:`ConfigurationError`, so the command line reports it as bad
+    input — one line and exit status 2 — rather than as a traceback.
+    """
+
+
+def open_input(path, mode: str = "r"):
+    """``open(path, mode)``, raising :class:`InputFileError` (with the
+    operating system's reason) when the file cannot be opened."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise InputFileError(
+            f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 class AddressError(ReproError):
     """An address was out of range or mis-aligned for the requested operation."""
 

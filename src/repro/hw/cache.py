@@ -584,23 +584,11 @@ class Cache:
         """
         sets = self._page_sets(cache_page)
         want = self._page_tags(pa_page_base)
-        match = self._tags[:, sets] == want            # (ways, lines_per_page)
-        hits = int(match.sum())
-        dirty_match = match & self._dirty[:, sets]
-        n_dirty = int(dirty_match.sum())
-        if n_dirty:
-            # A physical line is unique within a set, so at most one way
-            # matches per line index: the scatter targets are distinct and
-            # the vectorized write-back is order-independent.
-            ways, lines = np.nonzero(dirty_match)
-            self.memory.write_lines(want[lines], self._data[:, sets][ways, lines],
-                                    self.geo.words_per_line)
-            self.counters.write_backs += n_dirty
-            if self.hierarchy is not None:
-                for tag in want[lines]:
-                    self.hierarchy.note_memory_write(int(tag))
-        self._tags[:, sets][match] = _INVALID
-        self._dirty[:, sets][match] = False
+        if self.geo.associativity == 1:
+            hits, n_dirty = self._flush_direct(sets, want, pa_page_base)
+        else:
+            hits, n_dirty = self._flush_masked(sets, want)
+        self.counters.write_backs += n_dirty
         if self.exact_management:
             cycles = (hits * self.cost.flush_line_hit
                       + n_dirty * self.cost.write_back)
@@ -618,6 +606,73 @@ class Cache:
                              cost_cycles=cycles)
         return hits
 
+    def _flush_direct(self, sets: slice, want: np.ndarray,
+                      pa_page_base: int) -> tuple[int, int]:
+        """Direct-mapped flush, shaped by how much of the page is resident:
+        none touches no array, the whole page clears its set slice (and
+        writes back an all-dirty page as one page copy), and a few lines
+        move one by one.  Returns (resident lines, lines written back)."""
+        tv = self._tags[0, sets]
+        match = tv == want
+        hits = int(np.count_nonzero(match))
+        if not hits:
+            return 0, 0
+        hierarchy = self.hierarchy
+        if hits == self.geo.lines_per_page:
+            # The set slice holds exactly the line range ``want``.
+            dyv = self._dirty[0, sets]
+            n_dirty = int(np.count_nonzero(dyv))
+            if n_dirty:
+                if n_dirty == hits:
+                    self.memory.write_page(pa_page_base // self.geo.page_size,
+                                           self._data[0, sets].reshape(-1))
+                    written = want
+                else:
+                    written = want[dyv]
+                    self.memory.write_lines(written, self._data[0, sets][dyv],
+                                            self.geo.words_per_line)
+                dyv[:] = False
+                if hierarchy is not None:
+                    for tag in written.tolist():
+                        hierarchy.note_memory_write(tag)
+            tv[:] = _INVALID
+            return hits, n_dirty
+        tags, dirty, data = self._tags[0], self._dirty[0], self._data[0]
+        s0, line_size = sets.start, self.geo.line_size
+        n_dirty = 0
+        for i in np.flatnonzero(match).tolist():
+            s = s0 + i
+            if dirty.item(s):
+                tag = want.item(i)
+                self.memory.write_line(tag * line_size, data[s])
+                dirty[s] = False
+                n_dirty += 1
+                if hierarchy is not None:
+                    hierarchy.note_memory_write(tag)
+            tags[s] = _INVALID
+        return hits, n_dirty
+
+    def _flush_masked(self, sets: slice, want: np.ndarray) -> tuple[int, int]:
+        """Associative flush over every way at once, by masks.  Returns
+        (resident lines, lines written back)."""
+        match = self._tags[:, sets] == want            # (ways, lines_per_page)
+        hits = int(match.sum())
+        dirty_match = match & self._dirty[:, sets]
+        n_dirty = int(dirty_match.sum())
+        if n_dirty:
+            # A physical line is unique within a set, so at most one way
+            # matches per line index: the scatter targets are distinct and
+            # the vectorized write-back is order-independent.
+            ways, lines = np.nonzero(dirty_match)
+            self.memory.write_lines(want[lines], self._data[:, sets][ways, lines],
+                                    self.geo.words_per_line)
+            if self.hierarchy is not None:
+                for tag in want[lines]:
+                    self.hierarchy.note_memory_write(int(tag))
+        self._tags[:, sets][match] = _INVALID
+        self._dirty[:, sets][match] = False
+        return hits, n_dirty
+
     def purge_page_frame(self, cache_page: int, pa_page_base: int,
                          reason: Reason = Reason.EXPLICIT) -> int:
         """Invalidate, without write-back, every line of the physical page
@@ -628,10 +683,25 @@ class Cache:
         """
         sets = self._page_sets(cache_page)
         want = self._page_tags(pa_page_base)
-        match = self._tags[:, sets] == want
-        hits = int(match.sum())
-        self._tags[:, sets][match] = _INVALID
-        self._dirty[:, sets][match] = False
+        if self.geo.associativity == 1:
+            # Shaped like the flush: none resident touches no array, the
+            # whole page clears its set slice, a few lines go one by one.
+            tv = self._tags[0, sets]
+            match = tv == want
+            hits = int(np.count_nonzero(match))
+            if hits == self.geo.lines_per_page:
+                tv[:] = _INVALID
+                self._dirty[0, sets] = False
+            elif hits:
+                tags, dirty, s0 = self._tags[0], self._dirty[0], sets.start
+                for i in np.flatnonzero(match).tolist():
+                    tags[s0 + i] = _INVALID
+                    dirty[s0 + i] = False
+        else:
+            match = self._tags[:, sets] == want
+            hits = int(match.sum())
+            self._tags[:, sets][match] = _INVALID
+            self._dirty[:, sets][match] = False
         if self.is_icache:
             cycles = self.cost.icache_purge_page
         elif self.exact_management:

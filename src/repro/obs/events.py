@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 from collections import Counter, deque
 from typing import Callable
 
+from repro.errors import open_input
 from repro.hw.stats import Clock
 
 #: default ring capacity; enough for the interesting tail of a long run
@@ -187,5 +188,5 @@ def write_jsonl(events, path) -> int:
 
 
 def load_jsonl(path) -> list[dict]:
-    with open(path) as handle:
+    with open_input(path) as handle:
         return [json.loads(line) for line in handle if line.strip()]

@@ -34,8 +34,13 @@ class Prot(enum.IntFlag):
     ALL = READ | WRITE | EXEC
 
     def allows(self, wanted: "Prot") -> bool:
-        """True if this protection permits every right in ``wanted``."""
-        return (self & wanted) == wanted
+        """True if this protection permits every right in ``wanted``.
+
+        Plain-int arithmetic: the ``IntFlag`` operators are Python-level
+        calls, and this runs on the fault and refill paths.
+        """
+        w = int(wanted)
+        return int(self) & w == w
 
 
 #: access value -> the rights it needs.

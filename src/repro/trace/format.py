@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ReproError, open_input
 from repro.hw.params import CacheGeometry, CostModel
 from repro.hw.stats import Counters, FaultKind, Reason
 
@@ -290,9 +290,10 @@ def load_trace(path: str) -> Trace:
     """Read an artifact written by :func:`save_trace`.
 
     A file that is not a trace, or one cut short or garbled in its
-    header, array region or sidecar, raises :class:`TraceFormatError`.
+    header, array region or sidecar, raises :class:`TraceFormatError`; a
+    file that cannot be opened raises :class:`InputFileError`.
     """
-    with open(path, "rb") as f:
+    with open_input(path, "rb") as f:
         blob = f.read()
     if not blob.startswith(MAGIC):
         raise TraceFormatError(f"{path} is not a trace artifact")

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 from repro.errors import KernelError
 from repro.vm.prot import Prot
 
+#: every protection value, indexed by its int value.
+_PROT_OF = tuple(Prot(v) for v in range(int(Prot.ALL) + 1))
+_EXEC = int(Prot.EXEC)
+
 
 @dataclass
 class PageTableEntry:
@@ -38,8 +42,14 @@ class PageTableEntry:
     def effective_prot(self) -> Prot:
         """What the hardware enforces: the intersection of the VM and
         consistency protections, with EXEC passed through from the VM
-        side."""
-        return self.vm_prot & (self.cache_prot | Prot.EXEC)
+        side.
+
+        Computed on plain ints and looked up in :data:`_PROT_OF`: every
+        TLB refill reads it, and ``IntFlag``'s ``&``/``|`` would build
+        the value through several Python-level enum calls.
+        """
+        return _PROT_OF[int(self.vm_prot)
+                        & (int(self.cache_prot) | _EXEC)]
 
 
 class PageTable:

@@ -241,3 +241,33 @@ class TestBadInput:
         monkeypatch.setattr(repro.cli, "run_workload", stale)
         with pytest.raises(StaleDataError, match="stale word"):
             main(["run", "afs-bench", "--scale", "0.01"])
+
+    # A missing input file is bad input too: one line, status 2.
+
+    def test_trace_replay_of_a_missing_file(self, capsys, tmp_path):
+        missing = tmp_path / "absent.trace"
+        assert main(["trace", "replay", str(missing)]) == 2
+        lines = self.one_line_error(capsys, f"cannot read {missing}")
+        assert lines == [lines[-1]]
+        assert lines[0].startswith("repro: error: ")
+
+    def test_trace_events_checks_the_golden_before_running(
+            self, capsys, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("workload simulated before the golden "
+                                 "was read")
+
+        monkeypatch.setattr(repro.cli, "run_workload", must_not_run)
+        missing = tmp_path / "absent.jsonl"
+        assert main(["trace", "events", "afs-bench", "--scale", "0.01",
+                     "--diff", str(missing)]) == 2
+        lines = self.one_line_error(capsys, f"cannot read {missing}")
+        assert lines == [lines[-1]]
+
+    def test_farm_run_of_a_missing_spec_batch(self, capsys, tmp_path):
+        missing = tmp_path / "absent.jsonl"
+        assert main(["farm", "run", "--specs", str(missing),
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        lines = self.one_line_error(capsys, f"cannot read {missing}")
+        assert lines == [lines[-1]]
+        assert not (tmp_path / "cache").exists()

@@ -1,6 +1,8 @@
 """Tests for the bit vector backing the page-state encoding."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bitvector import BitVector
 from repro.errors import AddressError
@@ -91,3 +93,20 @@ class TestBulkOps:
         bv = BitVector(4, bits=0xFF)
         assert bv.count() == 4
         assert bv.indices() == [0, 1, 2, 3]
+
+
+class TestAgainstTheNaiveModel:
+    """``indices`` walks set bits lowest first; the model tests every
+    index of the width."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 128), bits=st.integers(-(2**140), 2**140))
+    def test_indices_first_count(self, width, bits):
+        bv = BitVector(width, bits)
+        model = [i for i in range(width) if (bits >> i) & 1]
+        assert bv.indices() == model
+        assert bv.first() == (model[0] if model else None)
+        assert bv.count() == len(model)
+        assert bv.any() == bool(model)
+        assert [bv[i] for i in range(width)] == \
+            [i in model for i in range(width)]
