@@ -363,7 +363,10 @@ class Cache:
 
         Runs shorter than :data:`RUN_FALLBACK_WORDS` on a direct-mapped
         cache go line by line (:meth:`_read_lines`): one scalar tag check
-        per line (at most two lines with 32-byte lines).  Associative
+        per line (at most two lines with 32-byte lines); a run inside one
+        line returns one copied slice.  The returned array is always
+        fresh: the caller owns it, and writing into it changes no line.
+        Associative
         caches take the word loop, through the class's :meth:`read` so
         that an observer wrapping this instance's entry points sees the
         run once, not once more per word.
@@ -466,32 +469,50 @@ class Cache:
                 paddr // geo.line_size,
                 (paddr % geo.line_size) // WORD_SIZE)
 
+    def _claim_line(self, set_idx: int, tag: int, k: int,
+                    write: bool) -> None:
+        """The word loop's ``k`` accesses to one line of a short
+        direct-mapped run: a miss on the first word (evict, fill) or a
+        hit, ``k - 1`` hits after it, tallied as reads or writes, and an
+        LRU stamp that ends ``k`` ticks later.  The one tag check and
+        accounting shared by :meth:`_read_lines` and :meth:`_store_line`.
+        """
+        counters = self.counters
+        if self._tags.item(0, set_idx) == tag:
+            if write:
+                counters.write_hits += k
+            else:
+                counters.read_hits += k
+            self.clock.cycles += k * self.cost.cache_hit
+        else:
+            if write:
+                counters.write_misses += 1
+                counters.write_hits += k - 1
+            else:
+                counters.read_misses += 1
+                counters.read_hits += k - 1
+            self._evict(0, set_idx)
+            self._fill(0, set_idx, tag)
+            self.clock.cycles += (k - 1) * self.cost.cache_hit
+        self._tick += k
+        self._lru[0, set_idx] = self._tick
+
     def _read_lines(self, vaddr: int, paddr: int,
                     n_words: int) -> np.ndarray:
-        """A short direct-mapped :meth:`read_run`, one line at a time.
-
-        Each line does what the word loop does for its ``k`` words: a
-        miss on the first word (evict, fill) or a hit, ``k - 1`` hits
-        after it, and an LRU stamp that ends ``k`` ticks later.
-        """
+        """A short direct-mapped :meth:`read_run`, one line at a time
+        (:meth:`_claim_line`).  A run within one line (every syscall
+        request and reply) is one tag check and one copied slice."""
         set_idx, tag, word = self._line_start(vaddr, paddr)
-        wpl, num_sets = self.geo.words_per_line, self.geo.num_sets
-        counters, hit_cost = self.counters, self.cost.cache_hit
+        wpl = self.geo.words_per_line
+        if word + n_words <= wpl:
+            self._claim_line(set_idx, tag, n_words, False)
+            return self._data[0, set_idx, word:word + n_words].copy()
+        num_sets = self.geo.num_sets
         out = np.empty(n_words, dtype=np.uint64)
         done = 0
         while done < n_words:
             k = min(wpl - word, n_words - done)
-            if self._tags.item(0, set_idx) == tag:
-                counters.read_hits += k
-                self.clock.cycles += k * hit_cost
-            else:
-                counters.read_misses += 1
-                counters.read_hits += k - 1
-                self._evict(0, set_idx)
-                self._fill(0, set_idx, tag)
-                self.clock.cycles += (k - 1) * hit_cost
-            self._tick += k
-            self._lru[0, set_idx] = self._tick
+            self._claim_line(set_idx, tag, k, False)
             out[done:done + k] = self._data[0, set_idx, word:word + k]
             done += k
             set_idx, tag, word = (set_idx + 1) % num_sets, tag + 1, 0
@@ -499,41 +520,40 @@ class Cache:
 
     def _write_lines(self, vaddr: int, paddr: int, values) -> None:
         """A short direct-mapped :meth:`write_run`, one line at a time
-        (see :meth:`_read_lines`).  A write-through line reaches memory
-        in one store and, with a hierarchy, bumps its epoch once, as in
-        the vectorized path."""
+        (:meth:`_store_line`); a run within one line is one store."""
         set_idx, tag, word = self._line_start(vaddr, paddr)
-        wpl, num_sets = self.geo.words_per_line, self.geo.num_sets
-        counters, cost = self.counters, self.cost
+        wpl = self.geo.words_per_line
         values = np.asarray(values, dtype=np.uint64)
         n_words = len(values)
+        if word + n_words <= wpl:
+            self._store_line(set_idx, tag, word, values, paddr)
+            return
+        num_sets = self.geo.num_sets
         done = 0
         while done < n_words:
             k = min(wpl - word, n_words - done)
-            if self._tags.item(0, set_idx) == tag:
-                counters.write_hits += k
-                self.clock.cycles += k * cost.cache_hit
-            else:
-                counters.write_misses += 1
-                counters.write_hits += k - 1
-                self._evict(0, set_idx)
-                self._fill(0, set_idx, tag)
-                self.clock.cycles += (k - 1) * cost.cache_hit
-            self._tick += k
-            self._lru[0, set_idx] = self._tick
-            chunk = values[done:done + k]
-            self._data[0, set_idx, word:word + k] = chunk
-            if self.geo.write_through:
-                self.memory.write_words(paddr + done * WORD_SIZE, chunk)
-                self.clock.cycles += k * cost.write_back
-                if self.hierarchy is not None:
-                    self.hierarchy.note_memory_write(tag)
-                    self._fill_epoch[0, set_idx] = \
-                        self.hierarchy.epoch_of(tag)
-            else:
-                self._dirty[0, set_idx] = True
+            self._store_line(set_idx, tag, word, values[done:done + k],
+                             paddr + done * WORD_SIZE)
             done += k
             set_idx, tag, word = (set_idx + 1) % num_sets, tag + 1, 0
+
+    def _store_line(self, set_idx: int, tag: int, word: int,
+                    chunk: np.ndarray, paddr: int) -> None:
+        """Store ``chunk`` into one line from word ``word`` on (physical
+        address ``paddr``).  A write-through line reaches memory in one
+        store and, with a hierarchy, bumps its epoch once, as in the
+        vectorized path."""
+        k = len(chunk)
+        self._claim_line(set_idx, tag, k, True)
+        self._data[0, set_idx, word:word + k] = chunk
+        if self.geo.write_through:
+            self.memory.write_words(paddr, chunk)
+            self.clock.cycles += k * self.cost.write_back
+            if self.hierarchy is not None:
+                self.hierarchy.note_memory_write(tag)
+                self._fill_epoch[0, set_idx] = self.hierarchy.epoch_of(tag)
+        else:
+            self._dirty[0, set_idx] = True
 
     # ---- page-granularity helpers -------------------------------------------
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.oracle import ShadowMemory
-from repro.errors import FaultLoopError, ProtectionError
+from repro.errors import AddressError, FaultLoopError, ProtectionError
 from repro.hw.cache import Cache
 from repro.hw.dma import DmaEngine
 from repro.hw.hierarchy import CacheHierarchy
@@ -157,10 +157,18 @@ class Machine:
             # every access path translates first, so this one store is
             # the complete SMP routing layer.
             self.dcache.current_cpu = self.cpu_bindings.get(asid, 0)
-        vpage = vaddr // self.page_size
+        page_size = self.page_size
+        vpage = vaddr // page_size
         need = access.need
+        # A TLB hit with the rights the access needs returns at once; any
+        # other outcome of this lookup is the retry loop's attempt 0, so
+        # a translate still charges exactly the word loop's lookups.
+        entry = self.tlb.lookup(asid, vpage)
+        if entry is not None and entry.rights & need == need:
+            return entry.ppage * page_size + vaddr % page_size, entry.uncached
         for attempt in range(MAX_FAULT_RETRIES + 1):
-            entry = self.tlb.lookup(asid, vpage)
+            if attempt:
+                entry = self.tlb.lookup(asid, vpage)
             if entry is None and self.translation_source is not None:
                 translation = self.translation_source(asid, vpage)
                 if translation is not None:
@@ -169,8 +177,8 @@ class Machine:
                                     uncached=bool(rest and rest[0]))
                     entry = self.tlb.lookup(asid, vpage)
             if entry is not None and entry.rights & need == need:
-                return (entry.ppage * self.page_size
-                        + vaddr % self.page_size, entry.uncached)
+                return (entry.ppage * page_size + vaddr % page_size,
+                        entry.uncached)
             if attempt == MAX_FAULT_RETRIES:
                 break  # the budget of handler invocations is spent
             if self.fault_handler is None:
@@ -222,15 +230,6 @@ class Machine:
             self.oracle.check_cpu_read(paddr, value)
         return value
 
-    def _translate_run(self, asid: int, va: int, n_words: int,
-                       access: AccessKind) -> tuple[int, bool]:
-        """Translate one page segment of a run and charge the TLB hits the
-        equivalent word loop would have taken for its remaining words."""
-        paddr, uncached = self._translate(asid, va, access)
-        if n_words > 1:
-            self.tlb.note_repeat_hits(n_words - 1)
-        return paddr, uncached
-
     # ---- user-level block accesses (the batched access engine) ---------------
 
     def read_block(self, asid: int, vaddr: int, n_words: int) -> np.ndarray:
@@ -244,52 +243,84 @@ class Machine:
         would have taken.  Mid-segment faults cannot occur because page
         protections only change inside OS entry points, never between the
         user-level accesses of a run.
+
+        A block within one page (every syscall exchange is one) is one
+        segment and returns the run's own fresh array, uncopied; the
+        returned array always belongs to the caller.  A zero-length block
+        charges nothing; a negative length raises :class:`AddressError`
+        before any translation.
         """
+        room = (self.page_size - vaddr % self.page_size) // WORD_SIZE
+        if 0 < n_words <= room:
+            return self._read_segment(asid, vaddr, n_words)
+        if n_words < 0:
+            raise AddressError(f"block length must be non-negative, "
+                               f"got {n_words}")
         out = np.empty(n_words, dtype=np.uint64)
         done = 0
         while done < n_words:
             va = vaddr + done * WORD_SIZE
-            room = (self.page_size - va % self.page_size) // WORD_SIZE
-            k = min(room, n_words - done)
-            paddr, uncached = self._translate_run(asid, va, k, AccessKind.READ)
-            if uncached:
-                values = self.memory.read_words(paddr, k)
-                self.clock.advance(self.config.cost.uncached_word * k)
-            else:
-                values = self.dcache.read_run(va, paddr, k)
-            if self.oracle is not None:
-                self.oracle.check_run_read(paddr, values)
-            out[done:done + k] = values
+            k = min((self.page_size - va % self.page_size) // WORD_SIZE,
+                    n_words - done)
+            out[done:done + k] = self._read_segment(asid, va, k)
             done += k
         return out
 
     def write_block(self, asid: int, vaddr: int, values) -> None:
         """Store consecutive words starting at ``vaddr``; word-loop
-        equivalent (see :meth:`read_block`).  The modified-page notifier
-        fires once per page segment (it is idempotent per page, like the
+        equivalent (see :meth:`read_block`, also for the single-segment
+        and zero-length blocks).  The modified-page notifier fires once
+        per page segment (it is idempotent per page, like the
         page-granularity write path)."""
         values = np.asarray(values, dtype=np.uint64)
         n_words = len(values)
+        room = (self.page_size - vaddr % self.page_size) // WORD_SIZE
+        if n_words <= room:
+            if n_words:
+                self._write_segment(asid, vaddr, values)
+            return
         done = 0
         while done < n_words:
             va = vaddr + done * WORD_SIZE
-            room = (self.page_size - va % self.page_size) // WORD_SIZE
-            k = min(room, n_words - done)
-            paddr, uncached = self._translate_run(asid, va, k,
-                                                  AccessKind.WRITE)
-            if self.write_notifier is not None:
-                self.write_notifier(asid, va // self.page_size)
-            chunk = values[done:done + k]
-            if uncached:
-                self.memory.write_words(paddr, chunk)
-                if self.hierarchy is not None:
-                    self.hierarchy.invalidate_span(paddr, k)
-                self.clock.advance(self.config.cost.uncached_word * k)
-            else:
-                self.dcache.write_run(va, paddr, chunk)
-            if self.oracle is not None:
-                self.oracle.note_run_write(paddr, chunk)
+            k = min((self.page_size - va % self.page_size) // WORD_SIZE,
+                    n_words - done)
+            self._write_segment(asid, va, values[done:done + k])
             done += k
+
+    def _read_segment(self, asid: int, va: int, n_words: int) -> np.ndarray:
+        """One page segment of :meth:`read_block`: one translate, the TLB
+        hits the word loop's remaining words would have taken, one run
+        (or uncached memory access) and one oracle check."""
+        paddr, uncached = self._translate(asid, va, AccessKind.READ)
+        if n_words > 1:
+            self.tlb.note_repeat_hits(n_words - 1)
+        if uncached:
+            values = self.memory.read_words(paddr, n_words)
+            self.clock.advance(self.config.cost.uncached_word * n_words)
+        else:
+            values = self.dcache.read_run(va, paddr, n_words)
+        if self.oracle is not None:
+            self.oracle.check_run_read(paddr, values)
+        return values
+
+    def _write_segment(self, asid: int, va: int, values: np.ndarray) -> None:
+        """One page segment of :meth:`write_block` (see
+        :meth:`_read_segment`), with one modified-page notification."""
+        n_words = len(values)
+        paddr, uncached = self._translate(asid, va, AccessKind.WRITE)
+        if n_words > 1:
+            self.tlb.note_repeat_hits(n_words - 1)
+        if self.write_notifier is not None:
+            self.write_notifier(asid, va // self.page_size)
+        if uncached:
+            self.memory.write_words(paddr, values)
+            if self.hierarchy is not None:
+                self.hierarchy.invalidate_span(paddr, n_words)
+            self.clock.advance(self.config.cost.uncached_word * n_words)
+        else:
+            self.dcache.write_run(va, paddr, values)
+        if self.oracle is not None:
+            self.oracle.note_run_write(paddr, values)
 
     # ---- user-level page-granularity accesses (vectorized word loops) --------
 

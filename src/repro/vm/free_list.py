@@ -28,11 +28,15 @@ class FreePageList:
         self._plain: deque[int] = deque(ppages)
         self._by_color: dict[int, deque[int]] = {
             c: deque() for c in range(num_cache_pages)}
+        # Frames held in the colour buckets (always 0 on an uncoloured
+        # list), so the length is O(1): the pageout daemon asks for it at
+        # every syscall.
+        self._n_colored = 0
         self.color_hits = 0
         self.color_misses = 0
 
     def __len__(self) -> int:
-        return len(self._plain) + sum(map(len, self._by_color.values()))
+        return len(self._plain) + self._n_colored
 
     def allocate(self, color: int | None = None) -> int:
         """Take a frame, preferring one whose last mapping had cache page
@@ -41,6 +45,7 @@ class FreePageList:
             bucket = self._by_color[color % self.num_cache_pages]
             if bucket:
                 self.color_hits += 1
+                self._n_colored -= 1
                 return bucket.popleft()
             self.color_misses += 1
         if self._plain:
@@ -51,6 +56,7 @@ class FreePageList:
         # steal from the fullest colored bucket
         fullest = max(self._by_color.values(), key=len, default=None)
         if fullest:
+            self._n_colored -= 1
             return fullest.popleft()
         raise OutOfMemoryError("free page list exhausted")
 
@@ -82,6 +88,7 @@ class FreePageList:
                     if taken & set(bucket):
                         self._by_color[color] = deque(
                             p for p in bucket if p not in taken)
+                self._n_colored = sum(map(len, self._by_color.values()))
                 return frames
             run_start = i
         raise OutOfMemoryError(
@@ -91,5 +98,6 @@ class FreePageList:
         """Return a frame, remembering the cache page of its last mapping."""
         if self.colored and color is not None:
             self._by_color[color % self.num_cache_pages].append(ppage)
+            self._n_colored += 1
         else:
             self._plain.append(ppage)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import FaultLoopError, ProtectionError
+from repro.errors import AddressError, FaultLoopError, ProtectionError
 from repro.hw.machine import Machine
 from repro.hw.params import small_machine
 from repro.prot import AccessKind, Prot
@@ -122,6 +122,39 @@ class TestAccessPaths:
         machine.write(1, 10 * PAGE, 1)
         machine.write_page(1, 10 * PAGE, np.zeros(1024, dtype=np.uint64))
         assert notes == [(1, 10), (1, 10)]
+
+
+class TestBlockLengths:
+    """A zero-length block charges nothing; a negative one is a typed
+    error raised before any translation."""
+
+    @staticmethod
+    def counting(machine, os_):
+        calls = []
+        machine.translation_source = (
+            lambda asid, vpage: calls.append(vpage) or os_.translate(asid,
+                                                                     vpage))
+        machine.write_notifier = lambda asid, vpage: calls.append(vpage)
+        return calls
+
+    def test_zero_length_block_charges_nothing(self, rig):
+        machine, os_ = rig
+        calls = self.counting(machine, os_)
+        before = (machine.clock.cycles, machine.counters.snapshot())
+        got = machine.read_block(1, 10 * PAGE, 0)
+        machine.write_block(1, 10 * PAGE, [])
+        assert got.dtype == np.uint64 and got.shape == (0,)
+        assert (machine.clock.cycles, machine.counters.snapshot()) == before
+        assert calls == [] and os_.faults == [] and len(machine.tlb) == 0
+
+    def test_negative_length_block_is_an_address_error(self, rig):
+        machine, os_ = rig
+        calls = self.counting(machine, os_)
+        with pytest.raises(AddressError, match="non-negative"):
+            machine.read_block(1, 10 * PAGE, -1)
+        assert machine.clock.cycles == 0
+        assert machine.counters.tlb_hits == machine.counters.tlb_misses == 0
+        assert calls == [] and os_.faults == []
 
 
 class TestTimeAccounting:

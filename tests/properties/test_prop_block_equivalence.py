@@ -13,6 +13,7 @@ properties and check the complete state, not a summary of it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from repro.hw.params import (WORD_SIZE, CacheGeometry, CostModel,
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.smp import CoherentCluster
 from repro.hw.stats import Clock, Counters, FaultKind
-from repro.prot import Prot
+from repro.prot import AccessKind, Prot
 
 PAGE = 4096
 WPP = PAGE // WORD_SIZE
@@ -295,6 +296,77 @@ class TestPageRunsEqualWordLoops:
         assert cache_state(by_run, mem_a) == cache_state(by_word, mem_b)
 
 
+# Every run that fits one line: (word offset in the line, length).  The
+# line is the last of page 1, so a run can end on the page's last word;
+# the line CACHE_BYTES on (page 3) takes the same set of every variant.
+ONE_LINE_SHAPES = [(offset, n) for offset in range(WORDS_PER_LINE)
+                   for n in range(1, WORDS_PER_LINE - offset + 1)]
+ONE_LINE_PAGE, ONE_LINE = 1, WPP // WORDS_PER_LINE - 1
+CACHE_BYTES = 8 * 1024
+LINE_STATES = ("hit", "clean-miss", "dirty-miss")
+# plus write-through over a hierarchy: each store re-stamps its line
+ONE_LINE_VARIANTS = DIRECT_VARIANTS + [
+    {"write_through": True, "victim_lines": 4,
+     "l2": L2Geometry(size=16 * 1024, associativity=2)}]
+
+
+def prepare_line(read, write, state):
+    """Put the one-line runs' line into ``state`` through word accesses
+    ``read(addr)``/``write(addr, value)`` (identity-mapped)."""
+    line = ONE_LINE_PAGE * PAGE + ONE_LINE * WORDS_PER_LINE * WORD_SIZE
+    if state == "hit":
+        read(line)
+    elif state == "clean-miss":
+        read(line + CACHE_BYTES)
+    else:
+        write(line + CACHE_BYTES, 0xD1D1)
+
+
+def stamp_state(cache, mem):
+    """:func:`cache_state` with the raw epoch numbers replaced by whether
+    each line's fill stamp is current (what a stamp decides).  A
+    write-through run bumps a line's epoch once, the word loop once per
+    stored word, so only the write-through hierarchy variant needs it."""
+    state = list(cache_state(cache, mem))
+    tags = cache._tags
+    current = (tags != -1) & (cache._fill_epoch
+                              == cache.hierarchy._epochs[np.maximum(tags, 0)])
+    state[7] = (current.tolist(),) + state[7][2:]
+    return tuple(state)
+
+
+def fill_memory(mem):
+    mem._words[:] = np.arange(len(mem._words), dtype=np.uint64) * 3
+
+
+class TestOneLineRunsEqualWordLoops:
+    """Runs inside one line (every syscall request and reply): a hit, a
+    clean miss and a dirty-victim miss equal the word loop on each
+    direct-mapped variant, for every offset and length."""
+
+    @pytest.mark.parametrize("state", LINE_STATES)
+    @pytest.mark.parametrize("is_write", [False, True])
+    @pytest.mark.parametrize("kw", ONE_LINE_VARIANTS,
+                             ids=lambda kw: "+".join(kw) or "direct")
+    def test_one_line_run(self, kw, is_write, state):
+        compared = (stamp_state if kw.get("write_through") and "l2" in kw
+                    else cache_state)
+        for offset, n in ONE_LINE_SHAPES:
+            by_run, mem_a = make_cache(**kw)
+            by_word, mem_b = make_cache(**kw)
+            for cache, mem in ((by_run, mem_a), (by_word, mem_b)):
+                fill_memory(mem)
+                prepare_line(lambda a, c=cache: c.read(a, a),
+                             lambda a, v, c=cache: c.write(a, a, v), state)
+            got, want = run_both(by_run, by_word, ONE_LINE_PAGE,
+                                 ONE_LINE_PAGE,
+                                 ONE_LINE * WORDS_PER_LINE + offset, n,
+                                 is_write, 7)
+            assert got == want, (offset, n)
+            assert compared(by_run, mem_a) == compared(by_word, mem_b), \
+                (offset, n)
+
+
 class TestClusterRunsEqualWordLoops:
     """A 2-CPU coherent cluster: a run on one CPU (snooping the other,
     then running the local cache's run path) equals the word loop of
@@ -334,6 +406,41 @@ class TestClusterRunsEqualWordLoops:
             assert got.tolist() == want
         for a, b in zip(by_run.caches, by_word.caches):
             assert cache_state(a, mem_a) == cache_state(b, mem_b)
+
+    @pytest.mark.parametrize("state", LINE_STATES)
+    @pytest.mark.parametrize("is_write", [False, True])
+    @pytest.mark.parametrize("peer", [None, "clean", "dirty"])
+    def test_one_line_run(self, peer, is_write, state):
+        # The run's CPU 0 line in each state, the peer CPU holding the
+        # run's line not at all, clean, or dirty (a snoop on the run).
+        line = ONE_LINE_PAGE * PAGE + ONE_LINE * WORDS_PER_LINE * WORD_SIZE
+        for offset, n in ONE_LINE_SHAPES:
+            by_run, mem_a = self.make_cluster()
+            by_word, mem_b = self.make_cluster()
+            for cluster, mem in ((by_run, mem_a), (by_word, mem_b)):
+                fill_memory(mem)
+                if peer == "clean":
+                    cluster.read(1, line, line)
+                elif peer == "dirty":
+                    cluster.write(1, line, line, 0xBEEF)
+                prepare_line(lambda a, c=cluster: c.read(0, a, a),
+                             lambda a, v, c=cluster: c.write(0, a, a, v),
+                             state)
+            base = line + offset * WORD_SIZE
+            if is_write:
+                values = np.arange(7, 7 + n, dtype=np.uint64)
+                by_run.write_run(0, base, base, values)
+                for i in range(n):
+                    by_word.write(0, base + i * WORD_SIZE,
+                                  base + i * WORD_SIZE, int(values[i]))
+            else:
+                got = by_run.read_run(0, base, base, n)
+                want = [by_word.read(0, base + i * WORD_SIZE,
+                                     base + i * WORD_SIZE) for i in range(n)]
+                assert got.tolist() == want, (offset, n)
+            for a, b in zip(by_run.caches, by_word.caches):
+                assert cache_state(a, mem_a) == cache_state(b, mem_b), \
+                    (offset, n)
 
 
 # ---------------------------------------------------------------------------
@@ -399,28 +506,96 @@ blocks = st.lists(
     min_size=1, max_size=6)
 
 
+def replay_blocks(ops):
+    """Run ``ops`` — ``(start word, length, is_write)`` — as blocks on one
+    rig and as word loops on another; check the values read and the
+    complete machine state agree.  Returns the block rig."""
+    by_block, os_a = make_rig()
+    by_word, os_b = make_rig()
+    token = 0
+    for start, n, is_write in ops:
+        base = start * WORD_SIZE
+        if is_write:
+            values = np.arange(token, token + n, dtype=np.uint64)
+            by_block.write_block(ASID, base, values)
+            for i in range(n):
+                by_word.write(ASID, base + i * WORD_SIZE, token + i)
+            token += n
+        else:
+            got = by_block.read_block(ASID, base, n)
+            want = [by_word.read(ASID, base + i * WORD_SIZE)
+                    for i in range(n)]
+            assert got.tolist() == want
+    assert_machines_identical(by_block, os_a, by_word, os_b)
+    return by_block, os_a
+
+
+def machine_contents(machine):
+    return (machine.dcache._data.copy(), machine.memory._words.copy(),
+            machine.oracle._shadow.copy())
+
+
 class TestBlocksEqualWordLoops:
     @given(blocks)
     @settings(max_examples=60, deadline=None)
     def test_blocks(self, ops):
-        by_block, os_a = make_rig()
-        by_word, os_b = make_rig()
-        token = 0
-        for start, length, is_write in ops:
-            n = min(length, SPAN - start)
-            base = start * WORD_SIZE
-            if is_write:
-                values = np.arange(token, token + n, dtype=np.uint64)
-                by_block.write_block(ASID, base, values)
-                for i in range(n):
-                    by_word.write(ASID, base + i * WORD_SIZE, token + i)
-                token += n
-            else:
-                got = by_block.read_block(ASID, base, n)
-                want = [by_word.read(ASID, base + i * WORD_SIZE)
-                        for i in range(n)]
-                assert got.tolist() == want
-        assert_machines_identical(by_block, os_a, by_word, os_b)
+        replay_blocks([(start, min(length, SPAN - start), is_write)
+                       for start, length, is_write in ops])
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_block_ending_on_the_page_last_word(self, is_write):
+        # One segment: the block's last word is the page's last word.
+        start = 2 * WPP - 5
+        machine, _ = replay_blocks([(start, 5, True), (start, 5, is_write)])
+        assert machine.counters.tlb_misses == 1
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_block_one_word_past_the_page(self, is_write):
+        # The same block one word longer: two segments, two translates.
+        start = 2 * WPP - 5
+        machine, _ = replay_blocks([(start, 5, True), (start, 6, is_write)])
+        assert machine.counters.tlb_misses == 2
+
+    def test_single_segment_block_through_uncached_mapping(self):
+        start = 4 * WPP + 10
+        machine, _ = replay_blocks([(start, 3, True), (start, 3, False),
+                                    (start + 1, 1, False)])
+        assert machine.counters.read_hits == machine.counters.read_misses == 0
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_single_segment_block_whose_first_word_misses_the_tlb(
+            self, is_write):
+        # Page 0 is touched first, so page 2's block starts on a TLB
+        # miss: refill from the translation source, then hits.
+        machine, os_ = replay_blocks([(3, 2, False),
+                                      (2 * WPP + 7, 4, is_write)])
+        assert machine.counters.tlb_misses == 2
+        assert os_.faults == []
+
+    def test_single_segment_write_faulting_on_a_read_only_page(self):
+        # The read leaves page 3's read-only entry in the TLB, so the
+        # write's first lookup hits without the rights it needs.
+        start = 3 * WPP + 4
+        machine, os_ = replay_blocks([(start, 2, False), (start, 3, True)])
+        assert os_.faults == [(ASID, start * WORD_SIZE, AccessKind.WRITE)]
+
+    @pytest.mark.parametrize("start, n", [
+        (8, 3),                      # one line of a cached page
+        (WPP - 6, 4),                # one page, two lines
+        (4 * WPP + 2, 3),            # uncached
+        (WPP - 6, 12),               # two segments
+    ])
+    def test_returned_array_belongs_to_the_caller(self, start, n):
+        machine, _ = make_rig()
+        base = start * WORD_SIZE
+        machine.write_block(ASID, base, np.arange(1, n + 1, dtype=np.uint64))
+        got = machine.read_block(ASID, base, n)
+        before = machine_contents(machine)
+        got[:] = 12345
+        after = machine_contents(machine)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        assert machine.read_block(ASID, base, n).tolist() == \
+            list(range(1, n + 1))
 
     def test_write_fault_mid_block_at_read_only_page(self):
         # A write crossing from page 2 into read-only page 3 faults at

@@ -1,6 +1,8 @@
 """Tests for the (optionally colored) free page list."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import OutOfMemoryError
 from repro.vm.free_list import FreePageList
@@ -61,3 +63,45 @@ class TestColored:
         fl = FreePageList([], num_cache_pages=4, colored=True)
         with pytest.raises(OutOfMemoryError):
             fl.allocate(color=0)
+
+
+def recount(fl):
+    return len(fl._plain) + sum(len(bucket) for bucket in fl._by_color.values())
+
+
+colors = st.none() | st.integers(0, 9)
+free_list_ops = st.lists(st.one_of(
+    st.tuples(st.just("allocate"), colors),
+    st.tuples(st.just("free"), colors),
+    st.tuples(st.just("allocate_run"), st.integers(1, 3))), max_size=60)
+
+
+class TestLength:
+    @given(st.booleans(), st.integers(0, 12), free_list_ops)
+    @settings(max_examples=200, deadline=None)
+    def test_len_is_an_exact_recount(self, colored, n_initial, ops):
+        # len() is kept as a count, not summed over the colour buckets:
+        # after every step it must equal a recount of every container.
+        fl = FreePageList(range(n_initial), num_cache_pages=4,
+                          colored=colored)
+        held, fresh, expected = [], iter(range(100, 200)), n_initial
+        for op, arg in ops:
+            if op == "allocate":
+                if expected == 0:
+                    with pytest.raises(OutOfMemoryError):
+                        fl.allocate(arg)
+                else:
+                    held.append(fl.allocate(arg))
+                    expected -= 1
+            elif op == "free":
+                fl.free(held.pop() if held else next(fresh), arg)
+                expected += 1
+            else:
+                try:
+                    held.extend(fl.allocate_run(arg))
+                    expected -= arg
+                except OutOfMemoryError:
+                    pass
+            assert len(fl) == recount(fl) == expected
+            if not colored:
+                assert not any(fl._by_color.values())
