@@ -110,9 +110,6 @@ class ConsistencyModel:
     def dirty_cache_pages(self) -> list[int]:
         return [c for c, s in enumerate(self.states) if s == LineState.DIRTY]
 
-    def stale_cache_pages(self) -> list[int]:
-        return [c for c, s in enumerate(self.states) if s == LineState.STALE]
-
     def validate(self) -> None:
         """Model invariant: data corresponding to a physical address is
         dirty in at most one cache line (Section 3.2 correctness argument)."""

@@ -39,6 +39,137 @@ _INVALID = -1
 RUN_FALLBACK_WORDS = 8
 
 
+# ---- page kernels -------------------------------------------------------------
+#
+# The array work of the page operations on a direct-mapped cache with no
+# hierarchy below it, shared by :class:`Cache` and the trace interpreter.
+# Each works on way-0 views — 1-D ``tags`` and ``dirty``, 2-D ``data``
+# (set, word) — and on ``mem_lines``, physical memory viewed as whole
+# lines, over the set slice ``sets`` of one page (or run) whose wanted
+# line tags, in set order, are ``want``.  They move data and return
+# counts; the callers charge the clock and tally the counters.
+
+
+def write_back_victims(tv, dyv, datv, mem_lines, misses) -> int:
+    """Write back the valid dirty lines of one cache page's set slice
+    (views ``tv``, ``dyv``, ``datv``) selected by ``misses``; return how
+    many.  Their dirty bits are left to the caller.
+
+    The victims' tags are distinct, so one vectorized scatter is
+    order-safe: a line fills only the set its page offset selects
+    (``tag % lines_per_page == set % lines_per_page``, under virtual and
+    physical indexing alike), so within one cache page each physical
+    line has exactly one possible set.  Doubly-dirty aliases of a line
+    sit in different cache pages and are written back by different
+    operations, in program order.
+    """
+    victims = misses & (tv != _INVALID) & dyv
+    n = int(np.count_nonzero(victims))
+    if n:
+        mem_lines[tv[victims]] = datv[victims]
+    return n
+
+
+def fill_lines(tags, dirty, data, mem_lines, sets: slice,
+               want: np.ndarray) -> tuple[int, int]:
+    """Make the lines ``want`` resident, clean where they were missing:
+    write back the dirty victims, then fill the missing lines from
+    memory.  Returns (lines filled, victims written back).
+
+    An all-hit slice touches no array, victims are looked for only when
+    some set of the slice is dirty, and a slice that misses on every
+    line fills with one contiguous copy (``want`` is a line range).
+    """
+    tv = tags[sets]
+    misses = tv != want
+    n_miss = int(np.count_nonzero(misses))
+    if not n_miss:
+        return 0, 0
+    n_wb = 0
+    dyv = dirty[sets]
+    if dyv.any():
+        n_wb = write_back_victims(tv, dyv, data[sets], mem_lines, misses)
+        dyv[misses] = False
+    if n_miss == len(want):
+        w0 = want.item(0)
+        data[sets] = mem_lines[w0:w0 + n_miss]
+    else:
+        data[sets][misses] = mem_lines[want[misses]]
+    tv[:] = want
+    return n_miss, n_wb
+
+
+def store_lines(tags, dirty, data, mem_lines, sets: slice, want: np.ndarray,
+                lines: np.ndarray) -> int:
+    """Overwrite the whole lines ``want`` with ``lines`` (one row per
+    line) and mark them dirty: no fill, since every word is replaced.
+    Dirty victims are written back first, looked for only when some set
+    of the slice is dirty.  Returns the victims written back."""
+    tv = tags[sets]
+    dyv = dirty[sets]
+    n_wb = 0
+    if dyv.any():
+        n_wb = write_back_victims(tv, dyv, data[sets], mem_lines, tv != want)
+    tv[:] = want
+    data[sets] = lines
+    dyv[:] = True
+    return n_wb
+
+
+def flush_lines(tags, dirty, data, mem_lines, sets: slice,
+                want: np.ndarray) -> tuple[int, int]:
+    """Flush the resident lines of ``want``: write back the dirty ones,
+    invalidate all.  Returns (resident lines, lines written back).
+
+    Shaped by how much of the page is resident: none touches no array;
+    the whole page is exactly the line range ``want``, so its slices
+    clear whole and an all-dirty page writes back as one contiguous
+    copy; a few lines move one by one.
+    """
+    tv = tags[sets]
+    match = tv == want
+    hits = int(np.count_nonzero(match))
+    if not hits:
+        return 0, 0
+    if hits == len(want):
+        dyv = dirty[sets]
+        n_dirty = int(np.count_nonzero(dyv))
+        if n_dirty == hits:
+            w0 = want.item(0)
+            mem_lines[w0:w0 + hits] = data[sets]
+        elif n_dirty:
+            mem_lines[want[dyv]] = data[sets][dyv]
+        if n_dirty:
+            dyv[:] = False
+        tv[:] = _INVALID
+        return hits, n_dirty
+    s0 = sets.start
+    n_dirty = 0
+    for i in np.flatnonzero(match).tolist():
+        s = s0 + i
+        if dirty.item(s):
+            mem_lines[want.item(i)] = data[s]
+            dirty[s] = False
+            n_dirty += 1
+        tags[s] = _INVALID
+    return hits, n_dirty
+
+
+def purge_lines(tags, dirty, sets: slice, want: np.ndarray) -> int:
+    """Invalidate, without write-back, the resident lines of ``want``;
+    return how many.  None resident touches no array; otherwise two
+    masked stores, which cost about the same for one line as for a
+    whole page (a scalar loop over the resident lines is several times
+    slower on the 126-line purges in the paper's traces)."""
+    tv = tags[sets]
+    match = tv == want
+    hits = int(np.count_nonzero(match))
+    if hits:
+        dirty[sets][match] = False
+        tv[match] = _INVALID
+    return hits
+
+
 class Cache:
     """One cache (data or instruction) with full content simulation.
 
@@ -96,6 +227,19 @@ class Cache:
                             if hierarchy is not None else None)
         # pa_page_base -> read-only line-tag array (see _page_tags)
         self._page_tags_cache: dict[int, np.ndarray] = {}
+        # Memory as whole lines, for the page kernels.
+        self._mem_lines = memory._words.reshape(-1, geometry.words_per_line)
+
+    def __getstate__(self):
+        # A copied view would no longer alias the copied memory's words.
+        state = self.__dict__.copy()
+        del state["_mem_lines"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._mem_lines = self.memory._words.reshape(
+            -1, self.geo.words_per_line)
 
     # ---- index helpers -----------------------------------------------------
 
@@ -290,15 +434,15 @@ class Cache:
     def _run_shape(self, vaddr: int, paddr: int, n_words: int):
         """Validate a run and derive its line-level shape.
 
-        Returns ``(sets, want, offsets, first_word, n_lines)``: the set
-        slice the run covers, the physical line tags it wants, each
-        line's LRU stamp as an offset from the current tick (the running
-        count of run words up to the end of that line: the word loop's
-        last touch of the line), the word offset of the run's first word
-        within its first line, and the line count.
+        Returns ``(sets, want, offsets, first_word)``: the set slice the
+        run covers, the physical line tags it wants, each line's LRU
+        stamp as an offset from the current tick (the running count of
+        run words up to the end of that line: the word loop's last touch
+        of the line), and the word offset of the run's first word within
+        its first line.
 
-        ``want`` may be a shared, read-only array: a run over every line
-        of a page takes its tags from :meth:`_page_tags`.
+        ``want`` is a read-only slice of the page's :meth:`_page_tags`,
+        which also rejects a page outside physical memory.
         """
         geo = self.geo
         if vaddr % WORD_SIZE or paddr % WORD_SIZE:
@@ -309,45 +453,61 @@ class Cache:
         last_off = (n_words - 1) * WORD_SIZE
         if vaddr // geo.page_size != (vaddr + last_off) // geo.page_size:
             raise AddressError("a cache run must stay within one page")
-        first_tag = paddr // geo.line_size
-        n_lines = (paddr + last_off) // geo.line_size - first_tag + 1
+        page_off = paddr % geo.page_size
+        i0 = page_off // geo.line_size
+        n_lines = (page_off + last_off) // geo.line_size - i0 + 1
+        want = self._page_tags(paddr - page_off)[i0:i0 + n_lines]
         addr = paddr if geo.physically_indexed else vaddr
         s0 = (addr // geo.line_size) % geo.num_sets
-        if n_lines == geo.lines_per_page:
-            want = self._page_tags(paddr - paddr % geo.page_size)
-        else:
-            want = np.arange(first_tag, first_tag + n_lines, dtype=np.int64)
         first_word = (paddr % geo.line_size) // WORD_SIZE
         wpl = geo.words_per_line
         offsets = np.arange(wpl - first_word, n_lines * wpl - first_word + 1,
                             wpl, dtype=np.int64)
         offsets[-1] = n_words
-        return slice(s0, s0 + n_lines), want, offsets, first_word, n_lines
+        return slice(s0, s0 + n_lines), want, offsets, first_word
 
-    def _fill_run(self, sets: slice, want: np.ndarray, tags: np.ndarray,
-                  misses: np.ndarray, n_miss: int, n_lines: int) -> None:
-        """Write back the dirty victims of a direct-mapped run's missing
-        lines, then fill those lines from memory (no hierarchy).
+    def _claim_lines(self, sets: slice, want: np.ndarray) -> int:
+        """Make the lines ``want`` of a direct-mapped run or page resident
+        in ``sets``, charging the fills and victim write-backs (not the
+        hits); return how many lines missed.
 
-        Victims are looked for only when some set of the slice is dirty,
-        and a run that misses on every line fills with one slice
-        assignment instead of masked copies.
+        With a hierarchy the missing lines are serviced one at a time
+        (:meth:`_service_lines`); without one, by :func:`fill_lines`.
         """
-        dirty = self._dirty[0, sets]
-        if dirty.any():
-            self._write_back_victims(
-                sets, misses & (tags != _INVALID) & dirty)
-        mem_lines = self.memory.read_line(
-            int(want[0]) * self.geo.line_size,
-            n_lines * self.geo.words_per_line,
-        ).reshape(n_lines, self.geo.words_per_line)
-        if n_miss == n_lines:
-            self._data[0, sets] = mem_lines
-            dirty[:] = False
-        else:
-            self._data[0, sets][misses] = mem_lines[misses]
-            dirty[misses] = False
-        self._tags[0, sets] = want
+        if self.hierarchy is not None:
+            misses = self._tags[0, sets] != want
+            self._service_lines(sets, want, misses)
+            return int(np.count_nonzero(misses))
+        n_miss, n_wb = fill_lines(self._tags[0], self._dirty[0],
+                                  self._data[0], self._mem_lines, sets, want)
+        self.counters.write_backs += n_wb
+        self.clock.cycles += (n_miss * self.cost.line_fill
+                              + n_wb * self.cost.write_back)
+        return n_miss
+
+    def _read_words(self, vaddr: int, paddr: int, n_words: int) -> np.ndarray:
+        """The word loop an associative cache runs for a run or page read.
+
+        It calls the class's :meth:`read`, so that an observer wrapping
+        this instance's entry points sees the run once, not once more per
+        word.  A page outside physical memory raises before any access
+        (:meth:`_page_tags`)."""
+        self._page_tags(paddr - paddr % self.geo.page_size)
+        read = Cache.read
+        out = np.empty(n_words, dtype=np.uint64)
+        for i in range(n_words):
+            off = i * WORD_SIZE
+            out[i] = read(self, vaddr + off, paddr + off)
+        return out
+
+    def _write_words(self, vaddr: int, paddr: int, values) -> None:
+        """The word loop an associative cache runs for a run or page
+        write, through the class's :meth:`write` (see :meth:`_read_words`)."""
+        self._page_tags(paddr - paddr % self.geo.page_size)
+        write = Cache.write
+        for i in range(len(values)):
+            off = i * WORD_SIZE
+            write(self, vaddr + off, paddr + off, int(values[i]))
 
     def read_run(self, vaddr: int, paddr: int, n_words: int) -> np.ndarray:
         """Read ``n_words`` consecutive words starting at (vaddr -> paddr).
@@ -366,37 +526,16 @@ class Cache:
         per line (at most two lines with 32-byte lines); a run inside one
         line returns one copied slice.  The returned array is always
         fresh: the caller owns it, and writing into it changes no line.
-        Associative
-        caches take the word loop, through the class's :meth:`read` so
-        that an observer wrapping this instance's entry points sees the
-        run once, not once more per word.
+        Associative caches take the word loop (:meth:`_read_words`).
         """
         if self.geo.associativity > 1:
-            read = Cache.read
-            out = np.empty(n_words, dtype=np.uint64)
-            for i in range(n_words):
-                off = i * WORD_SIZE
-                out[i] = read(self, vaddr + off, paddr + off)
-            return out
+            return self._read_words(vaddr, paddr, n_words)
         if n_words < RUN_FALLBACK_WORDS:
             return self._read_lines(vaddr, paddr, n_words)
-        sets, want, offsets, first_word, n_lines = self._run_shape(
-            vaddr, paddr, n_words)
-        tags = self._tags[0, sets]
-        misses = tags != want
-        n_miss = int(np.count_nonzero(misses))
-        if self.hierarchy is not None:
-            # Per-line servicing in set order (= the word loop's order):
-            # fills may come from the victim cache or L2 at differing
-            # cost, and evictions may capture below, so the batched
-            # evict-all-then-fill-all shape would not be equivalent.
-            self._service_lines(sets, want, misses)
-            self.clock.advance((n_words - n_miss) * self.cost.cache_hit)
-        else:
-            if n_miss:
-                self._fill_run(sets, want, tags, misses, n_miss, n_lines)
-            self.clock.advance((n_words - n_miss) * self.cost.cache_hit
-                               + n_miss * self.cost.line_fill)
+        sets, want, offsets, first_word = self._run_shape(vaddr, paddr,
+                                                          n_words)
+        n_miss = self._claim_lines(sets, want)
+        self.clock.advance((n_words - n_miss) * self.cost.cache_hit)
         self.counters.read_hits += n_words - n_miss
         self.counters.read_misses += n_miss
         self._lru[0, sets] = self._tick + offsets
@@ -414,28 +553,16 @@ class Cache:
         """
         n_words = len(values)
         if self.geo.associativity > 1:
-            write = Cache.write
-            for i in range(n_words):
-                off = i * WORD_SIZE
-                write(self, vaddr + off, paddr + off, int(values[i]))
+            self._write_words(vaddr, paddr, values)
             return
         if n_words < RUN_FALLBACK_WORDS:
             self._write_lines(vaddr, paddr, values)
             return
-        sets, want, offsets, first_word, n_lines = self._run_shape(
-            vaddr, paddr, n_words)
+        sets, want, offsets, first_word = self._run_shape(vaddr, paddr,
+                                                          n_words)
         values = np.asarray(values, dtype=np.uint64)
-        tags = self._tags[0, sets]
-        misses = tags != want
-        n_miss = int(np.count_nonzero(misses))
-        if self.hierarchy is not None:
-            self._service_lines(sets, want, misses)
-            cycles = (n_words - n_miss) * self.cost.cache_hit
-        else:
-            if n_miss:
-                self._fill_run(sets, want, tags, misses, n_miss, n_lines)
-            cycles = ((n_words - n_miss) * self.cost.cache_hit
-                      + n_miss * self.cost.line_fill)
+        n_miss = self._claim_lines(sets, want)
+        cycles = (n_words - n_miss) * self.cost.cache_hit
         self._data[0, sets].reshape(-1)[
             first_word:first_word + n_words] = values
         self.counters.write_hits += n_words - n_miss
@@ -570,11 +697,17 @@ class Cache:
 
         The arrays are memoized per page base (and returned read-only):
         every flush/purge/page-op of the same frame reuses one allocation.
+        Every page-frame operation and every long run asks here first, so
+        a page outside physical memory raises :class:`AddressError` here,
+        before any array or the clock changes.
         """
         tags = self._page_tags_cache.get(pa_page_base)
         if tags is None:
             if pa_page_base % self.geo.page_size:
                 raise AddressError("physical page base must be page aligned")
+            if not 0 <= pa_page_base < self.memory.size:
+                raise AddressError(f"physical page base {pa_page_base:#x} "
+                                   "out of range")
             first = pa_page_base // self.geo.line_size
             tags = np.arange(first, first + self.geo.lines_per_page,
                              dtype=np.int64)
@@ -604,8 +737,10 @@ class Cache:
         """
         sets = self._page_sets(cache_page)
         want = self._page_tags(pa_page_base)
-        if self.geo.associativity == 1:
-            hits, n_dirty = self._flush_direct(sets, want, pa_page_base)
+        if self.geo.associativity == 1 and self.hierarchy is None:
+            hits, n_dirty = flush_lines(self._tags[0], self._dirty[0],
+                                        self._data[0], self._mem_lines,
+                                        sets, want)
         else:
             hits, n_dirty = self._flush_masked(sets, want)
         self.counters.write_backs += n_dirty
@@ -626,55 +761,10 @@ class Cache:
                              cost_cycles=cycles)
         return hits
 
-    def _flush_direct(self, sets: slice, want: np.ndarray,
-                      pa_page_base: int) -> tuple[int, int]:
-        """Direct-mapped flush, shaped by how much of the page is resident:
-        none touches no array, the whole page clears its set slice (and
-        writes back an all-dirty page as one page copy), and a few lines
-        move one by one.  Returns (resident lines, lines written back)."""
-        tv = self._tags[0, sets]
-        match = tv == want
-        hits = int(np.count_nonzero(match))
-        if not hits:
-            return 0, 0
-        hierarchy = self.hierarchy
-        if hits == self.geo.lines_per_page:
-            # The set slice holds exactly the line range ``want``.
-            dyv = self._dirty[0, sets]
-            n_dirty = int(np.count_nonzero(dyv))
-            if n_dirty:
-                if n_dirty == hits:
-                    self.memory.write_page(pa_page_base // self.geo.page_size,
-                                           self._data[0, sets].reshape(-1))
-                    written = want
-                else:
-                    written = want[dyv]
-                    self.memory.write_lines(written, self._data[0, sets][dyv],
-                                            self.geo.words_per_line)
-                dyv[:] = False
-                if hierarchy is not None:
-                    for tag in written.tolist():
-                        hierarchy.note_memory_write(tag)
-            tv[:] = _INVALID
-            return hits, n_dirty
-        tags, dirty, data = self._tags[0], self._dirty[0], self._data[0]
-        s0, line_size = sets.start, self.geo.line_size
-        n_dirty = 0
-        for i in np.flatnonzero(match).tolist():
-            s = s0 + i
-            if dirty.item(s):
-                tag = want.item(i)
-                self.memory.write_line(tag * line_size, data[s])
-                dirty[s] = False
-                n_dirty += 1
-                if hierarchy is not None:
-                    hierarchy.note_memory_write(tag)
-            tags[s] = _INVALID
-        return hits, n_dirty
-
     def _flush_masked(self, sets: slice, want: np.ndarray) -> tuple[int, int]:
-        """Associative flush over every way at once, by masks.  Returns
-        (resident lines, lines written back)."""
+        """Flush over every way at once, by masks, for associative caches
+        and for caches with a hierarchy below (each written-back tag is
+        noted to it).  Returns (resident lines, lines written back)."""
         match = self._tags[:, sets] == want            # (ways, lines_per_page)
         hits = int(match.sum())
         dirty_match = match & self._dirty[:, sets]
@@ -704,19 +794,7 @@ class Cache:
         sets = self._page_sets(cache_page)
         want = self._page_tags(pa_page_base)
         if self.geo.associativity == 1:
-            # Shaped like the flush: none resident touches no array, the
-            # whole page clears its set slice, a few lines go one by one.
-            tv = self._tags[0, sets]
-            match = tv == want
-            hits = int(np.count_nonzero(match))
-            if hits == self.geo.lines_per_page:
-                tv[:] = _INVALID
-                self._dirty[0, sets] = False
-            elif hits:
-                tags, dirty, s0 = self._tags[0], self._dirty[0], sets.start
-                for i in np.flatnonzero(match).tolist():
-                    tags[s0 + i] = _INVALID
-                    dirty[s0 + i] = False
+            hits = purge_lines(self._tags[0], self._dirty[0], sets, want)
         else:
             match = self._tags[:, sets] == want
             hits = int(match.sum())
@@ -742,81 +820,75 @@ class Cache:
     # ---- vectorized whole-page data movement --------------------------------
 
     def read_page(self, va_page_base: int, pa_page_base: int) -> np.ndarray:
-        """Read one whole page through the cache (equivalent to a word loop).
+        """Read one whole page through the cache; return its contents as
+        the CPU would observe them.
 
-        Missing lines are filled (evicting victims); the returned array is
-        the page's current contents as the CPU would observe them.
+        On a direct-mapped cache the contents, tags and dirty bits end as
+        after the word loop, but the accounting is per line, not per
+        word: a resident line counts one read hit and ``words_per_line``
+        hit cycles, a missing line one read miss and one line fill (after
+        its dirty victim's write-back), and no LRU stamp moves.  An
+        associative cache runs the word loop (:meth:`_read_words`), so
+        there every word counts.
         """
         self._check_page_pair(va_page_base, pa_page_base)
         if self.geo.associativity > 1:
-            return self._read_page_slow(va_page_base, pa_page_base)
-        cp = self.cache_page_of(va_page_base, pa_page_base)
-        sets = self._page_sets(cp)
+            return self._read_words(va_page_base, pa_page_base,
+                                    self.geo.words_per_page)
         want = self._page_tags(pa_page_base)
-        tags = self._tags[0, sets]
-        match = tags == want
-        misses = ~match
-        n_miss = int(misses.sum())
+        sets = self._page_sets(self.cache_page_of(va_page_base, pa_page_base))
+        n_miss = self._claim_lines(sets, want)
         n_hit = self.geo.lines_per_page - n_miss
-        if self.hierarchy is not None:
-            self._service_lines(sets, want, misses)
-            self.clock.advance(n_hit * self.geo.words_per_line
-                               * self.cost.cache_hit)
-        else:
-            # evict dirty victims occupying the sets we are about to fill
-            victims = misses & (tags != _INVALID) & self._dirty[0, sets]
-            self._write_back_victims(sets, victims)
-            # fill the missing lines from memory
-            mem_page = self.memory.read_page(pa_page_base // self.geo.page_size)
-            lines = mem_page.reshape(self.geo.lines_per_page,
-                                     self.geo.words_per_line)
-            self._data[0, sets][misses] = lines[misses]
-            self._tags[0, sets] = want
-            self._dirty[0, sets][misses] = False
-            self.clock.advance(n_hit * self.geo.words_per_line
-                               * self.cost.cache_hit
-                               + n_miss * self.cost.line_fill)
+        self.clock.advance(n_hit * self.geo.words_per_line
+                           * self.cost.cache_hit)
         self.counters.read_hits += n_hit
         self.counters.read_misses += n_miss
         return self._data[0, sets].reshape(-1).copy()
 
     def write_page(self, va_page_base: int, pa_page_base: int,
                    values: np.ndarray) -> None:
-        """Overwrite one whole page through the cache (word-loop equivalent).
+        """Overwrite one whole page through the cache.
 
         Because every line is written in full, no fill is needed
         (write-allocate without fetch); dirty victims are written back
         first.  In write-through mode the values also reach memory and no
-        line is left dirty.
+        line is left dirty.  On a direct-mapped cache this counts no hit
+        or miss and moves no LRU stamp: it charges ``words_per_page`` hit
+        cycles (plus a write-back per word in write-through mode) and the
+        victims' write-backs.  An associative cache runs the word loop
+        (:meth:`_write_words`), so there every word counts.
         """
         self._check_page_pair(va_page_base, pa_page_base)
         if len(values) != self.geo.words_per_page:
             raise AddressError("write_page requires exactly one page of words")
         if self.geo.associativity > 1:
-            self._write_page_slow(va_page_base, pa_page_base, values)
+            self._write_words(va_page_base, pa_page_base, values)
             return
-        cp = self.cache_page_of(va_page_base, pa_page_base)
-        sets = self._page_sets(cp)
         want = self._page_tags(pa_page_base)
-        tags = self._tags[0, sets]
-        if self.hierarchy is not None:
+        sets = self._page_sets(self.cache_page_of(va_page_base, pa_page_base))
+        lines = np.asarray(values, dtype=np.uint64).reshape(
+            self.geo.lines_per_page, self.geo.words_per_line)
+        if self.hierarchy is None:
+            n_wb = store_lines(self._tags[0], self._dirty[0], self._data[0],
+                               self._mem_lines, sets, want, lines)
+            self.counters.write_backs += n_wb
+            self.clock.cycles += n_wb * self.cost.write_back
+        else:
             # Evict (and possibly capture below) every non-matching valid
             # line; matching lines are overwritten in place, needing no
             # fill because the whole line is replaced.
+            tags = self._tags[0, sets]
             stale = (tags != want) & (tags != _INVALID)
             for i in np.flatnonzero(stale):
                 self._evict(0, sets.start + int(i))
-        else:
-            victims = (tags != want) & (tags != _INVALID) & self._dirty[0, sets]
-            self._write_back_victims(sets, victims)
-        self._tags[0, sets] = want
-        self._data[0, sets] = np.asarray(values, dtype=np.uint64).reshape(
-            self.geo.lines_per_page, self.geo.words_per_line)
+            tags[:] = want
+            self._data[0, sets] = lines
+            self._dirty[0, sets] = True
         n_words = self.geo.words_per_page
         if self.geo.write_through:
             self._dirty[0, sets] = False
             self.memory.write_page(pa_page_base // self.geo.page_size,
-                                   np.asarray(values, dtype=np.uint64))
+                                   lines.reshape(-1))
             if self.hierarchy is not None:
                 self.hierarchy.invalidate_page(
                     pa_page_base // self.geo.page_size)
@@ -824,7 +896,6 @@ class Cache:
             self.clock.advance(n_words * (self.cost.cache_hit
                                           + self.cost.write_back))
         else:
-            self._dirty[0, sets] = True
             self.clock.advance(n_words * self.cost.cache_hit)
 
     def zero_page(self, va_page_base: int, pa_page_base: int) -> None:
@@ -848,47 +919,6 @@ class Cache:
             s = s0 + int(i)
             self._evict(0, s)
             self._fill(0, s, int(want[i]))
-
-    def _write_back_victims(self, sets: slice, victims: np.ndarray) -> None:
-        """Write back the masked lines of a set slice inside one cache page.
-
-        The victims' tags are distinct, so one vectorized scatter is
-        order-safe: a line fills only the set its page offset selects
-        (``tag % lines_per_page == set % lines_per_page``, under virtual
-        and physical indexing alike), so within one cache page each
-        physical line has exactly one possible set.  Doubly-dirty aliases
-        of a line sit in different cache pages and are written back by
-        different operations, in program order.
-        """
-        n = int(np.count_nonzero(victims))
-        if not n:
-            return
-        idxs = np.flatnonzero(victims)
-        self.memory.write_lines(self._tags[0, sets][idxs],
-                                self._data[0, sets][idxs],
-                                self.geo.words_per_line)
-        self.counters.write_backs += n
-        self.clock.advance(n * self.cost.write_back)
-
-    # ---- slow generic paths for associative caches ---------------------------
-
-    # Like the associative run loops, these call the class's read/write:
-    # an observer wrapping the instance sees one page operation.
-
-    def _read_page_slow(self, va_base: int, pa_base: int) -> np.ndarray:
-        read = Cache.read
-        out = np.empty(self.geo.words_per_page, dtype=np.uint64)
-        for i in range(self.geo.words_per_page):
-            off = i * WORD_SIZE
-            out[i] = read(self, va_base + off, pa_base + off)
-        return out
-
-    def _write_page_slow(self, va_base: int, pa_base: int,
-                         values: np.ndarray) -> None:
-        write = Cache.write
-        for i in range(self.geo.words_per_page):
-            off = i * WORD_SIZE
-            write(self, va_base + off, pa_base + off, int(values[i]))
 
     def _check_page_pair(self, va_base: int, pa_base: int) -> None:
         if va_base % self.geo.page_size or pa_base % self.geo.page_size:
@@ -949,7 +979,7 @@ class Cache:
                     if self._dirty[way, set_idx]:
                         dirty += 1
             return found, dirty
-        sets, want, _offsets, _first, _n = self._run_shape(vaddr, paddr, n_words)
+        sets, want, _offsets, _first = self._run_shape(vaddr, paddr, n_words)
         hit = self._tags[0, sets] == want
         return int(hit.sum()), int((hit & self._dirty[0, sets]).sum())
 
@@ -981,7 +1011,7 @@ class Cache:
                     if got == "dirty":
                         dirty += 1
             return found, dirty
-        sets, want, _offsets, _first, _n = self._run_shape(vaddr, paddr, n_words)
+        sets, want, _offsets, _first = self._run_shape(vaddr, paddr, n_words)
         tags = self._tags[0, sets]
         hit = tags == want
         n_found = int(hit.sum())

@@ -322,7 +322,7 @@ class Machine:
         if self.oracle is not None:
             self.oracle.note_run_write(paddr, values)
 
-    # ---- user-level page-granularity accesses (vectorized word loops) --------
+    # ---- user-level page-granularity accesses (one cache page op each) -------
 
     def read_page(self, asid: int, va_page_base: int) -> np.ndarray:
         paddr, uncached = self._translate(asid, va_page_base,
@@ -364,9 +364,3 @@ class Machine:
     @property
     def elapsed_seconds(self) -> float:
         return self.config.cost.seconds(self.clock.cycles)
-
-    # ---- convenience ------------------------------------------------------------
-
-    def word_addr(self, vaddr: int, word: int) -> int:
-        """Byte address of the ``word``-th word relative to ``vaddr``."""
-        return vaddr + word * WORD_SIZE

@@ -77,18 +77,6 @@ OP_I_FLUSH = 16
 OP_I_PURGE = 17
 OP_I_INVAL = 18
 
-OP_NAMES = {
-    OP_SYNC: "SYNC", OP_BUS: "BUS", OP_MEM_WRITE: "MEM_WRITE",
-    OP_D_READ_RUN: "D_READ_RUN", OP_D_WRITE_RUN: "D_WRITE_RUN",
-    OP_D_READ_PAGE: "D_READ_PAGE", OP_D_WRITE_PAGE: "D_WRITE_PAGE",
-    OP_D_ZERO_PAGE: "D_ZERO_PAGE", OP_D_FLUSH: "D_FLUSH",
-    OP_D_PURGE: "D_PURGE", OP_D_INVAL: "D_INVAL",
-    OP_I_READ_RUN: "I_READ_RUN", OP_I_WRITE_RUN: "I_WRITE_RUN",
-    OP_I_READ_PAGE: "I_READ_PAGE", OP_I_WRITE_PAGE: "I_WRITE_PAGE",
-    OP_I_ZERO_PAGE: "I_ZERO_PAGE", OP_I_FLUSH: "I_FLUSH",
-    OP_I_PURGE: "I_PURGE", OP_I_INVAL: "I_INVAL",
-}
-
 OP_DTYPE = np.dtype([("op", np.int16), ("asid", np.int32),
                      ("va", np.int64), ("len", np.int64),
                      ("aux", np.int64)])
@@ -227,11 +215,6 @@ class Trace:
     n_events: int = 0
     end_events_sha256: str | None = None
     events_jsonl: str | None = field(default=None, repr=False)  # not persisted
-
-    @property
-    def op_histogram(self) -> dict:
-        kinds, counts = np.unique(self.ops["op"], return_counts=True)
-        return {OP_NAMES[int(k)]: int(n) for k, n in zip(kinds, counts)}
 
 
 def _cache_arrays(prefix: str, image: CacheImage) -> list[tuple[str, np.ndarray]]:

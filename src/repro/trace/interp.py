@@ -13,17 +13,17 @@ of instruction tuples with every operand pre-resolved (set index and
 physical line tag computed, value-stream slices taken, SYNC counter
 deltas parsed into attribute adds, flush reasons interned).  Hot
 single-line runs, page operations and SYNC deltas become specialized
-instructions whose handlers are a few scalar (or page-vector) operations;
-everything else becomes a direct call into the very same
-:class:`~repro.hw.cache.Cache` methods the live machine uses, so
-equivalence there is inherited rather than argued.  Every op executes in
-stream order, exactly once.
+instructions; everything else becomes a direct call into the very same
+:class:`~repro.hw.cache.Cache` methods the live machine uses.  The page
+instructions call the same page kernels as those methods
+(:func:`~repro.hw.cache.flush_lines`, ``purge_lines``, ``fill_lines``,
+``store_lines``) and keep only the accounting, so their equivalence is
+inherited too; only the single-line instructions are written out here,
+in scalar form.  Every op executes in stream order, exactly once.
 
-Multi-line runs stay such calls: in the paper's traces every one is a
-whole page, which ``Cache.read_run``/``write_run`` already handle with
-contiguous slices, and an inlined copy would duplicate that code.  The
-page handlers branch on the shape the page is in, as the paper's lazy
-management leaves it (see ``_execute``).
+Multi-line runs stay calls: in the paper's traces every one is a whole
+page, which ``Cache.read_run``/``write_run`` already handle with the
+same fill kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from functools import partial
 
 import numpy as np
 
-from repro.hw.cache import _INVALID, Cache
+from repro.hw.cache import (_INVALID, Cache, fill_lines, flush_lines,
+                            purge_lines, store_lines)
 from repro.hw.params import WORD_SIZE, CacheGeometry, CostModel
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.stats import Clock, Counters, FaultKind, Reason
@@ -62,10 +63,10 @@ _D_READ1 = 3        # (op, set, tag, n_words)
 _D_WRITE1 = 4       # (op, set, tag, n_words, first_word, values_view)
 _I_READ1 = 5        # (op, set, tag, n_words)
 _CALL = 6           # (op, callable, args_tuple)
-_FLUSH = 7          # (op, pack, s0, s1, want, cell)
-_PURGE = 8          # (op, pack, s0, s1, want, cell, const_cycles)
-_RPAGE = 9          # (op, pack, s0, s1, want)
-_WPAGE = 10         # (op, pack, s0, s1, want, values_page_view)
+_FLUSH = 7          # (op, pack, sets, want, cell)
+_PURGE = 8          # (op, pack, sets, want, cell, const_cycles)
+_RPAGE = 9          # (op, pack, sets, want)
+_WPAGE = 10         # (op, pack, sets, want, values_page_view)
 
 
 @dataclass
@@ -177,14 +178,18 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
     zeros = tuple(np.zeros(g.words_per_page, dtype=np.uint64) for g in geos)
     read1_code = (_D_READ1, _I_READ1)
     lpp = tuple(g.lines_per_page for g in geos)
+    # The set slice of each cache page, built once: a new slice object
+    # per page instruction made compiling measurably slower.
+    page_sets = tuple([slice(cp * n, (cp + 1) * n)
+                       for cp in range(g.num_cache_pages)]
+                      for g, n in zip(geos, lpp))
     # Per-cache view pack for the specialized page-granularity
-    # instructions: 1-D tag/dirty views, line-shaped data and memory
-    # views, lines per page, and the all-hit page access cost.
+    # instructions: the page kernels' way-0 and memory-line views, lines
+    # per page, and the all-hit page access cost.
     cost = dcache.cost
     packs = tuple(
-        (c._tags[0], c._dirty[0], c._data[0],
-         memory._words.reshape(-1, g.words_per_line), g.lines_per_page,
-         g.words_per_page * cost.cache_hit)
+        (c._tags[0], c._dirty[0], c._data[0], c._mem_lines,
+         g.lines_per_page, g.words_per_page * cost.cache_hit)
         for c, g in zip(caches, geos))
 
     sync_cache: dict[int, tuple] = {}
@@ -286,8 +291,7 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
         pack = packs[cache_idx]
         want = cache._page_tags(aux)
         if base >= 3:                                   # flush / purge
-            s0 = va * lpp[cache_idx]
-            s1 = s0 + lpp[cache_idx]
+            sets = page_sets[cache_idx][va]
             if bus is not None:
                 # The events path must publish with exact per-op fields;
                 # keep it on the cache methods.
@@ -299,7 +303,7 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
                 cell = deferred.flush_cells.get(key)
                 if cell is None:
                     cell = deferred.flush_cells[key] = [0, 0]
-                prog.append((_FLUSH, pack, s0, s1, want, cell))
+                prog.append((_FLUSH, pack, sets, want, cell))
             else:
                 key = (cache.name, REASONS[asid])
                 cell = deferred.purge_cells.get(key)
@@ -307,22 +311,21 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
                     cell = deferred.purge_cells[key] = [0, 0]
                 const = (cache.cost.icache_purge_page
                          if cache.is_icache else -1)
-                prog.append((_PURGE, pack, s0, s1, want, cell, const))
+                prog.append((_PURGE, pack, sets, want, cell, const))
             continue
         geo = geos[cache_idx]
         addr = aux if phys_idx[cache_idx] else va
         cp = (addr // geo.page_size) % geo.num_cache_pages
-        s0 = cp * lpp[cache_idx]
-        s1 = s0 + lpp[cache_idx]
+        sets = page_sets[cache_idx][cp]
         if base == 0:                                   # *_READ_PAGE
-            prog.append((_RPAGE, pack, s0, s1, want))
+            prog.append((_RPAGE, pack, sets, want))
         elif base == 1:                                 # *_WRITE_PAGE
             vals = values[vpos:vpos + ln]
             vpos += ln
-            prog.append((_WPAGE, pack, s0, s1, want,
+            prog.append((_WPAGE, pack, sets, want,
                          vals.reshape(lpp[cache_idx], -1)))
         else:                                           # *_ZERO_PAGE
-            prog.append((_WPAGE, pack, s0, s1, want,
+            prog.append((_WPAGE, pack, sets, want,
                          zeros[cache_idx].reshape(lpp[cache_idx], -1)))
     return prog, vpos, deferred
 
@@ -330,21 +333,11 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
 def _execute(prog, ctx) -> None:
     """Run a threaded program against the replay machine.
 
-    The handlers for the specialized instructions reproduce, in scalar
-    form, exactly what the equivalent :class:`Cache` word loop does to
-    the tags/dirty/data/LRU arrays, the counters and the clock.
-
-    The page handlers branch on the page's shape, using counts they
-    compute anyway, so that the common shapes of the paper's traces
-    touch contiguous slices instead of masks:
-
-    * flush: no resident line touches no array; a wholly resident page
-      is the line range ``want``, so all-dirty writes back with one
-      slice copy and the slices are cleared whole; a partly resident
-      page goes line by line over its resident lines;
-    * page read: an all-hit page only counts; an all-miss page fills
-      with one slice copy, and looks for victims only if a set is dirty;
-    * page write: looks for victims only if a set of the page is dirty.
+    The single-line handlers reproduce, in scalar form, exactly what
+    the equivalent :class:`Cache` word loop does to the tags/dirty/data/
+    LRU arrays, the counters and the clock.  The page handlers run the
+    cache's page kernels on the packed views and charge what the
+    :class:`Cache` method would from the counts they return.
 
     The hot counters (hits, misses, write-backs, deferred clock cycles,
     the LRU ticks) accumulate in locals and are flushed to the live
@@ -448,53 +441,18 @@ def _execute(prog, ctx) -> None:
             for counter, key, v in item[3]:
                 counter[key] += v
         elif code == _FLUSH:
-            _, pack, s0, s1, want, cell = item
-            t, dy, dat, mem2d, lpp, _page_hit = pack
-            tv = t[s0:s1]
-            match = tv == want
-            hits = int(np.count_nonzero(match))
-            cycles = hits * fl_hit + (lpp - hits) * fl_miss
-            if hits == lpp:
-                # The whole page is resident: the set slice holds exactly
-                # the line range ``want``, so all-dirty writes back in one
-                # contiguous copy.
-                dyv = dy[s0:s1]
-                nd = int(np.count_nonzero(dyv))
-                if nd == lpp:
-                    w0 = want.item(0)
-                    mem2d[w0:w0 + lpp] = dat[s0:s1]
-                elif nd:
-                    mem2d[want[dyv]] = dat[s0:s1][dyv]
-                if nd:
-                    wbk += nd
-                    cycles += nd * cost_wb
-                    dyv[:] = False
-                tv[:] = _INVALID
-            elif hits:
-                # Some lines resident (two, in most of the paper's
-                # flushes): scalar line moves, no masks.
-                nd = 0
-                for i in np.flatnonzero(match).tolist():
-                    s = s0 + i
-                    if dy.item(s):
-                        mem2d[want.item(i)] = dat[s]
-                        dy[s] = False
-                        nd += 1
-                    t[s] = _INVALID
-                wbk += nd
-                cycles += nd * cost_wb
+            _, pack, sets, want, cell = item
+            t, dy, dat, mem_lines, lpp, _page_hit = pack
+            hits, nd = flush_lines(t, dy, dat, mem_lines, sets, want)
+            wbk += nd
+            cycles = hits * fl_hit + (lpp - hits) * fl_miss + nd * cost_wb
             cyc += cycles
             cell[0] += 1
             cell[1] += cycles
         elif code == _PURGE:
-            _, pack, s0, s1, want, cell, const_cycles = item
-            t, dy, _dat, _mem2d, lpp, _page_hit = pack
-            tv = t[s0:s1]
-            match = tv == want
-            hits = int(np.count_nonzero(match))
-            if hits:
-                dy[s0:s1][match] = False
-                tv[match] = _INVALID
+            _, pack, sets, want, cell, const_cycles = item
+            t, dy, _dat, _mem_lines, lpp, _page_hit = pack
+            hits = purge_lines(t, dy, sets, want)
             if const_cycles >= 0:
                 cycles = const_cycles
             else:
@@ -503,56 +461,20 @@ def _execute(prog, ctx) -> None:
             cell[0] += 1
             cell[1] += cycles
         elif code == _RPAGE:
-            _, pack, s0, s1, want = item
-            t, dy, dat, mem2d, lpp, page_hit = pack
-            tv = t[s0:s1]
-            match = tv == want
-            n_hit = int(np.count_nonzero(match))
-            n_miss = lpp - n_hit
-            r_hit += n_hit
+            _, pack, sets, want = item
+            t, dy, dat, mem_lines, lpp, page_hit = pack
+            n_miss, nv = fill_lines(t, dy, dat, mem_lines, sets, want)
+            r_hit += lpp - n_miss
             r_miss += n_miss
-            if not n_miss:
-                cyc += page_hit
-                continue
-            cyc += n_hit * (page_hit // lpp) + n_miss * cost_fill
-            dyv = dy[s0:s1]
-            if dyv.any():
-                victims = ~match & (tv != _INVALID) & dyv
-                nv = int(np.count_nonzero(victims))
-                if nv:
-                    # Victim tags within one cache page are distinct (see
-                    # Cache._write_back_victims): one scatter.
-                    mem2d[tv[victims]] = dat[s0:s1][victims]
-                    wbk += nv
-                    cyc += nv * cost_wb
-                    dyv[victims] = False
-            if n_hit:
-                miss = ~match
-                dat[s0:s1][miss] = mem2d[want[miss]]
-            else:
-                # Every line misses: the page's memory lines are one
-                # contiguous range, filled with one slice copy.
-                w0 = want.item(0)
-                dat[s0:s1] = mem2d[w0:w0 + lpp]
-            tv[:] = want
+            wbk += nv
+            cyc += ((lpp - n_miss) * (page_hit // lpp) + n_miss * cost_fill
+                    + nv * cost_wb)
         elif code == _WPAGE:
-            _, pack, s0, s1, want, vals2d = item
-            t, dy, dat, mem2d, lpp, page_hit = pack
-            tv = t[s0:s1]
-            dyv = dy[s0:s1]
-            cyc += page_hit
-            if dyv.any():
-                victims = (tv != want) & (tv != _INVALID) & dyv
-                nv = int(np.count_nonzero(victims))
-                if nv:
-                    # Victim tags within one cache page are distinct (see
-                    # Cache._write_back_victims): one scatter.
-                    mem2d[tv[victims]] = dat[s0:s1][victims]
-                    wbk += nv
-                    cyc += nv * cost_wb
-            tv[:] = want
-            dat[s0:s1] = vals2d
-            dyv[:] = True
+            _, pack, sets, want, vals2d = item
+            t, dy, dat, mem_lines, lpp, page_hit = pack
+            nv = store_lines(t, dy, dat, mem_lines, sets, want, vals2d)
+            wbk += nv
+            cyc += page_hit + nv * cost_wb
         else:  # pragma: no cover - compile emits only the codes above
             raise TraceFormatError(f"unknown instruction code {code}")
     ck.cycles += cyc

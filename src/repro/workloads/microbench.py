@@ -89,12 +89,3 @@ def run_alias_write_loop(kernel: Kernel, iterations: int,
     )
     proc.exit()
     return result
-
-
-def run_pair(kernel_factory, iterations: int = 10_000
-             ) -> tuple[AliasLoopResult, AliasLoopResult]:
-    """Run the loop aligned and unaligned on fresh kernels; returns both."""
-    aligned = run_alias_write_loop(kernel_factory(), iterations, aligned=True)
-    unaligned = run_alias_write_loop(kernel_factory(), iterations,
-                                     aligned=False)
-    return aligned, unaligned

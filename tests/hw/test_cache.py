@@ -7,8 +7,10 @@ write-back staleness, lost write-backs, and the flush/purge semantics.
 import numpy as np
 import pytest
 
+from repro.errors import AddressError
 from repro.hw.cache import Cache
-from repro.hw.params import CacheGeometry, CostModel
+from repro.hw.hierarchy import CacheHierarchy
+from repro.hw.params import CacheGeometry, CostModel, L2Geometry
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.stats import Clock, Counters, Reason
 
@@ -210,6 +212,75 @@ class TestPageOps:
         page = cache.read_page(0, 0)
         assert page[0] == 9                    # cached dirty value
         assert page[100] == 5                  # filled from memory
+
+
+#: the page-frame entry points, each given (cache, va, pa) of one page.
+PAGE_ENTRY_POINTS = {
+    "read_page": lambda c, va, pa: c.read_page(va, pa),
+    "write_page": lambda c, va, pa: c.write_page(
+        va, pa, np.ones(1024, dtype=np.uint64)),
+    "zero_page": lambda c, va, pa: c.zero_page(va, pa),
+    "flush_page_frame": lambda c, va, pa: c.flush_page_frame(
+        c.cache_page_of(va, pa), pa),
+    "purge_page_frame": lambda c, va, pa: c.purge_page_frame(
+        c.cache_page_of(va, pa), pa),
+    "read_run": lambda c, va, pa: c.read_run(va, pa, 1024),
+    "write_run": lambda c, va, pa: c.write_run(
+        va, pa, np.ones(1024, dtype=np.uint64)),
+}
+
+
+class TestFramesOutOfRange:
+    """A page beyond physical memory is an :class:`AddressError` raised
+    before any array, the memory or the clock changes."""
+
+    CELLS = {
+        "direct": {},
+        "physical": {"physically_indexed": True},
+        "write-through": {"write_through": True},
+        "2way": {"associativity": 2},
+        "hierarchy": {"hierarchy": True},
+    }
+
+    @staticmethod
+    def make(cell):
+        opts = dict(TestFramesOutOfRange.CELLS[cell])
+        with_hierarchy = opts.pop("hierarchy", False)
+        mem = PhysicalMemory(num_pages=4, page_size=PAGE)
+        clock, counters = Clock(), Counters()
+        hierarchy = None
+        if with_hierarchy:
+            hierarchy = CacheHierarchy(
+                mem, CostModel(), clock, counters, 32, victim_lines=8,
+                l2=L2Geometry(size=8 * 1024, line_size=32, associativity=2))
+        cache = Cache(CacheGeometry(size=16 * 1024, **opts), mem,
+                      CostModel(), clock, counters, hierarchy=hierarchy)
+        # dirty lines in every set, so a victim write-back would show
+        for i in range(1024):
+            cache.write(16 * i, 16 * i % (4 * PAGE), i + 1)
+        return cache
+
+    @staticmethod
+    def state(cache):
+        return (cache._tags.tolist(), cache._dirty.tolist(),
+                cache._data.tolist(), cache._lru.tolist(), cache._tick,
+                cache.memory._words.tolist(), cache.clock.cycles,
+                cache.counters.snapshot())
+
+    @pytest.mark.parametrize("entry", sorted(PAGE_ENTRY_POINTS))
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_rejected_before_any_change(self, cell, entry):
+        cache = self.make(cell)
+        before = self.state(cache)
+        pa = 4 * PAGE                     # one past the last frame
+        with pytest.raises(AddressError, match="out of range"):
+            PAGE_ENTRY_POINTS[entry](cache, 4 * PAGE, pa)
+        assert self.state(cache) == before
+
+    @pytest.mark.parametrize("entry", sorted(PAGE_ENTRY_POINTS))
+    def test_last_frame_accepted(self, entry):
+        cache = self.make("direct")
+        PAGE_ENTRY_POINTS[entry](cache, 3 * PAGE, 3 * PAGE)
 
 
 class TestWriteThrough:

@@ -1,15 +1,20 @@
 """Shape tests for the replay interpreter's page handlers.
 
 The interpreter executes page flushes, purges, page reads and page
-writes on a direct-mapped write-back cache with its own handlers, split
-by the shape the page is in (how many of its lines are resident, how
-many of those are dirty, whether any set it lands on is dirty).  Each
-test here builds a random cache state, shapes the target page, then
-runs a one-row op-stream through ``_compile``/``_execute`` on one copy
-of the machine and the live :class:`Cache` method on an identical copy,
-and compares everything either can touch: tags, dirty bits, data, LRU
-stamps and tick of both caches, memory, the clock, the counters
-snapshot and the full-fidelity counters encoding.
+writes on a direct-mapped write-back cache by calling the cache's page
+kernels, which split by the shape the page is in (how many of its lines
+are resident, how many of those are dirty, whether any set it lands on
+is dirty), and keeps the accounting itself.  Since the live methods call
+the same kernels, these tests check the interpreter's accounting and
+operands; ``tests/hw/test_page_read_write_reference.py`` and
+``tests/hw/test_page_frame_shapes.py`` check the kernels against
+independent references.  Each test here builds a random cache state,
+shapes the target page, then runs a one-row op-stream through
+``_compile``/``_execute`` on one copy of the machine and the live
+:class:`Cache` method on an identical copy, and compares everything
+either can touch: tags, dirty bits, data, LRU stamps and tick of both
+caches, memory, the clock, the counters snapshot and the full-fidelity
+counters encoding.
 
 Random states keep the cache's index invariant: the line held by set
 ``s`` has page offset ``s % lines_per_page``, so a physical line can sit
