@@ -308,8 +308,7 @@ class Explorer:
 
     # ---- entry points -----------------------------------------------------------
 
-    def explore(self, sequences: int = 200,
-                shrink: bool = True) -> ExplorationReport:
+    def explore(self, sequences: int = 200) -> ExplorationReport:
         """Run ``sequences`` coverage-guided sequences; shrink failures."""
         events = 0
         counterexamples: list[Counterexample] = []
@@ -317,9 +316,9 @@ class Explorer:
             sequence, divergence, executed = self._generate_one()
             events += executed
             if divergence is not None:
-                shrunk = self.shrink(sequence) if shrink else list(sequence)
                 counterexamples.append(
-                    Counterexample(sequence, divergence, shrunk))
+                    Counterexample(sequence, divergence,
+                                   self.shrink(sequence)))
         return ExplorationReport(self.num_cache_pages, self.seed, sequences,
                                  events, counterexamples, self.coverage)
 

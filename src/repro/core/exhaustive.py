@@ -157,14 +157,14 @@ class _ActionCollector:
 
 
 def check_all_sequences(num_cache_pages: int = 3, depth: int = 6,
-                        stop_at_first: bool = True,
                         dedup: bool = True,
                         prefix: tuple[int, ...] = (),
                         model_factory=ConsistencyModel) -> CheckReport:
     """Cover every event sequence up to ``depth`` and check the three
-    judgments at every step.  Returns a report; ``ok`` means no sequence
-    violated anything.  ``dedup=False`` disables the state deduplication
-    (every prefix is walked explicitly; used to validate the dedup).
+    judgments at every step, stopping at the first violation.  Returns a
+    report; ``ok`` means no sequence violated anything.  ``dedup=False``
+    disables the state deduplication (every prefix is walked explicitly;
+    used to validate the dedup).
 
     ``prefix`` restricts the walk to the subtree whose first events are
     the given alphabet indices (see :func:`shard_prefixes`): those events
@@ -245,13 +245,7 @@ def check_all_sequences(num_cache_pages: int = 3, depth: int = 6,
         snap = snapshot()
         for op, target in alphabet:
             path.append((op, target))
-            if judge(op, target):
-                path.pop()
-                restore(snap)
-                if stop_at_first:
-                    return True
-                continue
-            if visit(remaining - 1):
+            if judge(op, target) or visit(remaining - 1):
                 return True
             path.pop()
             restore(snap)

@@ -34,10 +34,6 @@ from repro.hw.stats import Clock, Counters, Reason
 
 _INVALID = -1
 
-# Runs shorter than this go line by line with scalar tag checks: the fixed
-# cost of the vectorized run path only pays for itself on longer runs.
-RUN_FALLBACK_WORDS = 8
-
 
 # ---- page kernels -------------------------------------------------------------
 #
@@ -243,16 +239,23 @@ class Cache:
 
     # ---- index helpers -----------------------------------------------------
 
-    def _set_of(self, vaddr: int, paddr: int) -> int:
-        addr = paddr if self.geo.physically_indexed else vaddr
-        return self.geo.set_index(addr)
+    def _decode(self, vaddr: int, paddr: int) -> tuple[int, int, int]:
+        """Check the word access at (vaddr -> paddr) and decode it into
+        ``(set index, physical line tag, word within the line)``: the one
+        address check and decode of every word, run, probe and snoop.
 
-    def _check_word(self, vaddr: int, paddr: int) -> None:
+        The set comes from the virtual address, or from the physical one
+        on a physically indexed cache."""
+        geo = self.geo
         if vaddr % WORD_SIZE or paddr % WORD_SIZE:
             raise AddressError("cache word access must be word aligned")
-        if vaddr % self.geo.page_size != paddr % self.geo.page_size:
+        if vaddr % geo.page_size != paddr % geo.page_size:
             raise AddressError(
                 "virtual and physical addresses must share the page offset")
+        line_size = geo.line_size
+        addr = paddr if geo.physically_indexed else vaddr
+        return ((addr // line_size) % geo.num_sets, paddr // line_size,
+                (paddr % line_size) // WORD_SIZE)
 
     def _find_way(self, set_idx: int, tag: int) -> int | None:
         for way in range(self.geo.associativity):
@@ -329,18 +332,10 @@ class Cache:
 
     def read(self, vaddr: int, paddr: int) -> int:
         """CPU load of the word at (vaddr -> paddr); returns its value."""
-        geo = self.geo
-        if geo.associativity == 1:
+        set_idx, tag, word = self._decode(vaddr, paddr)
+        if self.geo.associativity == 1:
             # Direct-mapped fast path: no way search, and ndarray.item()
             # avoids boxing the tag/value into numpy scalars.
-            if vaddr % WORD_SIZE or paddr % WORD_SIZE:
-                raise AddressError("cache word access must be word aligned")
-            if vaddr % geo.page_size != paddr % geo.page_size:
-                raise AddressError(
-                    "virtual and physical addresses must share the page offset")
-            addr = paddr if geo.physically_indexed else vaddr
-            set_idx = (addr // geo.line_size) % geo.num_sets
-            tag = paddr // geo.line_size
             if self._tags.item(0, set_idx) == tag:
                 self.counters.read_hits += 1
                 self.clock.cycles += self.cost.cache_hit
@@ -350,11 +345,7 @@ class Cache:
                 self._fill(0, set_idx, tag)
             self._tick += 1
             self._lru[0, set_idx] = self._tick
-            return self._data.item(0, set_idx,
-                                   (paddr % geo.line_size) // WORD_SIZE)
-        self._check_word(vaddr, paddr)
-        set_idx = self._set_of(vaddr, paddr)
-        tag = paddr // geo.line_size
+            return self._data.item(0, set_idx, word)
         way = self._find_way(set_idx, tag)
         if way is None:
             self.counters.read_misses += 1
@@ -365,7 +356,6 @@ class Cache:
             self.counters.read_hits += 1
             self.clock.advance(self.cost.cache_hit)
         self._touch(way, set_idx)
-        word = (paddr % geo.line_size) // WORD_SIZE
         return int(self._data[way, set_idx, word])
 
     def write(self, vaddr: int, paddr: int, value: int) -> None:
@@ -375,16 +365,9 @@ class Cache:
         write-through mode propagates the store to memory immediately and
         never dirties a line (the Section 3.3 write-through variant).
         """
+        set_idx, tag, word = self._decode(vaddr, paddr)
         geo = self.geo
         if geo.associativity == 1:
-            if vaddr % WORD_SIZE or paddr % WORD_SIZE:
-                raise AddressError("cache word access must be word aligned")
-            if vaddr % geo.page_size != paddr % geo.page_size:
-                raise AddressError(
-                    "virtual and physical addresses must share the page offset")
-            addr = paddr if geo.physically_indexed else vaddr
-            set_idx = (addr // geo.line_size) % geo.num_sets
-            tag = paddr // geo.line_size
             if self._tags.item(0, set_idx) == tag:
                 self.counters.write_hits += 1
                 self.clock.cycles += self.cost.cache_hit
@@ -394,7 +377,7 @@ class Cache:
                 self._fill(0, set_idx, tag)
             self._tick += 1
             self._lru[0, set_idx] = self._tick
-            self._data[0, set_idx, (paddr % geo.line_size) // WORD_SIZE] = value
+            self._data[0, set_idx, word] = value
             if geo.write_through:
                 self.memory.write_word(paddr, value)
                 self.clock.cycles += self.cost.write_back
@@ -405,9 +388,6 @@ class Cache:
             else:
                 self._dirty[0, set_idx] = True
             return
-        self._check_word(vaddr, paddr)
-        set_idx = self._set_of(vaddr, paddr)
-        tag = paddr // geo.line_size
         way = self._find_way(set_idx, tag)
         if way is None:
             self.counters.write_misses += 1
@@ -418,7 +398,6 @@ class Cache:
             self.counters.write_hits += 1
             self.clock.advance(self.cost.cache_hit)
         self._touch(way, set_idx)
-        word = (paddr % geo.line_size) // WORD_SIZE
         self._data[way, set_idx, word] = np.uint64(value)
         if geo.write_through:
             self.memory.write_word(paddr, value)
@@ -431,40 +410,32 @@ class Cache:
 
     # ---- contiguous word runs (the batched access engine) --------------------
 
-    def _run_shape(self, vaddr: int, paddr: int, n_words: int):
-        """Validate a run and derive its line-level shape.
+    def _run_shape(self, vaddr: int, paddr: int, n_words: int, s0: int,
+                   tag: int, word: int):
+        """The line-level shape of a run whose first word decodes
+        (:meth:`_decode`) to set ``s0``, line tag ``tag`` and word
+        ``word`` within that line.
 
-        Returns ``(sets, want, offsets, first_word)``: the set slice the
-        run covers, the physical line tags it wants, each line's LRU
-        stamp as an offset from the current tick (the running count of
-        run words up to the end of that line: the word loop's last touch
-        of the line), and the word offset of the run's first word within
-        its first line.
+        Returns ``(sets, want, offsets)``: the set slice the run covers,
+        the physical line tags it wants, and each line's LRU stamp as an
+        offset from the current tick (the running count of run words up
+        to the end of that line: the word loop's last touch of the line).
 
         ``want`` is a read-only slice of the page's :meth:`_page_tags`,
         which also rejects a page outside physical memory.
         """
         geo = self.geo
-        if vaddr % WORD_SIZE or paddr % WORD_SIZE:
-            raise AddressError("cache word access must be word aligned")
-        if vaddr % geo.page_size != paddr % geo.page_size:
-            raise AddressError(
-                "virtual and physical addresses must share the page offset")
-        last_off = (n_words - 1) * WORD_SIZE
-        if vaddr // geo.page_size != (vaddr + last_off) // geo.page_size:
+        if vaddr // geo.page_size != \
+                (vaddr + (n_words - 1) * WORD_SIZE) // geo.page_size:
             raise AddressError("a cache run must stay within one page")
-        page_off = paddr % geo.page_size
-        i0 = page_off // geo.line_size
-        n_lines = (page_off + last_off) // geo.line_size - i0 + 1
-        want = self._page_tags(paddr - page_off)[i0:i0 + n_lines]
-        addr = paddr if geo.physically_indexed else vaddr
-        s0 = (addr // geo.line_size) % geo.num_sets
-        first_word = (paddr % geo.line_size) // WORD_SIZE
         wpl = geo.words_per_line
-        offsets = np.arange(wpl - first_word, n_lines * wpl - first_word + 1,
-                            wpl, dtype=np.int64)
+        n_lines = (word + n_words - 1) // wpl + 1
+        i0 = tag % geo.lines_per_page
+        want = self._page_tags(paddr - paddr % geo.page_size)[i0:i0 + n_lines]
+        offsets = np.arange(wpl - word, n_lines * wpl - word + 1, wpl,
+                            dtype=np.int64)
         offsets[-1] = n_words
-        return slice(s0, s0 + n_lines), want, offsets, first_word
+        return slice(s0, s0 + n_lines), want, offsets
 
     def _claim_lines(self, sets: slice, want: np.ndarray) -> int:
         """Make the lines ``want`` of a direct-mapped run or page resident
@@ -521,50 +492,62 @@ class Cache:
         write-backs and line fills touch disjoint memory and commute with
         the word loop's interleaved order).
 
-        Runs shorter than :data:`RUN_FALLBACK_WORDS` on a direct-mapped
-        cache go line by line (:meth:`_read_lines`): one scalar tag check
-        per line (at most two lines with 32-byte lines); a run inside one
-        line returns one copied slice.  The returned array is always
-        fresh: the caller owns it, and writing into it changes no line.
-        Associative caches take the word loop (:meth:`_read_words`).
+        On a direct-mapped cache a run that lies in one line (every
+        syscall request and reply) is one tag check (:meth:`_claim_line`)
+        and one copied slice — the trace interpreter's one-line rule;
+        every other run takes the vectorized path (:meth:`_run_shape`,
+        :meth:`_claim_lines`).  Associative caches take the word loop
+        (:meth:`_read_words`).  A zero-word run changes nothing; a
+        negative length raises :class:`AddressError` before any change.
+        The returned array is always fresh: the caller owns it, and
+        writing into it changes no line.
         """
+        if n_words < 1:
+            if n_words:
+                raise AddressError(
+                    f"run length must be non-negative, got {n_words}")
+            return np.empty(0, dtype=np.uint64)
         if self.geo.associativity > 1:
             return self._read_words(vaddr, paddr, n_words)
-        if n_words < RUN_FALLBACK_WORDS:
-            return self._read_lines(vaddr, paddr, n_words)
-        sets, want, offsets, first_word = self._run_shape(vaddr, paddr,
-                                                          n_words)
+        set_idx, tag, word = self._decode(vaddr, paddr)
+        if word + n_words <= self.geo.words_per_line:
+            self._claim_line(set_idx, tag, n_words, False)
+            return self._data[0, set_idx, word:word + n_words].copy()
+        sets, want, offsets = self._run_shape(vaddr, paddr, n_words,
+                                              set_idx, tag, word)
         n_miss = self._claim_lines(sets, want)
         self.clock.advance((n_words - n_miss) * self.cost.cache_hit)
         self.counters.read_hits += n_words - n_miss
         self.counters.read_misses += n_miss
         self._lru[0, sets] = self._tick + offsets
         self._tick += n_words
-        return self._data[0, sets].reshape(-1)[
-            first_word:first_word + n_words].copy()
+        return self._data[0, sets].reshape(-1)[word:word + n_words].copy()
 
     def write_run(self, vaddr: int, paddr: int, values: np.ndarray) -> None:
         """Store ``values`` to consecutive words starting at (vaddr -> paddr).
 
-        Word-loop equivalent (see :meth:`read_run`, also for the short
-        and associative paths); like the word loop it fills every missing
-        line before storing into it, so partially overwritten lines keep
-        their memory contents.
+        Word-loop equivalent, by the same paths as :meth:`read_run` (a run
+        in one line is one :meth:`_store_line`); like the word loop it
+        fills every missing line before storing into it, so partially
+        overwritten lines keep their memory contents.  No values, no
+        change.
         """
         n_words = len(values)
+        if not n_words:
+            return
         if self.geo.associativity > 1:
             self._write_words(vaddr, paddr, values)
             return
-        if n_words < RUN_FALLBACK_WORDS:
-            self._write_lines(vaddr, paddr, values)
-            return
-        sets, want, offsets, first_word = self._run_shape(vaddr, paddr,
-                                                          n_words)
+        set_idx, tag, word = self._decode(vaddr, paddr)
         values = np.asarray(values, dtype=np.uint64)
+        if word + n_words <= self.geo.words_per_line:
+            self._store_line(set_idx, tag, word, values, paddr)
+            return
+        sets, want, offsets = self._run_shape(vaddr, paddr, n_words,
+                                              set_idx, tag, word)
         n_miss = self._claim_lines(sets, want)
         cycles = (n_words - n_miss) * self.cost.cache_hit
-        self._data[0, sets].reshape(-1)[
-            first_word:first_word + n_words] = values
+        self._data[0, sets].reshape(-1)[word:word + n_words] = values
         self.counters.write_hits += n_words - n_miss
         self.counters.write_misses += n_miss
         if self.geo.write_through:
@@ -582,27 +565,13 @@ class Cache:
         self._lru[0, sets] = self._tick + offsets
         self._tick += n_words
 
-    def _line_start(self, vaddr: int, paddr: int) -> tuple[int, int, int]:
-        """Validate a short direct-mapped run's first word; return its
-        ``(set index, physical tag, word offset within the line)``."""
-        geo = self.geo
-        if vaddr % WORD_SIZE or paddr % WORD_SIZE:
-            raise AddressError("cache word access must be word aligned")
-        if vaddr % geo.page_size != paddr % geo.page_size:
-            raise AddressError(
-                "virtual and physical addresses must share the page offset")
-        addr = paddr if geo.physically_indexed else vaddr
-        return ((addr // geo.line_size) % geo.num_sets,
-                paddr // geo.line_size,
-                (paddr % geo.line_size) // WORD_SIZE)
-
     def _claim_line(self, set_idx: int, tag: int, k: int,
                     write: bool) -> None:
-        """The word loop's ``k`` accesses to one line of a short
-        direct-mapped run: a miss on the first word (evict, fill) or a
-        hit, ``k - 1`` hits after it, tallied as reads or writes, and an
-        LRU stamp that ends ``k`` ticks later.  The one tag check and
-        accounting shared by :meth:`_read_lines` and :meth:`_store_line`.
+        """The word loop's ``k`` accesses to the one line of a run: a
+        miss on the first word (evict, fill) or a hit, ``k - 1`` hits
+        after it, tallied as reads or writes, and an LRU stamp that ends
+        ``k`` ticks later.  The one tag check and accounting shared by
+        :meth:`read_run` and :meth:`_store_line`.
         """
         counters = self.counters
         if self._tags.item(0, set_idx) == tag:
@@ -623,46 +592,6 @@ class Cache:
             self.clock.cycles += (k - 1) * self.cost.cache_hit
         self._tick += k
         self._lru[0, set_idx] = self._tick
-
-    def _read_lines(self, vaddr: int, paddr: int,
-                    n_words: int) -> np.ndarray:
-        """A short direct-mapped :meth:`read_run`, one line at a time
-        (:meth:`_claim_line`).  A run within one line (every syscall
-        request and reply) is one tag check and one copied slice."""
-        set_idx, tag, word = self._line_start(vaddr, paddr)
-        wpl = self.geo.words_per_line
-        if word + n_words <= wpl:
-            self._claim_line(set_idx, tag, n_words, False)
-            return self._data[0, set_idx, word:word + n_words].copy()
-        num_sets = self.geo.num_sets
-        out = np.empty(n_words, dtype=np.uint64)
-        done = 0
-        while done < n_words:
-            k = min(wpl - word, n_words - done)
-            self._claim_line(set_idx, tag, k, False)
-            out[done:done + k] = self._data[0, set_idx, word:word + k]
-            done += k
-            set_idx, tag, word = (set_idx + 1) % num_sets, tag + 1, 0
-        return out
-
-    def _write_lines(self, vaddr: int, paddr: int, values) -> None:
-        """A short direct-mapped :meth:`write_run`, one line at a time
-        (:meth:`_store_line`); a run within one line is one store."""
-        set_idx, tag, word = self._line_start(vaddr, paddr)
-        wpl = self.geo.words_per_line
-        values = np.asarray(values, dtype=np.uint64)
-        n_words = len(values)
-        if word + n_words <= wpl:
-            self._store_line(set_idx, tag, word, values, paddr)
-            return
-        num_sets = self.geo.num_sets
-        done = 0
-        while done < n_words:
-            k = min(wpl - word, n_words - done)
-            self._store_line(set_idx, tag, word, values[done:done + k],
-                             paddr + done * WORD_SIZE)
-            done += k
-            set_idx, tag, word = (set_idx + 1) % num_sets, tag + 1, 0
 
     def _store_line(self, set_idx: int, tag: int, word: int,
                     chunk: np.ndarray, paddr: int) -> None:
@@ -959,27 +888,29 @@ class Cache:
             self._tags[way, set_idx] = _INVALID
         return found
 
+    def _run_lines(self, vaddr: int, paddr: int,
+                   n_words: int) -> list[tuple[int, int]]:
+        """The ``(set index, line tag)`` of each line of a run, in order:
+        the walk the per-line probe and snoop paths take."""
+        s0, tag, word = self._decode(vaddr, paddr)
+        num_sets = self.geo.num_sets
+        n_lines = (word + n_words - 1) // self.geo.words_per_line + 1
+        return [((s0 + i) % num_sets, tag + i) for i in range(n_lines)]
+
     def probe_run(self, vaddr: int, paddr: int, n_words: int) -> tuple[int, int]:
         """Count (resident, dirty) equivalent lines of a run, mutating
         nothing — the cluster asks this before deciding whether a snoop
         (or an injected snoop race) is even relevant."""
-        geo = self.geo
-        if geo.associativity > 1:
+        if self.geo.associativity > 1:
             found = dirty = 0
-            first_tag = paddr // geo.line_size
-            last_off = (n_words - 1) * WORD_SIZE
-            n_lines = (paddr + last_off) // geo.line_size - first_tag + 1
-            base = vaddr - (vaddr % geo.line_size)
-            for i in range(n_lines):
-                set_idx = self._set_of(base + i * geo.line_size,
-                                       (first_tag + i) * geo.line_size)
-                way = self._find_way(set_idx, first_tag + i)
+            for set_idx, tag in self._run_lines(vaddr, paddr, n_words):
+                way = self._find_way(set_idx, tag)
                 if way is not None:
                     found += 1
-                    if self._dirty[way, set_idx]:
-                        dirty += 1
+                    dirty += bool(self._dirty[way, set_idx])
             return found, dirty
-        sets, want, _offsets, _first = self._run_shape(vaddr, paddr, n_words)
+        sets, want, _ = self._run_shape(vaddr, paddr, n_words,
+                                        *self._decode(vaddr, paddr))
         hit = self._tags[0, sets] == want
         return int(hit.sum()), int((hit & self._dirty[0, sets]).sum())
 
@@ -988,7 +919,8 @@ class Cache:
         """Vectorized coherence probe for a whole run (or page) at once.
 
         Semantically identical to calling :meth:`snoop` per line of the
-        run; returns ``(resident, dirty)`` line counts so the cluster can
+        run — which associative caches and caches with a hierarchy below
+        do; returns ``(resident, dirty)`` line counts so the cluster can
         account coherence traffic.  Snoop probes themselves are free on
         the shared clock (the bus runs them in parallel with the access);
         only dirty write-backs cost cycles, exactly as a victim
@@ -996,22 +928,13 @@ class Cache:
         """
         geo = self.geo
         if geo.associativity > 1 or self.hierarchy is not None:
-            found = dirty = 0
-            first_tag = paddr // geo.line_size
-            last_off = (n_words - 1) * WORD_SIZE
-            n_lines = (paddr + last_off) // geo.line_size - first_tag + 1
-            base = vaddr - (vaddr % geo.line_size)
-            for i in range(n_lines):
-                set_idx = self._set_of(base + i * geo.line_size,
-                                       (first_tag + i) * geo.line_size)
-                got = self.snoop(set_idx, first_tag + i, invalidate,
-                                 write_back=write_back)
-                if got is not None:
-                    found += 1
-                    if got == "dirty":
-                        dirty += 1
-            return found, dirty
-        sets, want, _offsets, _first = self._run_shape(vaddr, paddr, n_words)
+            found = [self.snoop(set_idx, tag, invalidate,
+                                write_back=write_back)
+                     for set_idx, tag in self._run_lines(vaddr, paddr,
+                                                         n_words)]
+            return len(found) - found.count(None), found.count("dirty")
+        sets, want, _ = self._run_shape(vaddr, paddr, n_words,
+                                        *self._decode(vaddr, paddr))
         tags = self._tags[0, sets]
         hit = tags == want
         n_found = int(hit.sum())

@@ -162,6 +162,8 @@ class CoherentCluster:
 
     def _snoop_run_others(self, cpu: int, vaddr: int, paddr: int,
                           n_words: int, invalidate: bool) -> None:
+        if n_words < 1:
+            return      # no lines to snoop; the local cache judges the length
         counters = self.counters
         for i, cache in enumerate(self.caches):
             if i == cpu:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class Clock:
@@ -207,45 +207,29 @@ class Counters:
     def snapshot(self) -> dict:
         """A plain-dict summary convenient for table rendering.
 
-        Complete by construction: every public field of the dataclass is
-        represented (assertion-tested), so a table built from a snapshot
+        Complete by construction: every scalar field, by name
+        (:data:`SCALAR_FIELDS`), and every breakdown as its totals
+        (assertion-tested), so a table built from a snapshot
         can never silently under-report a run — the protection-fault and
         fault-recovery counters used to be dropped here, hiding exactly
         the events chaos runs exist to count.
         """
-        return {
-            "read_hits": self.read_hits,
-            "read_misses": self.read_misses,
-            "write_hits": self.write_hits,
-            "write_misses": self.write_misses,
-            "write_backs": self.write_backs,
-            "page_flushes": self.total_flushes(),
-            "page_purges": self.total_purges(),
-            "flush_cycles": self.total_flush_cycles(),
-            "purge_cycles": self.total_purge_cycles(),
-            "mapping_faults": self.faults[FaultKind.MAPPING],
-            "consistency_faults": self.faults[FaultKind.CONSISTENCY],
-            "protection_faults": self.faults[FaultKind.PROTECTION],
-            "fault_cycles": sum(self.fault_cycles.values()),
-            "tlb_hits": self.tlb_hits,
-            "tlb_misses": self.tlb_misses,
-            "dma_reads": self.dma_reads,
-            "dma_writes": self.dma_writes,
-            "coherence_invalidations": self.coherence_invalidations,
-            "coherence_writebacks": self.coherence_writebacks,
-            "victim_hits": self.victim_hits,
-            "victim_captures": self.victim_captures,
-            "l2_hits": self.l2_hits,
-            "l2_fills": self.l2_fills,
-            "d_to_i_copies": self.d_to_i_copies,
-            "ipc_page_moves": self.ipc_page_moves,
-            "pages_zero_filled": self.pages_zero_filled,
-            "pages_copied": self.pages_copied,
-            "pages_made_uncached": self.pages_made_uncached,
-            "rlt_lookups": self.rlt_lookups,
-            "rlt_skipped_ops": self.rlt_skipped_ops,
-            "superpage_mappings": self.superpage_mappings,
-            "disk_retries": self.disk_retries,
-            "tlb_parity_recoveries": self.tlb_parity_recoveries,
-            "frames_quarantined": self.frames_quarantined,
-        }
+        snap = {name: getattr(self, name) for name in SCALAR_FIELDS}
+        snap.update(
+            page_flushes=self.total_flushes(),
+            page_purges=self.total_purges(),
+            flush_cycles=self.total_flush_cycles(),
+            purge_cycles=self.total_purge_cycles(),
+            mapping_faults=self.faults[FaultKind.MAPPING],
+            consistency_faults=self.faults[FaultKind.CONSISTENCY],
+            protection_faults=self.faults[FaultKind.PROTECTION],
+            fault_cycles=sum(self.fault_cycles.values()))
+        return snap
+
+
+#: Every scalar field of :class:`Counters`, in declaration order: what
+#: :meth:`Counters.snapshot` and the metrics export
+#: (:mod:`repro.obs.export`) carry one-to-one, so a new counter reaches
+#: both without a hand-kept list.
+SCALAR_FIELDS = tuple(f.name for f in fields(Counters)
+                      if isinstance(f.default, int))

@@ -28,13 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def transfer_page(kernel: "Kernel", src_task: "Task", src_vpage: int,
-                  dst_task: "Task",
-                  dst_prot: Prot = Prot.READ_WRITE) -> int:
+                  dst_task: "Task") -> int:
     """Move one mapped page from ``src_task`` to ``dst_task``.
 
-    Returns the destination virtual page.  The physical page is not
-    copied; it is remapped, which is precisely the operation that creates
-    the "new mapping" consistency problem of Section 2.3.
+    Returns the destination virtual page, which the receiver maps
+    read-write.  The physical page is not copied; it is remapped, which
+    is precisely the operation that creates the "new mapping"
+    consistency problem of Section 2.3.
     """
     descriptor = src_task.space.descriptor(src_vpage)
     if descriptor is None:
@@ -55,7 +55,8 @@ def transfer_page(kernel: "Kernel", src_task: "Task", src_vpage: int,
     # tear down the sender side (lazily under the new system: only the
     # translation goes; the cache keeps the data for an aligned reuse).
     dst_task.space.map_page(dst_vpage, PageDescriptor(
-        PageKind.IPC, descriptor.vm_object, descriptor.obj_page, dst_prot))
+        PageKind.IPC, descriptor.vm_object, descriptor.obj_page,
+        Prot.READ_WRITE))
     if src_vpage in kernel.pmap.page_table(src_task.asid):
         kernel.pmap.remove(src_task.asid, src_vpage)
     src_task.space.unmap_page(src_vpage)

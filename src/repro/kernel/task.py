@@ -139,12 +139,6 @@ class Task:
     def write(self, vpage: int, word: int, value: int) -> None:
         self.kernel.machine.write(self.asid, self.va(vpage, word * 4), value)
 
-    def read_page(self, vpage: int):
-        return self.kernel.machine.read_page(self.asid, self.va(vpage))
-
-    def write_page(self, vpage: int, values) -> None:
-        self.kernel.machine.write_page(self.asid, self.va(vpage), values)
-
     def read_block(self, vpage: int, word: int, n_words: int):
         return self.kernel.machine.read_block(
             self.asid, self.va(vpage, word * 4), n_words)

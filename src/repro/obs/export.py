@@ -25,20 +25,10 @@ from __future__ import annotations
 
 import json
 
-from repro.hw.stats import Clock, Counters, FaultKind
+from repro.hw.stats import SCALAR_FIELDS, Clock, Counters, FaultKind
 
 #: metric-name prefix for the Prometheus exposition.
 PROM_PREFIX = "repro"
-
-#: Counters scalar fields exported one-to-one (name == field name).
-SCALAR_FIELDS = (
-    "read_hits", "read_misses", "write_hits", "write_misses",
-    "write_backs", "tlb_hits", "tlb_misses", "dma_reads", "dma_writes",
-    "coherence_invalidations", "coherence_writebacks",
-    "d_to_i_copies", "ipc_page_moves", "pages_zero_filled",
-    "pages_copied", "pages_made_uncached", "disk_retries",
-    "tlb_parity_recoveries", "frames_quarantined",
-)
 
 
 def metrics_dict(counters: Counters, clock: Clock | None = None,

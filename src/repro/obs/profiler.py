@@ -172,7 +172,7 @@ class CycleProfiler:
 
     # ---- rendering ---------------------------------------------------------
 
-    def render(self, min_percent: float = 0.0) -> str:
+    def render(self) -> str:
         """The top-down cycle flamegraph table."""
         if self.root is None:
             return "(profiler never started)"
@@ -181,8 +181,6 @@ class CycleProfiler:
                  f"{'self':>12} {'calls':>8}"]
         for depth, node in self.root.walk():
             percent = 100.0 * node.cycles / total
-            if percent < min_percent and depth > 0:
-                continue
             label = "  " * depth + node.name
             lines.append(f"{label:<44} {node.cycles:>12} {percent:>6.1f} "
                          f"{node.self_cycles:>12} {node.count:>8}")

@@ -320,6 +320,12 @@ def compile_workload(workload, policy, config=None, buffer_cache_pages=48,
         raise ConfigurationError(
             "trace compilation does not support victim-cache or L2 "
             "geometries; record on a bare L1 or run the live simulator")
+    if config.n_cpus > 1:
+        # A trace starts from one bare data cache's image and replays on
+        # one CPU; a cluster's per-CPU caches and snoops have no encoding.
+        raise ConfigurationError(
+            f"trace compilation supports one CPU, not n_cpus="
+            f"{config.n_cpus}; run the live simulator for SMP")
     kernel = Kernel(policy=policy, config=config,
                     buffer_cache_pages=buffer_cache_pages)
     workload.setup(kernel)

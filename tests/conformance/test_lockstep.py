@@ -100,7 +100,7 @@ class TestEventGranularity:
             assert monitor.events_seen == 2
             # so is a page access (an associative cache's per-word
             # slow path included)
-            task.read_page(vpage)
+            kernel.machine.read_page(task.asid, task.va(vpage))
             assert monitor.events_seen == 3
         assert monitor.ok
 

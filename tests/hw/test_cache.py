@@ -283,6 +283,78 @@ class TestFramesOutOfRange:
         PAGE_ENTRY_POINTS[entry](cache, 3 * PAGE, 3 * PAGE)
 
 
+class TestEmptyAndNegativeRuns:
+    """A run of no words is the word loop of no words: it changes
+    nothing.  A negative length raises before any change."""
+
+    @pytest.mark.parametrize("cell", sorted(TestFramesOutOfRange.CELLS))
+    def test_zero_words_change_nothing(self, cell):
+        cache = TestFramesOutOfRange.make(cell)
+        before = TestFramesOutOfRange.state(cache)
+        # Set 0 holds frame 0's dirty line; the runs name frame 1's.
+        got = cache.read_run(0, PAGE, 0)
+        cache.write_run(0, PAGE, np.empty(0, dtype=np.uint64))
+        cache.write_run(0, PAGE, [])
+        assert got.dtype == np.uint64 and got.size == 0
+        assert TestFramesOutOfRange.state(cache) == before
+
+    @pytest.mark.parametrize("cell", sorted(TestFramesOutOfRange.CELLS))
+    def test_negative_length_rejected_before_any_change(self, cell):
+        cache = TestFramesOutOfRange.make(cell)
+        before = TestFramesOutOfRange.state(cache)
+        with pytest.raises(AddressError, match="must be non-negative"):
+            cache.read_run(0, PAGE, -1)
+        assert TestFramesOutOfRange.state(cache) == before
+
+
+# Every word-granular entry point at (vaddr, paddr): the word read and
+# write, and runs inside one line, crossing a line, and many lines long.
+# A good pair is word 2 of a line, so a 3-word run stays in the line.
+WORD_ENTRY_POINTS = {
+    "read": lambda c, va, pa: c.read(va, pa),
+    "write": lambda c, va, pa: c.write(va, pa, 5),
+    "read_run-one-line": lambda c, va, pa: c.read_run(va, pa, 3),
+    "read_run-crossing": lambda c, va, pa: c.read_run(va, pa, 8),
+    "read_run-long": lambda c, va, pa: c.read_run(va, pa, 64),
+    "write_run-one-line": lambda c, va, pa: c.write_run(va, pa, [1, 2, 3]),
+    "write_run-crossing": lambda c, va, pa: c.write_run(
+        va, pa, np.arange(8, dtype=np.uint64)),
+    "write_run-long": lambda c, va, pa: c.write_run(
+        va, pa, np.arange(64, dtype=np.uint64)),
+}
+GOOD = PAGE + 8
+BAD_PAIRS = {
+    "misaligned-vaddr": (GOOD + 2, GOOD,
+                         "cache word access must be word aligned"),
+    "misaligned-paddr": (GOOD, GOOD + 2,
+                         "cache word access must be word aligned"),
+    "offset-mismatch": (GOOD, GOOD + 4, "virtual and physical addresses "
+                        "must share the page offset"),
+}
+
+
+class TestAddressErrorParity:
+    """Every word-granular entry point rejects a bad address pair with
+    the same :class:`AddressError`, before any change."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_PAIRS))
+    @pytest.mark.parametrize("entry", sorted(WORD_ENTRY_POINTS))
+    @pytest.mark.parametrize("cell", sorted(TestFramesOutOfRange.CELLS))
+    def test_same_error_before_any_change(self, cell, entry, bad):
+        cache = TestFramesOutOfRange.make(cell)
+        before = TestFramesOutOfRange.state(cache)
+        vaddr, paddr, message = BAD_PAIRS[bad]
+        with pytest.raises(AddressError) as info:
+            WORD_ENTRY_POINTS[entry](cache, vaddr, paddr)
+        assert str(info.value) == message
+        assert TestFramesOutOfRange.state(cache) == before
+
+    @pytest.mark.parametrize("entry", sorted(WORD_ENTRY_POINTS))
+    @pytest.mark.parametrize("cell", sorted(TestFramesOutOfRange.CELLS))
+    def test_good_pair_accepted(self, cell, entry):
+        WORD_ENTRY_POINTS[entry](TestFramesOutOfRange.make(cell), GOOD, GOOD)
+
+
 class TestWriteThrough:
     def test_stores_reach_memory_immediately(self):
         cache, mem, clock, counters = make_cache(write_through=True)

@@ -56,6 +56,19 @@ class TestCoherenceProtocol:
         assert cluster.read(1, 4, 4) == 11
 
 
+    def test_empty_run_changes_nothing(self):
+        cluster, mem = make_cluster()
+        cluster.write(1, 0, 0, 7)       # dirty on cpu1, in the runs' set
+        before = ([c._tags.tolist() for c in cluster.caches],
+                  [c._dirty.tolist() for c in cluster.caches],
+                  cluster.clock.cycles, cluster.counters.snapshot())
+        assert cluster.read_run(0, 0, PAGE, 0).size == 0
+        cluster.write_run(0, 0, PAGE, [])
+        assert ([c._tags.tolist() for c in cluster.caches],
+                [c._dirty.tolist() for c in cluster.caches],
+                cluster.clock.cycles, cluster.counters.snapshot()) == before
+
+
 class TestUnchangedRules:
     def test_aligned_sharing_needs_no_software_management(self):
         # Hardware resolves aligned (equivalent-line) sharing entirely: a

@@ -1,5 +1,6 @@
 """Tests for the JSON / Prometheus metrics exporter."""
 
+import dataclasses
 import json
 
 import pytest
@@ -73,6 +74,20 @@ class TestPrometheus:
         samples = parse_prometheus(to_prometheus(counters))
         for field in SCALAR_FIELDS:
             assert (f"{PROM_PREFIX}_{field}_total", ()) in samples
+
+    def test_every_counters_int_field_round_trips(self):
+        # Found from the dataclass itself, not from the exported list, so
+        # a counter the export misses fails here.
+        counters = Counters()
+        names = [f.name for f in dataclasses.fields(Counters)
+                 if isinstance(getattr(counters, f.name), int)]
+        for value, name in enumerate(names, start=1):
+            setattr(counters, name, value)
+        samples = parse_prometheus(to_prometheus(counters))
+        assert {name: samples.get((f"{PROM_PREFIX}_{name}_total", ()))
+                for name in names} == {name: value for value, name
+                                       in enumerate(names, start=1)}
+        verify_export(counters)
 
     def test_labeled_breakdowns(self, counters):
         samples = parse_prometheus(to_prometheus(counters))

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.hw.cache as cache_mod
 from repro.hw.cache import Cache
 from repro.hw.hierarchy import CacheHierarchy
 from repro.hw.machine import Machine
@@ -45,6 +44,9 @@ VARIANTS = [
     # through the hierarchy one line at a time
     {"victim_lines": 4, "l2": L2Geometry(size=16 * 1024, associativity=2)},
 ]
+# write-through over a hierarchy: each store re-stamps its line
+WT_HIERARCHY = {"write_through": True, "victim_lines": 4,
+                "l2": L2Geometry(size=16 * 1024, associativity=2)}
 
 
 def make_cache(**kw):
@@ -80,6 +82,26 @@ def cache_state(cache, mem):
             mem._words.tolist())
 
 
+def stamp_state(cache, mem):
+    """:func:`cache_state` with the raw epoch numbers replaced by whether
+    each line's fill stamp is current (what a stamp decides).  A
+    write-through run bumps a line's epoch once, the word loop once per
+    stored word, so only the write-through hierarchy variant needs it."""
+    state = list(cache_state(cache, mem))
+    tags = cache._tags
+    current = (tags != -1) & (cache._fill_epoch
+                              == cache.hierarchy._epochs[np.maximum(tags, 0)])
+    state[7] = (current.tolist(),) + state[7][2:]
+    return tuple(state)
+
+
+def compared_state(kw):
+    """The state function that compares a run with the word loop on the
+    variant ``kw``."""
+    return (stamp_state if kw.get("write_through") and "l2" in kw
+            else cache_state)
+
+
 # Identity-mapped word accesses used to put both caches into the same
 # (arbitrary) warm state before the run under test.
 warmup = st.lists(
@@ -109,7 +131,7 @@ hot_warmup = st.lists(
 # (page, line, words before the line's end at which it starts, length)
 short_runs = st.tuples(st.integers(0, NPAGES - 1), st.sampled_from(HOT_LINES),
                        st.integers(1, WORDS_PER_LINE - 1),
-                       st.integers(1, cache_mod.RUN_FALLBACK_WORDS - 1))
+                       st.integers(1, WORDS_PER_LINE))
 
 
 def short_run_span(run):
@@ -166,11 +188,13 @@ class TestRunsEqualWordLoops:
 
         assert cache_state(by_run, mem_a) == cache_state(by_word, mem_b)
 
-    @given(hot_warmup, short_runs, st.booleans(), st.sampled_from(VARIANTS))
+    @given(hot_warmup, short_runs, st.booleans(),
+           st.sampled_from(VARIANTS + [WT_HIERARCHY]))
     @settings(max_examples=200, deadline=None)
     def test_short_run(self, ops, run, is_write, kw):
-        # Runs under RUN_FALLBACK_WORDS take the per-line path on a
-        # direct-mapped cache; most of these cross a line boundary.
+        # Runs of at most a line's words: on a direct-mapped cache those
+        # inside one line take the one-line path, the rest (crossing a
+        # line boundary) the vectorized one.
         base, n = short_run_span(run)
         by_run, mem_a = make_cache(**kw)
         by_word, mem_b = make_cache(**kw)
@@ -187,31 +211,8 @@ class TestRunsEqualWordLoops:
             want = [by_word.read(base + i * WORD_SIZE, base + i * WORD_SIZE)
                     for i in range(n)]
             assert got.tolist() == want
-        assert cache_state(by_run, mem_a) == cache_state(by_word, mem_b)
-
-    @given(warmup, st.integers(0, NPAGES - 1), st.integers(1, 16))
-    @settings(max_examples=100, deadline=None)
-    def test_short_runs_vectorized(self, ops, ppage, n):
-        # Below RUN_FALLBACK_WORDS the run APIs normally take the word
-        # loop; lowering the cutoff must not change what they compute.
-        saved = cache_mod.RUN_FALLBACK_WORDS
-        cache_mod.RUN_FALLBACK_WORDS = 1
-        try:
-            by_run, mem_a = make_cache()
-            by_word, mem_b = make_cache()
-            warm(by_run, ops)
-            warm(by_word, ops)
-            base = ppage * PAGE
-            by_run.write_run(base, base, np.arange(n, dtype=np.uint64))
-            got = by_run.read_run(base, base, n)
-            for i in range(n):
-                by_word.write(base + i * WORD_SIZE, base + i * WORD_SIZE, i)
-            want = [by_word.read(base + i * WORD_SIZE, base + i * WORD_SIZE)
-                    for i in range(n)]
-            assert got.tolist() == want
-            assert cache_state(by_run, mem_a) == cache_state(by_word, mem_b)
-        finally:
-            cache_mod.RUN_FALLBACK_WORDS = saved
+        compared = compared_state(kw)
+        assert compared(by_run, mem_a) == compared(by_word, mem_b)
 
 
 # Whole-page runs over partly resident or dirty pages: the warm-up
@@ -301,13 +302,14 @@ class TestPageRunsEqualWordLoops:
 # the line CACHE_BYTES on (page 3) takes the same set of every variant.
 ONE_LINE_SHAPES = [(offset, n) for offset in range(WORDS_PER_LINE)
                    for n in range(1, WORDS_PER_LINE - offset + 1)]
+# The edges of the one-line rule beside them (offset 0, the whole line,
+# is above): a 2-word run that crosses into the line from the line
+# before, and a run of no words.
+EDGE_SHAPES = [(-1, 2), (0, 0)]
 ONE_LINE_PAGE, ONE_LINE = 1, WPP // WORDS_PER_LINE - 1
 CACHE_BYTES = 8 * 1024
 LINE_STATES = ("hit", "clean-miss", "dirty-miss")
-# plus write-through over a hierarchy: each store re-stamps its line
-ONE_LINE_VARIANTS = DIRECT_VARIANTS + [
-    {"write_through": True, "victim_lines": 4,
-     "l2": L2Geometry(size=16 * 1024, associativity=2)}]
+ONE_LINE_VARIANTS = DIRECT_VARIANTS + [WT_HIERARCHY]
 
 
 def prepare_line(read, write, state):
@@ -322,36 +324,23 @@ def prepare_line(read, write, state):
         write(line + CACHE_BYTES, 0xD1D1)
 
 
-def stamp_state(cache, mem):
-    """:func:`cache_state` with the raw epoch numbers replaced by whether
-    each line's fill stamp is current (what a stamp decides).  A
-    write-through run bumps a line's epoch once, the word loop once per
-    stored word, so only the write-through hierarchy variant needs it."""
-    state = list(cache_state(cache, mem))
-    tags = cache._tags
-    current = (tags != -1) & (cache._fill_epoch
-                              == cache.hierarchy._epochs[np.maximum(tags, 0)])
-    state[7] = (current.tolist(),) + state[7][2:]
-    return tuple(state)
-
-
 def fill_memory(mem):
     mem._words[:] = np.arange(len(mem._words), dtype=np.uint64) * 3
 
 
 class TestOneLineRunsEqualWordLoops:
-    """Runs inside one line (every syscall request and reply): a hit, a
-    clean miss and a dirty-victim miss equal the word loop on each
-    direct-mapped variant, for every offset and length."""
+    """Runs inside one line (every syscall request and reply), and the
+    edge shapes beside them: a hit, a clean miss and a dirty-victim miss
+    equal the word loop on each direct-mapped variant, for every offset
+    and length."""
 
     @pytest.mark.parametrize("state", LINE_STATES)
     @pytest.mark.parametrize("is_write", [False, True])
     @pytest.mark.parametrize("kw", ONE_LINE_VARIANTS,
                              ids=lambda kw: "+".join(kw) or "direct")
     def test_one_line_run(self, kw, is_write, state):
-        compared = (stamp_state if kw.get("write_through") and "l2" in kw
-                    else cache_state)
-        for offset, n in ONE_LINE_SHAPES:
+        compared = compared_state(kw)
+        for offset, n in ONE_LINE_SHAPES + EDGE_SHAPES:
             by_run, mem_a = make_cache(**kw)
             by_word, mem_b = make_cache(**kw)
             for cache, mem in ((by_run, mem_a), (by_word, mem_b)):

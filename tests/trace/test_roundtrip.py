@@ -182,6 +182,13 @@ class TestHierarchyGeometries:
                              config=config)
 
 
+    def test_smp_configs_are_rejected(self):
+        from repro.errors import ConfigurationError
+        with pytest.raises(ConfigurationError, match="n_cpus=2"):
+            compile_workload(RandomOps(scale=0.3, seed=7), get_policy("F"),
+                             config=evaluation_machine(n_cpus=2))
+
+
 class TestArtifactDeterminism:
     def test_save_load_save_is_byte_identical(self, tmp_path):
         """The on-disk artifact is deterministic: saving, loading and
