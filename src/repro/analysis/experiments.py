@@ -2,8 +2,9 @@
 
 One function per experiment of the evaluation section:
 
-* :func:`run_workload` — boot a kernel under a configuration, run one
-  workload, return its metrics (the primitive everything else uses).
+* :func:`boot` — build the kernel, fault injector and lockstep shadow
+  of one run; :func:`run_workload` — run one workload on a booted
+  kernel and return its metrics (the primitives everything else uses).
 * :func:`run_table1` — the old-vs-new comparison (Table 1).
 * :func:`run_table4` — the full A–F configuration ladder (Table 4).
 * :func:`run_table5_probe` — behavioural probes for the related-systems
@@ -14,7 +15,9 @@ One function per experiment of the evaluation section:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from repro.errors import ReproError
 from repro.hw.params import MachineConfig
 from repro.kernel.kernel import Kernel
 from repro.vm.policy import (CONFIG_LADDER, NEW_SYSTEM, OLD_SYSTEM,
@@ -25,6 +28,10 @@ from repro.workloads.kernel_build import KernelBuild
 from repro.workloads.latex_bench import LatexBench
 from repro.workloads.microbench import AliasLoopResult, run_alias_write_loop
 from repro.analysis.metrics import RunMetrics, diff_metrics, snapshot_counters
+
+if TYPE_CHECKING:
+    from repro.conformance import ConformanceMonitor, SmpConformanceMonitor
+    from repro.faults import FaultInjector
 
 
 #: the single source of truth for how large a run of the paper's
@@ -58,25 +65,88 @@ def make_workload(name: str, scale: float = DEFAULT_SCALE) -> Workload:
     return WORKLOADS[name](scale)
 
 
+#: the buffer-cache size, in pages, of every evaluation run, whichever
+#: entry point starts it (:class:`Kernel`'s own default is larger).
+EVALUATION_BUFFER_CACHE_PAGES = 48
+
+
+@dataclass(frozen=True)
+class BootedKernel:
+    """A kernel booted for one run, its armed fault injector and its
+    unattached lockstep shadow (each ``None`` when not asked for)."""
+
+    kernel: Kernel
+    injector: FaultInjector | None
+    monitor: ConformanceMonitor | SmpConformanceMonitor | None
+
+    def run(self, workload: Workload) -> RunMetrics | ReproError:
+        """Run ``workload`` with the shadow attached; return its metrics
+        or, only when an injector is armed, the :class:`ReproError` that
+        fail-stopped it (detection, a result of the run).  Any other
+        failure propagates.  Callers read ``monitor.ok`` afterwards."""
+        if self.monitor is not None:
+            self.monitor.attach()
+        try:
+            return run_workload(workload, self.kernel.cpolicy,
+                                kernel=self.kernel)
+        except ReproError as exc:
+            if self.injector is None:
+                raise
+            return exc
+        finally:
+            if self.monitor is not None:
+                self.monitor.detach()
+
+
+def boot(policy, config: MachineConfig | None = None, *,
+         buffer_cache_pages: int = EVALUATION_BUFFER_CACHE_PAGES,
+         inject: str | None = None, seed: int = 0,
+         conform: bool = False) -> BootedKernel:
+    """Boot the kernel every entry point runs a paper workload on.
+
+    The ``inject`` plan is parsed before anything is built, so a
+    malformed plan is a :class:`~repro.errors.ConfigurationError` and no
+    kernel.  The injector is armed at boot, before the workload's setup.
+    ``conform`` builds the lockstep shadow — one per CPU on a cluster —
+    in record-only mode.  Observers never change which kernel is booted.
+    """
+    plan = injector = monitor = None  # each package loads only if asked
+    if inject:
+        from repro.faults import FaultInjector, FaultPlan
+
+        plan = FaultPlan.parse(inject, seed=seed)
+    kernel = Kernel(policy=policy, config=config or evaluation_machine(),
+                    buffer_cache_pages=buffer_cache_pages)
+    if plan is not None:
+        injector = FaultInjector(plan, kernel.machine.clock)
+        injector.attach_kernel(kernel)
+    if conform:
+        from repro.conformance import (ConformanceMonitor,
+                                       SmpConformanceMonitor)
+
+        shadow = (SmpConformanceMonitor if kernel.machine.config.n_cpus > 1
+                  else ConformanceMonitor)
+        monitor = shadow(kernel, record_only=True)
+    return BootedKernel(kernel, injector, monitor)
+
+
 def run_workload(workload: Workload, policy,
                  config: MachineConfig | None = None,
-                 buffer_cache_pages: int = 48,
+                 buffer_cache_pages: int = EVALUATION_BUFFER_CACHE_PAGES,
                  kernel: Kernel | None = None) -> RunMetrics:
     """Boot a fresh kernel under ``policy`` and measure one execution.
 
     ``policy`` is anything :func:`repro.policy.resolve` accepts: a
     :class:`PolicyConfig` flag bag, a registered policy name, or a
     :class:`~repro.policy.ConsistencyPolicy` instance.  A pre-booted
-    ``kernel`` may be supplied instead (the CLI uses this to attach a
-    fault injector before the workload starts); it must have been built
-    with the same policy.
+    ``kernel`` (see :func:`boot`) may be supplied instead; it must have
+    been built with the same policy.
     """
     from repro.policy import resolve
     policy = resolve(policy)
     if kernel is None:
-        kernel = Kernel(policy=policy,
-                        config=config or evaluation_machine(),
-                        buffer_cache_pages=buffer_cache_pages)
+        kernel = boot(policy, config,
+                      buffer_cache_pages=buffer_cache_pages).kernel
     workload.setup(kernel)
     before = snapshot_counters(kernel.machine.counters)
     start_cycles = kernel.machine.clock.cycles
@@ -141,10 +211,8 @@ def run_alignment_micro(iterations: int = 10_000,
                         config: MachineConfig | None = None,
                         ) -> tuple[AliasLoopResult, AliasLoopResult]:
     """The Section 2.5 microbenchmark: aligned vs unaligned write loop."""
-    aligned = run_alias_write_loop(
-        Kernel(policy=policy, config=config or evaluation_machine()),
-        iterations, aligned=True)
-    unaligned = run_alias_write_loop(
-        Kernel(policy=policy, config=config or evaluation_machine()),
-        iterations, aligned=False)
+    aligned = run_alias_write_loop(boot(policy, config).kernel,
+                                   iterations, aligned=True)
+    unaligned = run_alias_write_loop(boot(policy, config).kernel,
+                                     iterations, aligned=False)
     return aligned, unaligned

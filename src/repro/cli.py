@@ -86,15 +86,15 @@ import sys
 
 from repro.analysis.charts import render_ladder_chart
 from repro.analysis.comparison import render_table5
-from repro.analysis.experiments import (DEFAULT_SCALE, evaluation_machine,
-                                        make_workload, run_alignment_micro,
-                                        run_table1, run_table4,
-                                        run_table5_probe, run_workload)
+from repro.analysis.experiments import (DEFAULT_SCALE, boot,
+                                        evaluation_machine, make_workload,
+                                        run_alignment_micro, run_table1,
+                                        run_table4, run_table5_probe,
+                                        run_workload)
 from repro.analysis.tables import (render_micro, render_overhead_summary,
                                    render_table1, render_table4)
 from repro.core.transitions import render_table2
-from repro.errors import (ConfigurationError, ConformanceError, ReproError,
-                          open_input)
+from repro.errors import ConfigurationError, ReproError, open_input
 from repro.policy import get_policy
 from repro.trace.format import TraceFormatError
 
@@ -149,22 +149,18 @@ def _print_points() -> None:
 
 
 def _cmd_run(args) -> None:
-    if getattr(args, "list_points", False):
+    if args.list_points:
         return _print_points()
     policy = get_policy(args.policy)
     config = evaluation_machine(n_cpus=args.cpus)
-    geometry = getattr(args, "geometry", None)
-    if geometry:
+    if args.geometry:
         from repro.hw.params import apply_geometry
 
-        config = apply_geometry(config, geometry)
-    trace_path = getattr(args, "trace_events", None)
-    kernel = injector = monitor = trace_file = None
-    if (args.inject or getattr(args, "conform", False) or trace_path
-            or args.cpus > 1 or config.has_hierarchy):
-        from repro.kernel.kernel import Kernel
-
-        kernel = Kernel(policy=policy, config=config)
+        config = apply_geometry(config, args.geometry)
+    booted = boot(policy, config, inject=args.inject, seed=args.seed,
+                  conform=args.conform)
+    kernel, injector, monitor = booted.kernel, booted.injector, booted.monitor
+    trace_path, trace_file = args.trace_events, None
     trace_counts: dict[str, int] = {}
     if trace_path:
         bus = kernel.machine.bus.enable()
@@ -175,45 +171,9 @@ def _cmd_run(args) -> None:
             trace_counts[event.kind] = trace_counts.get(event.kind, 0) + 1
 
         bus.subscribe(_write_event)
-    if args.inject:
-        from repro.faults import FaultInjector, FaultPlan
-
-        plan = FaultPlan.parse(args.inject, seed=args.seed)
-        injector = FaultInjector(plan, kernel.machine.clock)
-        injector.attach_kernel(kernel)
-    if getattr(args, "conform", False):
-        from repro.conformance import (ConformanceMonitor,
-                                       SmpConformanceMonitor)
-
-        # Under injection divergences are *expected*: record them for the
-        # end-of-run report instead of failing fast.  On a cluster the
-        # shadow is one lockstep oracle per CPU.
-        cls = SmpConformanceMonitor if args.cpus > 1 else ConformanceMonitor
-        monitor = cls(kernel, record_only=injector is not None)
-        monitor.attach()
     try:
-        metrics = run_workload(make_workload(args.workload, args.scale),
-                               policy, config=config,
-                               kernel=kernel)
-    except ConformanceError as exc:
-        print(f"{args.workload} under configuration {policy.name}: "
-              f"lockstep divergence from the Table 2 model")
-        print(f"  {type(exc).__name__}: {exc}")
-        for event in exc.prefix[-10:]:
-            print(f"    {event}")
-        raise SystemExit(1)
-    except ReproError as exc:
-        if injector is None:
-            raise
-        print(f"{args.workload} under configuration {policy.name}: "
-              f"fail-stop after {len(injector.audit)} injections")
-        print(f"  detected: {type(exc).__name__}: {exc}")
-        for record in injector.audit:
-            print(f"    {record}")
-        raise SystemExit(1)
+        outcome = booted.run(make_workload(args.workload, args.scale))
     finally:
-        if monitor is not None:
-            monitor.detach()
         if trace_file is not None:
             trace_file.close()
             total = sum(trace_counts.values())
@@ -221,6 +181,14 @@ def _cmd_run(args) -> None:
                                 in sorted(trace_counts.items()))
             print(f"trace events: {total} written to {trace_path}"
                   + (f" ({summary})" if summary else ""))
+    if isinstance(outcome, ReproError):
+        print(f"{args.workload} under configuration {policy.name}: "
+              f"fail-stop after {len(injector.audit)} injections")
+        print(f"  detected: {type(outcome).__name__}: {outcome}")
+        for record in injector.audit:
+            print(f"    {record}")
+        raise SystemExit(1)
+    metrics = outcome
     print(f"{metrics.workload_name} under configuration {policy.name} "
           f"({policy.description}):")
     print(f"  elapsed:            {metrics.seconds:.4f}s "
@@ -235,18 +203,17 @@ def _cmd_run(args) -> None:
     print(f"  icache purges:      {metrics.icache_purges.count}")
     print(f"  DMA:                {metrics.dma_reads} reads, "
           f"{metrics.dma_writes} writes")
-    if args.cpus > 1 and kernel is not None:
-        counters = kernel.machine.counters
+    counters = kernel.machine.counters
+    if args.cpus > 1:
         print(f"  snoop coherence:    "
               f"{counters.coherence_invalidations} invalidations, "
               f"{counters.coherence_writebacks} write-backs "
               f"({args.cpus} CPUs)")
-    if kernel is not None and kernel.machine.hierarchy is not None:
-        counters = kernel.machine.counters
+    if kernel.machine.hierarchy is not None:
         print(f"  cache hierarchy:    {counters.victim_hits} victim hits "
               f"({counters.victim_captures} captures), "
               f"{counters.l2_hits} L2 hits ({counters.l2_fills} fills) "
-              f"[{geometry}]")
+              f"[{args.geometry}]")
     print(f"  VI-cache overhead:  "
           f"{100 * metrics.consistency_overhead_fraction:.3f}%")
     if injector is not None:
@@ -258,6 +225,10 @@ def _cmd_run(args) -> None:
         print(f"  conformance:        {monitor.summary()}")
         for divergence in monitor.divergences:
             print(f"    {divergence}")
+        # Under injection divergences are expected; without, the run
+        # left the Table 2 model.
+        if not monitor.ok and injector is None:
+            raise SystemExit(1)
 
 
 def _farm_setup(args, default_cache: bool = False):
@@ -411,9 +382,7 @@ def _cmd_serve(args) -> None:
 
 
 def _cmd_conform(args) -> None:
-    from repro.conformance import (ArcCoverage, ConformanceMonitor, Explorer,
-                                   apply_mutant)
-    from repro.kernel.kernel import Kernel
+    from repro.conformance import ArcCoverage, Explorer, apply_mutant
 
     if args.mutant:
         with apply_mutant(args.mutant):
@@ -466,14 +435,10 @@ def _cmd_conform(args) -> None:
         merged.merge(cover.coverage)
         if executor is None:
             for name in WORKLOAD_NAMES:
-                kernel = Kernel(policy=policy, config=evaluation_machine(),
-                                buffer_cache_pages=48)
-                with ConformanceMonitor(kernel,
-                                        record_only=True) as monitor:
-                    run_workload(make_workload(name, args.scale), policy,
-                                 kernel=kernel)
-                summary = monitor.summary()
-                print(f"{name:>12}: {summary}")
+                booted = boot(policy, conform=True)
+                booted.run(make_workload(name, args.scale))
+                monitor = booted.monitor
+                print(f"{name:>12}: {monitor.summary()}")
                 merged.merge(monitor.coverage)
                 failed |= not monitor.ok
                 for divergence in monitor.divergences:
@@ -482,8 +447,7 @@ def _cmd_conform(args) -> None:
             from repro.farm import JobSpec
 
             specs = [JobSpec.workload(workload=name, policy=policy.name,
-                                      scale=args.scale,
-                                      buffer_cache_pages=48, conform=True)
+                                      scale=args.scale, conform=True)
                      for name in WORKLOAD_NAMES]
             outcomes = executor.run(specs)
             totals = _merge_stats(totals, executor.stats)
@@ -601,14 +565,12 @@ def _cmd_farm(args) -> None:
 
 def _cmd_trace_events(args) -> None:
     from repro.analysis.trace import Tracer, diff_traces
-    from repro.kernel.kernel import Kernel
     from repro.obs import load_jsonl, write_jsonl
 
     # Read the golden first: a missing one fails before the simulation.
     golden = load_jsonl(args.diff) if args.diff else None
     policy = get_policy(args.policy)
-    kernel = Kernel(policy=policy, config=evaluation_machine(),
-                    buffer_cache_pages=48)
+    kernel = boot(policy).kernel
     with Tracer(kernel) as tracer:
         run_workload(make_workload(args.workload, args.scale), policy,
                      kernel=kernel)
@@ -640,10 +602,13 @@ def _cmd_trace_compile(args) -> None:
     save_trace(args.out, trace)
     print(f"compiled {args.workload}/{policy.name} at scale {args.scale}: "
           f"{len(trace.ops)} ops, {len(trace.values)} values, "
-          f"{trace.n_events} events -> {args.out}")
+          f"{trace.n_events} events, "
+          f"{trace.end_clock - trace.start_clock} cycles -> {args.out}")
     if args.conform:
         print(f"conformance divergences recorded: "
               f"{trace.meta['divergences']}")
+        if trace.meta["divergences"] and not args.inject:
+            raise SystemExit(1)
 
 
 def _cmd_trace_replay(args) -> None:
@@ -665,13 +630,11 @@ def _cmd_trace_replay(args) -> None:
 
 
 def _cmd_metrics(args) -> None:
-    from repro.kernel.kernel import Kernel
     from repro.obs import to_json, to_prometheus, verify_export
     from repro.workloads.microbench import run_alias_write_loop
 
     policy = get_policy(args.policy)
-    kernel = Kernel(policy=policy, config=evaluation_machine(),
-                    buffer_cache_pages=48)
+    kernel = boot(policy).kernel
     if args.target == "micro":
         run_alias_write_loop(kernel, args.iterations, aligned=False)
     else:

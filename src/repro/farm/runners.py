@@ -15,10 +15,13 @@ Kinds:
     overrides (``dcache_kib``, ``phys_pages``, ``buffer_cache_pages``,
     ``geometry`` — an :func:`~repro.hw.params.apply_geometry` spec such
     as ``"2way+victim8+l2"``), optional fault plan (``inject`` +
-    ``seed``), optional lockstep shadowing (``conform``).  Payload: the :class:`RunMetrics` dict,
-    plus injection and conformance summaries when armed; an injected
-    run that fail-stops records the detection as a ``failstop`` payload
-    (a deterministic result of the spec) rather than failing the job.
+    ``seed``), optional lockstep shadowing (``conform``), all booted by
+    :func:`~repro.analysis.experiments.boot`.  Payload: the
+    :class:`RunMetrics` dict, plus injection and conformance summaries
+    when armed; an injected run that fail-stops records the detection as
+    a ``failstop`` payload, and a diverging shadow records
+    ``conform.ok: false`` (each a deterministic result of the spec)
+    rather than failing the job.
 ``replay``
     One trace replay with equivalence verification (trace path + content
     digest); payload is the replay verdict, clock, op count and event
@@ -85,8 +88,9 @@ def run_spec(spec: JobSpec) -> dict:
 
 @runner("workload")
 def _run_workload_job(spec: JobSpec) -> dict:
-    from repro.analysis.experiments import (evaluation_machine,
-                                            make_workload, run_workload)
+    from repro.analysis.experiments import (EVALUATION_BUFFER_CACHE_PAGES,
+                                            boot, evaluation_machine,
+                                            make_workload)
     from repro.analysis.sweep import machine_with_dcache
     from repro.policy import get_policy
 
@@ -104,47 +108,22 @@ def _run_workload_job(spec: JobSpec) -> dict:
     if geometry is not None:
         from repro.hw.params import apply_geometry
         config = apply_geometry(config, geometry)
-    buffer_cache_pages = spec.get("buffer_cache_pages", 48)
     workload = make_workload(spec["workload"], spec.get("scale", 1.0))
-
-    inject = spec.get("inject")
-    conform = bool(spec.get("conform", False))
-    kernel = injector = monitor = None
-    # A hierarchy geometry needs the kernel in hand: the victim/L2
-    # counters live on the machine, not in RunMetrics.
-    if inject or conform or config.has_hierarchy:
-        from repro.kernel.kernel import Kernel
-        kernel = Kernel(policy=policy, config=config,
-                        buffer_cache_pages=buffer_cache_pages)
-    if inject:
-        from repro.faults import FaultInjector, FaultPlan
-        plan = FaultPlan.parse(inject, seed=spec.get("seed", 0))
-        injector = FaultInjector(plan, kernel.machine.clock)
-        injector.attach_kernel(kernel)
-    if conform:
-        from repro.conformance import ConformanceMonitor
-        monitor = ConformanceMonitor(kernel,
-                                     record_only=injector is not None)
-        monitor.attach()
-    failstop = None
-    try:
-        metrics = run_workload(workload, policy, config=config,
-                               buffer_cache_pages=buffer_cache_pages,
-                               kernel=kernel)
-    except ReproError as exc:
-        # Under injection a fail-stop is *detection* — a legitimate,
-        # deterministic result of the spec, not an infrastructure
-        # failure to retry (mirrors the CLI's `run --inject` handling).
-        if injector is None:
-            raise
-        failstop = {"type": type(exc).__name__, "message": str(exc)}
-    finally:
-        if monitor is not None:
-            monitor.detach()
-    if failstop is not None:
-        return {"failstop": failstop, "injections": len(injector.audit)}
-    payload: dict = {"metrics": metrics.to_dict()}
-    if kernel is not None and kernel.machine.hierarchy is not None:
+    booted = boot(policy, config,
+                  buffer_cache_pages=spec.get("buffer_cache_pages",
+                                              EVALUATION_BUFFER_CACHE_PAGES),
+                  inject=spec.get("inject"), seed=spec.get("seed", 0),
+                  conform=bool(spec.get("conform", False)))
+    outcome = booted.run(workload)
+    kernel, injector, monitor = booted.kernel, booted.injector, booted.monitor
+    if isinstance(outcome, ReproError):
+        # Under injection a fail-stop is *detection* — a deterministic
+        # result of the spec, not an infrastructure failure to retry.
+        return {"failstop": {"type": type(outcome).__name__,
+                             "message": str(outcome)},
+                "injections": len(injector.audit)}
+    payload: dict = {"metrics": outcome.to_dict()}
+    if kernel.machine.hierarchy is not None:
         counters = kernel.machine.counters
         payload["hierarchy"] = {
             "victim_hits": counters.victim_hits,
@@ -155,6 +134,7 @@ def _run_workload_job(spec: JobSpec) -> dict:
     if injector is not None:
         payload["injections"] = len(injector.audit)
     if monitor is not None:
+        # A divergence is a result of the spec too: ``ok`` is false.
         payload["conform"] = {
             "ok": monitor.ok,
             "events": monitor.events_seen,

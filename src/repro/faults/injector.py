@@ -195,17 +195,28 @@ class FaultPlan:
         """Parse ``"point[:rate[:burst]],point..."`` into a plan.
 
         Example: ``"disk.read.transient:0.1:2,pmap.flush.drop:0.05"``.
-        A bare point name means ``rate=1.0``.
+        A bare point name means ``rate=1.0``.  Any malformed item — an
+        unknown point, a rate that is not a number in [0, 1], a burst
+        that is not a positive integer, or a fourth field — raises
+        :class:`ConfigurationError`.
         """
         rules = []
         for item in spec.split(","):
             item = item.strip()
             if not item:
                 continue
-            parts = item.split(":")
-            point = parts[0]
-            rate = float(parts[1]) if len(parts) > 1 else 1.0
-            burst = int(parts[2]) if len(parts) > 2 else 1
+            point, *fields = item.split(":")
+            if len(fields) > 2:
+                raise ConfigurationError(
+                    f"fault plan item {item!r} has more than "
+                    f"point:rate:burst")
+            try:
+                rate = float(fields[0]) if fields else 1.0
+                burst = int(fields[1]) if len(fields) > 1 else 1
+            except ValueError:
+                raise ConfigurationError(
+                    f"fault plan item {item!r}: the rate must be a number "
+                    f"and the burst an integer") from None
             rules.append(FaultRule(point, rate=rate, burst=burst))
         if not rules:
             raise ConfigurationError(f"empty fault plan spec {spec!r}")

@@ -257,6 +257,14 @@ class Cache:
         return ((addr // line_size) % geo.num_sets, paddr // line_size,
                 (paddr % line_size) // WORD_SIZE)
 
+    def _check_line(self, tag: int) -> None:
+        """Reject a miss on a line outside physical memory, before the
+        miss is counted or a victim evicted (a hit needs no check: only
+        lines of memory are ever resident)."""
+        if not 0 <= tag < len(self._mem_lines):
+            raise AddressError(f"physical address "
+                               f"{tag * self.geo.line_size:#x} out of range")
+
     def _find_way(self, set_idx: int, tag: int) -> int | None:
         for way in range(self.geo.associativity):
             if self._tags[way, set_idx] == tag:
@@ -340,6 +348,7 @@ class Cache:
                 self.counters.read_hits += 1
                 self.clock.cycles += self.cost.cache_hit
             else:
+                self._check_line(tag)
                 self.counters.read_misses += 1
                 self._evict(0, set_idx)
                 self._fill(0, set_idx, tag)
@@ -348,6 +357,7 @@ class Cache:
             return self._data.item(0, set_idx, word)
         way = self._find_way(set_idx, tag)
         if way is None:
+            self._check_line(tag)
             self.counters.read_misses += 1
             way = self._victim_way(set_idx)
             self._evict(way, set_idx)
@@ -372,6 +382,7 @@ class Cache:
                 self.counters.write_hits += 1
                 self.clock.cycles += self.cost.cache_hit
             else:
+                self._check_line(tag)
                 self.counters.write_misses += 1
                 self._evict(0, set_idx)
                 self._fill(0, set_idx, tag)
@@ -390,6 +401,7 @@ class Cache:
             return
         way = self._find_way(set_idx, tag)
         if way is None:
+            self._check_line(tag)
             self.counters.write_misses += 1
             way = self._victim_way(set_idx)
             self._evict(way, set_idx)
@@ -581,6 +593,7 @@ class Cache:
                 counters.read_hits += k
             self.clock.cycles += k * self.cost.cache_hit
         else:
+            self._check_line(tag)
             if write:
                 counters.write_misses += 1
                 counters.write_hits += k - 1

@@ -297,6 +297,18 @@ def _parse_size(text: str, what: str) -> int:
         raise ConfigurationError(f"bad {what} size {text!r}") from None
 
 
+def _count(text: str) -> int | None:
+    """``text`` as a count of plain decimal digits, or None if it is not
+    one (``str.isdigit`` also admits digits ``int`` rejects, such as
+    superscripts)."""
+    if not text.isdecimal():
+        return None
+    try:
+        return int(text)
+    except ValueError:          # beyond int()'s digit limit
+        return None
+
+
 def apply_geometry(config: MachineConfig, spec: str) -> MachineConfig:
     """Apply a compact hierarchy spec to a machine configuration.
 
@@ -327,20 +339,21 @@ def apply_geometry(config: MachineConfig, spec: str) -> MachineConfig:
         token = token.strip().lower()
         if not token:
             continue
-        if token.endswith("way") and token[:-3].isdigit():
-            dcache = replace(dcache, associativity=int(token[:-3]))
-        elif token.startswith("victim") and token[6:].isdigit():
-            victim_lines = int(token[6:])
+        if token.endswith("way") and (n := _count(token[:-3])) is not None:
+            dcache = replace(dcache, associativity=n)
+        elif (token.startswith("victim")
+              and (n := _count(token[6:])) is not None):
+            victim_lines = n
         elif token == "l2" or token.startswith("l2:"):
             size, ways = L2Geometry.size, L2Geometry.associativity
             if token.startswith("l2:"):
                 body = token[3:]
                 if "/" in body:
                     size_text, ways_text = body.split("/", 1)
-                    if not ways_text.isdigit():
+                    ways = _count(ways_text)
+                    if ways is None:
                         raise ConfigurationError(
                             f"bad L2 way count in {token!r}")
-                    ways = int(ways_text)
                 else:
                     size_text = body
                 size = _parse_size(size_text, "L2")

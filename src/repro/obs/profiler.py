@@ -342,22 +342,19 @@ def profile_run(workload_name: str, policy=None, scale: float | None = None,
                 config=None) -> ProfileReport:
     """Profile one paper workload end to end.
 
-    Boots a kernel, installs the standard scope set, runs setup /
-    execute / shutdown under their own scopes, and returns the report.
+    Boots a kernel (:func:`~repro.analysis.experiments.boot`), installs
+    the standard scope set, runs setup / execute / shutdown under their
+    own scopes, and returns the report.
     """
     import copy
 
-    from repro.analysis.experiments import (DEFAULT_SCALE,
-                                            evaluation_machine,
-                                            make_workload)
-    from repro.kernel.kernel import Kernel
+    from repro.analysis.experiments import DEFAULT_SCALE, boot, make_workload
     from repro.vm.policy import NEW_SYSTEM
 
     policy = policy if policy is not None else NEW_SYSTEM
     workload = make_workload(workload_name,
                              DEFAULT_SCALE if scale is None else scale)
-    kernel = Kernel(policy=policy, config=config or evaluation_machine(),
-                    buffer_cache_pages=48)
+    kernel = boot(policy, config).kernel
     before = copy.deepcopy(kernel.machine.counters)
     profiler = CycleProfiler(kernel.machine.clock)
     profiler.start(f"workload:{workload_name}")
@@ -372,5 +369,5 @@ def profile_run(workload_name: str, policy=None, scale: float | None = None,
     finally:
         patches.restore()
         profiler.stop()
-    return ProfileReport(workload_name, policy.name, profiler,
+    return ProfileReport(workload_name, kernel.cpolicy.name, profiler,
                          kernel.machine.counters, before=before)

@@ -30,9 +30,13 @@ import json
 
 import numpy as np
 
+from repro.analysis.experiments import (EVALUATION_BUFFER_CACHE_PAGES, boot,
+                                        evaluation_machine)
+from repro.errors import ConfigurationError
 from repro.hw.machine import Machine
 from repro.hw.stats import Reason
 from repro.obs.patch import Observer, Patches
+from repro.policy import resolve
 from repro.trace.format import (
     OP_BUS, OP_D_FLUSH, OP_D_INVAL, OP_D_PURGE, OP_D_READ_PAGE,
     OP_D_READ_RUN, OP_D_WRITE_PAGE, OP_D_WRITE_RUN, OP_D_ZERO_PAGE,
@@ -282,24 +286,22 @@ def record_run(workload, kernel, trace_events: bool = False,
     )
 
 
-def compile_workload(workload, policy, config=None, buffer_cache_pages=48,
+def compile_workload(workload, policy, config=None,
+                     buffer_cache_pages=EVALUATION_BUFFER_CACHE_PAGES,
                      inject: str | None = None, seed: int = 0,
                      conform: bool = False,
                      trace_events: bool = False) -> Trace:
-    """Build a kernel, run ``workload`` on it and compile the run.
+    """Boot a kernel, run ``workload`` on it and compile the run.
 
-    Composition happens here, at compile time: an injection plan arms the
-    fault injector (its effects — dropped or duplicated flushes, parity
-    recoveries, DMA retries — are baked into the recorded stream), and
-    ``conform`` shadows the run with the lockstep monitor (its divergence
-    events are recorded like any others).  Replay needs neither: a trace
-    replays below the level where kernels, injectors and monitors exist.
+    Composition happens here, at compile time: the kernel comes from
+    :func:`~repro.analysis.experiments.boot`, so an injection plan arms
+    the fault injector at boot, as for a live run (its effects — dropped
+    or duplicated flushes, parity recoveries, DMA retries — are baked
+    into the recorded stream), and ``conform`` shadows the execute
+    window with the lockstep monitor (its divergence events are recorded
+    like any others).  Replay needs neither: a trace replays below the
+    level where kernels, injectors and monitors exist.
     """
-    from repro.analysis.experiments import evaluation_machine
-    from repro.errors import ConfigurationError
-    from repro.kernel.kernel import Kernel
-    from repro.policy import resolve
-
     policy = resolve(policy)
     if policy.origin == "external":
         # Replay recomputes flush/purge costs from the encoded geometry
@@ -326,30 +328,14 @@ def compile_workload(workload, policy, config=None, buffer_cache_pages=48,
         raise ConfigurationError(
             f"trace compilation supports one CPU, not n_cpus="
             f"{config.n_cpus}; run the live simulator for SMP")
-    kernel = Kernel(policy=policy, config=config,
-                    buffer_cache_pages=buffer_cache_pages)
-    workload.setup(kernel)
-
-    injector = None
-    if inject:
-        from repro.faults import FaultInjector, FaultPlan
-
-        plan = FaultPlan.parse(inject, seed=seed)
-        injector = FaultInjector(plan, kernel.machine.clock)
-        injector.attach_kernel(kernel)
-
-    monitor = None
-    if conform:
-        from repro.conformance import ConformanceMonitor
-
-        monitor = ConformanceMonitor(kernel,
-                                     record_only=injector is not None)
-
-    meta = {"policy": getattr(policy, "name", str(policy)),
+    booted = boot(policy, config, buffer_cache_pages=buffer_cache_pages,
+                  inject=inject, seed=seed, conform=conform)
+    workload.setup(booted.kernel)
+    meta = {"policy": policy.name,
             "inject": inject, "seed": seed if inject else None,
             "conform": bool(conform), "events": bool(trace_events)}
-    trace = record_run(workload, kernel, trace_events=trace_events,
-                       meta=meta, monitor=monitor)
-    if monitor is not None:
-        trace.meta["divergences"] = len(monitor.divergences)
+    trace = record_run(workload, booted.kernel, trace_events=trace_events,
+                       meta=meta, monitor=booted.monitor)
+    if booted.monitor is not None:
+        trace.meta["divergences"] = len(booted.monitor.divergences)
     return trace

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.analysis.experiments
 import repro.cli
 from repro.cli import build_parser, main
 from repro.errors import StaleDataError
@@ -238,9 +239,23 @@ class TestBadInput:
         def stale(*args, **kwargs):
             raise StaleDataError("stale word", paddr=0x40)
 
-        monkeypatch.setattr(repro.cli, "run_workload", stale)
+        monkeypatch.setattr(repro.analysis.experiments, "run_workload",
+                            stale)
         with pytest.raises(StaleDataError, match="stale word"):
             main(["run", "afs-bench", "--scale", "0.01"])
+
+    @pytest.mark.parametrize("plan", ["pmap.flush.drop:abc",
+                                      "pmap.flush.drop:0.5:2:9"])
+    def test_a_malformed_fault_plan_is_rejected_before_boot(
+            self, capsys, monkeypatch, plan):
+        def must_not_boot(*args, **kwargs):
+            raise AssertionError("kernel booted before the plan was parsed")
+
+        monkeypatch.setattr(repro.analysis.experiments, "Kernel",
+                            must_not_boot)
+        assert main(["run", "latex-paper", "--inject", plan]) == 2
+        lines = self.one_line_error(capsys, f"fault plan item {plan!r}")
+        assert lines == [lines[-1]]
 
     # A missing input file is bad input too: one line, status 2.
 

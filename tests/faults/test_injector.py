@@ -2,6 +2,8 @@
 caps, scoping, and the audit trail."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults import (ALL_POINTS, CONSISTENCY_POINTS, DIVERGENCE_POINTS,
@@ -46,6 +48,37 @@ class TestPlanParsing:
     def test_parse_rejects_empty(self):
         with pytest.raises(ConfigurationError):
             FaultPlan.parse("  , ")
+
+    @pytest.mark.parametrize("spec", [
+        "pmap.flush.drop:abc",            # a rate that is not a number
+        "pmap.flush.drop:0.5:2:9",        # a fourth field
+        "pmap.flush.drop:0.5:1.5",        # a burst that is not an integer
+        "pmap.flush.drop:nan",
+        "pmap.flush.drop:0.5:0",
+        ":0.5",
+    ])
+    def test_parse_rejects_malformed_items(self, spec):
+        with pytest.raises(ConfigurationError):
+            FaultPlan.parse(spec)
+
+    FIELD = st.one_of(st.sampled_from(["0", "0.5", "1", "1.0", "2", "-1",
+                                       "1e9", "inf", "nan", "", "x"]),
+                      st.text(max_size=4))
+    ITEM = st.one_of(
+        st.text(max_size=12),
+        st.builds(lambda point, fields: ":".join([point] + fields),
+                  st.sampled_from(sorted(ALL_POINTS)),
+                  st.lists(FIELD, max_size=4)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(), st.lists(ITEM, max_size=4).map(",".join)))
+    def test_every_string_parses_or_is_a_configuration_error(self, spec):
+        try:
+            plan = FaultPlan.parse(spec)
+        except ConfigurationError:
+            return
+        assert plan.rules
+        assert all(rule.point in ALL_POINTS for rule in plan.rules)
 
 
 class TestDeterminism:

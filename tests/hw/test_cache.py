@@ -355,6 +355,36 @@ class TestAddressErrorParity:
         WORD_ENTRY_POINTS[entry](TestFramesOutOfRange.make(cell), GOOD, GOOD)
 
 
+class TestWordBeyondMemory:
+    """A word-granular access to a frame beyond physical memory is an
+    :class:`AddressError` raised on the miss path before the miss is
+    counted or a victim is written back, so no wrong tag is left behind
+    for a later access to hit."""
+
+    @pytest.mark.parametrize("entry", sorted(WORD_ENTRY_POINTS))
+    @pytest.mark.parametrize("cell", sorted(TestFramesOutOfRange.CELLS))
+    def test_rejected_before_any_change(self, cell, entry):
+        cache = TestFramesOutOfRange.make(cell)
+        before = TestFramesOutOfRange.state(cache)
+        with pytest.raises(AddressError, match="out of range"):
+            WORD_ENTRY_POINTS[entry](cache, GOOD, 4 * PAGE + 8)
+        assert TestFramesOutOfRange.state(cache) == before
+
+    def test_failed_store_leaves_no_tag_to_hit(self):
+        mem = PhysicalMemory(num_pages=4, page_size=PAGE)
+        clock, counters = Clock(), Counters()
+        cache = Cache(CacheGeometry(size=16 * 1024), mem, CostModel(),
+                      clock, counters)
+        cache.write(0, 0, 5)
+        before = TestFramesOutOfRange.state(cache)
+        with pytest.raises(AddressError, match="out of range"):
+            cache.write(0, 0x4000, 7)
+        assert TestFramesOutOfRange.state(cache) == before
+        with pytest.raises(AddressError, match="out of range"):
+            cache.read(0, 0x4000)
+        assert cache.read(0, 0) == 5
+
+
 class TestWriteThrough:
     def test_stores_reach_memory_immediately(self):
         cache, mem, clock, counters = make_cache(write_through=True)

@@ -1,6 +1,8 @@
 """Tests for cache geometry, cost model and machine configuration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hw.params import (CacheGeometry, CostModel, L2Geometry,
@@ -151,6 +153,27 @@ class TestApplyGeometry:
         for bad in ("3ways", "victimx", "l2:64k/x", "nope"):
             with pytest.raises(ConfigurationError):
                 apply_geometry(MachineConfig(), bad)
+
+    def test_rejects_digits_int_cannot_read(self):
+        # str.isdigit admits superscripts, which int() rejects.
+        for bad in ("\u00b2way", "victim\u00b2", "l2:64k/\u00b2"):
+            with pytest.raises(ConfigurationError):
+                apply_geometry(MachineConfig(), bad)
+
+    TOKEN = st.one_of(
+        st.sampled_from(["1way", "2way", "4way", "8way", "0way", "3way",
+                         "victim0", "victim8", "l2", "l2:64k/4", "l2:1m",
+                         "l2:64k/3", "l2:x", "wt", "pi", "WT", ""]),
+        st.text(max_size=8))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(), st.lists(TOKEN, max_size=4).map("+".join)))
+    def test_every_string_applies_or_is_a_configuration_error(self, spec):
+        try:
+            config = apply_geometry(MachineConfig(), spec)
+        except ConfigurationError:
+            return
+        assert isinstance(config, MachineConfig)
 
     def test_rejects_illegal_resulting_shape(self):
         # 8 ways of the 16 KiB small-machine dcache would leave each way

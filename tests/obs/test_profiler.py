@@ -166,3 +166,9 @@ class TestProfileRun:
         assert "per-reason breakdown" in text
         assert "reconciliation" in text
         assert "MISMATCH" not in text
+
+    def test_accepts_a_policy_name(self):
+        # Like every workload entry point, a registered name will do.
+        report = profile_run("latex-paper", policy="A", scale=0.1)
+        assert report.policy_name == "A"
+        assert report.ok
