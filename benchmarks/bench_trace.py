@@ -3,7 +3,9 @@ live block path, at the paper-scale settings of bench_full_scale.
 
 Each (workload, policy) pair is run once through the normal kernel
 (the block path — the baseline every table is produced on), then
-compiled to a trace and replayed three times; the median replay wall
+compiled to a trace (timed too: recording runs the same boot, setup
+and execute with the recorder attached, so compile over direct is the
+recording overhead) and replayed three times; the median replay wall
 time counts.  Replay is deterministic, so repeats differ by host noise
 only, and the median does not reward a lucky quiet moment as the best
 of the repeats would.
@@ -11,8 +13,8 @@ The replay must verify the equivalence contract — bit-identical clock
 and full-fidelity counters against what the recorder captured — or the
 measurement is void: a fast wrong replay is worthless.
 
-The measured rates, the per-pair and aggregate speedups, and the
-equivalence verdict are persisted to ``BENCH_trace.json`` at the repo
+The measured rates, the per-pair and aggregate speedups, the compile
+times and the equivalence verdict are persisted to ``BENCH_trace.json`` at the repo
 root; the CI ``trace`` job gates on aggregate speedup >= 5x with
 ``equivalent: true``.
 
@@ -56,7 +58,7 @@ MIN_SPEEDUP = 5.0
 def measure() -> dict:
     config = evaluation_machine(phys_pages=PHYS_PAGES)
     pairs = []
-    total_direct = total_replay = 0.0
+    total_direct = total_compile = total_replay = 0.0
     all_equivalent = True
     for name in NAMES:
         for policy_name in POLICIES:
@@ -67,9 +69,11 @@ def measure() -> dict:
                          buffer_cache_pages=BUFFER_CACHE_PAGES)
             direct = time.perf_counter() - t0
 
+            t0 = time.perf_counter()
             trace = compile_workload(
                 make_workload(name, FULL_SCALE), policy, config=config,
                 buffer_cache_pages=BUFFER_CACHE_PAGES)
+            compiled = time.perf_counter() - t0
             times = []
             for _ in range(REPLAY_REPEATS):
                 t0 = time.perf_counter()
@@ -78,12 +82,14 @@ def measure() -> dict:
                 all_equivalent = all_equivalent and result.equivalent
             replay = statistics.median(times)
             total_direct += direct
+            total_compile += compiled
             total_replay += replay
             pairs.append({
                 "workload": name,
                 "policy": policy_name,
                 "n_ops": result.n_ops,
                 "direct_seconds": round(direct, 6),
+                "compile_seconds": round(compiled, 6),
                 "replay_seconds": round(replay, 6),
                 "speedup": round(direct / replay, 2),
                 "equivalent": result.equivalent,
@@ -96,6 +102,9 @@ def measure() -> dict:
         "replay_repeats": REPLAY_REPEATS,
         "pairs": pairs,
         "direct_seconds": round(total_direct, 6),
+        "compile_seconds": round(total_compile, 6),
+        # compile over direct, both from boot to the end of execute
+        "recording_overhead": round(total_compile / total_direct, 2),
         "replay_seconds": round(total_replay, 6),
         "speedup": round(total_direct / total_replay, 2),
         "equivalent": all_equivalent,
@@ -108,13 +117,14 @@ def render(result: dict) -> str:
         f"(paper scale {result['scale']}, "
         f"{result['phys_pages']}-page machine)",
         "",
-        f"{'pair':<18} {'ops':>7} {'direct(s)':>10} {'replay(s)':>10} "
-        f"{'speedup':>8} {'equiv':>6}",
+        f"{'pair':<18} {'ops':>7} {'direct(s)':>10} {'compile(s)':>11} "
+        f"{'replay(s)':>10} {'speedup':>8} {'equiv':>6}",
     ]
     for pair in result["pairs"]:
         tag = f"{pair['workload']}/{pair['policy']}"
         lines.append(
             f"{tag:<18} {pair['n_ops']:>7} {pair['direct_seconds']:>10.3f} "
+            f"{pair['compile_seconds']:>11.3f} "
             f"{pair['replay_seconds']:>10.3f} {pair['speedup']:>7.2f}x "
             f"{str(pair['equivalent']).lower():>6}")
     lines.append("")
@@ -122,6 +132,9 @@ def render(result: dict) -> str:
                  f"{result['replay_seconds']:.3f}s replay = "
                  f"{result['speedup']}x, equivalent: "
                  f"{str(result['equivalent']).lower()}")
+    lines.append(f"recording: {result['compile_seconds']:.3f}s compile / "
+                 f"{result['direct_seconds']:.3f}s direct = "
+                 f"{result['recording_overhead']}x")
     return "\n".join(lines)
 
 

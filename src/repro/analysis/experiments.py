@@ -71,6 +71,16 @@ EVALUATION_BUFFER_CACHE_PAGES = 48
 
 
 @dataclass(frozen=True)
+class FailStop:
+    """A run an armed fault injector stopped: the :class:`ReproError`
+    the simulator detected and the injections that led to it.  Under
+    injection this is detection, a result of the run, not a crash."""
+
+    error: ReproError
+    injections: tuple
+
+
+@dataclass(frozen=True)
 class BootedKernel:
     """A kernel booted for one run, its armed fault injector and its
     unattached lockstep shadow (each ``None`` when not asked for)."""
@@ -79,20 +89,27 @@ class BootedKernel:
     injector: FaultInjector | None
     monitor: ConformanceMonitor | SmpConformanceMonitor | None
 
-    def run(self, workload: Workload) -> RunMetrics | ReproError:
-        """Run ``workload`` with the shadow attached; return its metrics
-        or, only when an injector is armed, the :class:`ReproError` that
-        fail-stopped it (detection, a result of the run).  Any other
-        failure propagates.  Callers read ``monitor.ok`` afterwards."""
-        if self.monitor is not None:
-            self.monitor.attach()
+    def guard(self, step, *args, **kwargs):
+        """Call ``step``; with an injector armed, return the
+        :class:`FailStop` of a :class:`ReproError` it raises.  Without
+        one, every failure propagates with its traceback."""
         try:
-            return run_workload(workload, self.kernel.cpolicy,
-                                kernel=self.kernel)
+            return step(*args, **kwargs)
         except ReproError as exc:
             if self.injector is None:
                 raise
-            return exc
+            return FailStop(exc, tuple(self.injector.audit))
+
+    def run(self, workload: Workload) -> RunMetrics | FailStop:
+        """Run ``workload`` with the shadow attached; return its metrics
+        or, only when an injector is armed, the :class:`FailStop` that
+        ended it (see :meth:`guard`).  Callers read ``monitor.ok``
+        afterwards."""
+        if self.monitor is not None:
+            self.monitor.attach()
+        try:
+            return self.guard(run_workload, workload, self.kernel.cpolicy,
+                              kernel=self.kernel)
         finally:
             if self.monitor is not None:
                 self.monitor.detach()

@@ -86,7 +86,7 @@ import sys
 
 from repro.analysis.charts import render_ladder_chart
 from repro.analysis.comparison import render_table5
-from repro.analysis.experiments import (DEFAULT_SCALE, boot,
+from repro.analysis.experiments import (DEFAULT_SCALE, FailStop, boot,
                                         evaluation_machine, make_workload,
                                         run_alignment_micro, run_table1,
                                         run_table4, run_table5_probe,
@@ -94,7 +94,7 @@ from repro.analysis.experiments import (DEFAULT_SCALE, boot,
 from repro.analysis.tables import (render_micro, render_overhead_summary,
                                    render_table1, render_table4)
 from repro.core.transitions import render_table2
-from repro.errors import ConfigurationError, ReproError, open_input
+from repro.errors import ConfigurationError, open_input
 from repro.policy import get_policy
 from repro.trace.format import TraceFormatError
 
@@ -148,6 +148,16 @@ def _print_points() -> None:
             print(f"  {point:<32} {POINT_DESCRIPTIONS[point]}")
 
 
+def _fail_stop(workload: str, policy, outcome: FailStop) -> None:
+    """Report a run an armed injector stopped, and exit 1."""
+    print(f"{workload} under configuration {policy.name}: "
+          f"fail-stop after {len(outcome.injections)} injections")
+    print(f"  detected: {type(outcome.error).__name__}: {outcome.error}")
+    for record in outcome.injections:
+        print(f"    {record}")
+    raise SystemExit(1)
+
+
 def _cmd_run(args) -> None:
     if args.list_points:
         return _print_points()
@@ -181,13 +191,8 @@ def _cmd_run(args) -> None:
                                 in sorted(trace_counts.items()))
             print(f"trace events: {total} written to {trace_path}"
                   + (f" ({summary})" if summary else ""))
-    if isinstance(outcome, ReproError):
-        print(f"{args.workload} under configuration {policy.name}: "
-              f"fail-stop after {len(injector.audit)} injections")
-        print(f"  detected: {type(outcome).__name__}: {outcome}")
-        for record in injector.audit:
-            print(f"    {record}")
-        raise SystemExit(1)
+    if isinstance(outcome, FailStop):
+        _fail_stop(args.workload, policy, outcome)
     metrics = outcome
     print(f"{metrics.workload_name} under configuration {policy.name} "
           f"({policy.description}):")
@@ -599,6 +604,8 @@ def _cmd_trace_compile(args) -> None:
                              policy, inject=args.inject, seed=args.seed,
                              conform=args.conform,
                              trace_events=args.record_events)
+    if isinstance(trace, FailStop):
+        _fail_stop(args.workload, policy, trace)
     save_trace(args.out, trace)
     print(f"compiled {args.workload}/{policy.name} at scale {args.scale}: "
           f"{len(trace.ops)} ops, {len(trace.values)} values, "

@@ -61,7 +61,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.farm.jobspec import JobSpec
 
 RUNNERS: dict = {}
@@ -89,8 +89,8 @@ def run_spec(spec: JobSpec) -> dict:
 @runner("workload")
 def _run_workload_job(spec: JobSpec) -> dict:
     from repro.analysis.experiments import (EVALUATION_BUFFER_CACHE_PAGES,
-                                            boot, evaluation_machine,
-                                            make_workload)
+                                            FailStop, boot,
+                                            evaluation_machine, make_workload)
     from repro.analysis.sweep import machine_with_dcache
     from repro.policy import get_policy
 
@@ -116,12 +116,12 @@ def _run_workload_job(spec: JobSpec) -> dict:
                   conform=bool(spec.get("conform", False)))
     outcome = booted.run(workload)
     kernel, injector, monitor = booted.kernel, booted.injector, booted.monitor
-    if isinstance(outcome, ReproError):
+    if isinstance(outcome, FailStop):
         # Under injection a fail-stop is *detection* — a deterministic
         # result of the spec, not an infrastructure failure to retry.
-        return {"failstop": {"type": type(outcome).__name__,
-                             "message": str(outcome)},
-                "injections": len(injector.audit)}
+        return {"failstop": {"type": type(outcome.error).__name__,
+                             "message": str(outcome.error)},
+                "injections": len(outcome.injections)}
     payload: dict = {"metrics": outcome.to_dict()}
     if kernel.machine.hierarchy is not None:
         counters = kernel.machine.counters

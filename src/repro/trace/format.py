@@ -33,14 +33,16 @@ as a delta rather than by enumerating its sources, so replay needs no
 TLB, kernel, oracle or injector.
 
 The artifact container is deliberately deterministic: a sorted-key JSON
-header line followed by raw little-endian array bytes.  Compiling the
-same workload twice in separate processes yields byte-identical files
-(``numpy.savez`` would not: zip members carry timestamps).
+header line followed by raw little-endian array bytes and the sidecar.
+Compiling the same workload twice in separate processes yields
+byte-identical files (``numpy.savez`` would not: zip members carry
+timestamps).  The header carries the sha256 of everything after it, so
+a damaged array region or sidecar is rejected on load.
 """
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -48,9 +50,9 @@ import numpy as np
 
 from repro.errors import ReproError, open_input
 from repro.hw.params import CacheGeometry, CostModel
-from repro.hw.stats import Counters, FaultKind, Reason
+from repro.hw.stats import SCALAR_FIELDS, Counters, FaultKind, Reason
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MAGIC = b"RTRACE1\n"
 
 # ---- opcodes ---------------------------------------------------------------
@@ -105,21 +107,38 @@ COUNTER_SCALARS = (
     "pages_made_uncached", "disk_retries", "tlb_parity_recoveries",
     "frames_quarantined",
 )
+#: scalars the codec leaves out.  Only configurations trace compilation
+#: rejects (SMP, a victim cache or L2, external policies) and
+#: ``map_superpage`` move them; :func:`~repro.trace.record.record_run`
+#: refuses a window in which one moved rather than drop it silently.
+UNENCODED_SCALARS = tuple(name for name in SCALAR_FIELDS
+                          if name not in COUNTER_SCALARS)
 COUNTER_PAIR_FIELDS = ("page_flushes", "page_purges",
                        "flush_cycles", "purge_cycles")   # (cache, Reason) -> n
 COUNTER_KIND_FIELDS = ("faults", "fault_cycles")          # FaultKind -> n
+COUNTER_DICT_FIELDS = COUNTER_PAIR_FIELDS + COUNTER_KIND_FIELDS
+
+
+def _pair_key(key) -> str:
+    cache, reason = key
+    return f"{cache}|{reason.value}"
+
+
+def _kind_key(kind) -> str:
+    return kind.value
+
+
+#: how each of ``COUNTER_DICT_FIELDS`` spells its keys in the image
+COUNTER_KEY_ENCODERS = ((_pair_key,) * len(COUNTER_PAIR_FIELDS)
+                        + (_kind_key,) * len(COUNTER_KIND_FIELDS))
 
 
 def encode_counters(counters: Counters) -> dict:
     """Lossless, JSON-able image of a :class:`Counters` instance."""
     state: dict = {name: getattr(counters, name) for name in COUNTER_SCALARS}
-    for name in COUNTER_PAIR_FIELDS:
-        state[name] = {f"{cache}|{reason.value}": n
-                       for (cache, reason), n in getattr(counters, name).items()
-                       if n}
-    for name in COUNTER_KIND_FIELDS:
-        state[name] = {kind.value: n
-                       for kind, n in getattr(counters, name).items() if n}
+    for name, key_of in zip(COUNTER_DICT_FIELDS, COUNTER_KEY_ENCODERS):
+        state[name] = {key_of(key): n
+                       for key, n in getattr(counters, name).items() if n}
     return state
 
 
@@ -137,7 +156,7 @@ def diff_counters(before: dict, after: dict) -> dict:
         d = after[name] - before[name]
         if d:
             delta[name] = d
-    for name in COUNTER_PAIR_FIELDS + COUNTER_KIND_FIELDS:
+    for name in COUNTER_DICT_FIELDS:
         b, a = before[name], after[name]
         sub = {key: a.get(key, 0) - b.get(key, 0)
                for key in set(a) | set(b)
@@ -232,6 +251,8 @@ def save_trace(path: str, trace: Trace) -> None:
               + _cache_arrays("icache", trace.start_icache))
     sidecar_bytes = json.dumps(trace.sidecar, sort_keys=True,
                                separators=(",", ":")).encode("utf-8")
+    payload = b"".join([np.ascontiguousarray(arr).tobytes()
+                        for _, arr in arrays] + [sidecar_bytes])
     header = {
         "format": FORMAT_VERSION,
         "meta": trace.meta,
@@ -247,17 +268,14 @@ def save_trace(path: str, trace: Trace) -> None:
         "arrays": [{"name": name, "shape": list(arr.shape)}
                    for name, arr in arrays],
         "sidecar_bytes": len(sidecar_bytes),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(json.dumps(header, sort_keys=True,
-                         separators=(",", ":")).encode("utf-8"))
-    buf.write(b"\n")
-    for _, arr in arrays:
-        buf.write(np.ascontiguousarray(arr).tobytes())
-    buf.write(sidecar_bytes)
     with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        f.write(MAGIC)
+        f.write(json.dumps(header, sort_keys=True,
+                           separators=(",", ":")).encode("utf-8"))
+        f.write(b"\n")
+        f.write(payload)
 
 
 _ARRAY_DTYPES = {
@@ -272,9 +290,10 @@ _ARRAY_DTYPES = {
 def load_trace(path: str) -> Trace:
     """Read an artifact written by :func:`save_trace`.
 
-    A file that is not a trace, or one cut short or garbled in its
-    header, array region or sidecar, raises :class:`TraceFormatError`; a
-    file that cannot be opened raises :class:`InputFileError`.
+    A file that is not a trace, one cut short, one whose header is
+    garbled or whose array region or sidecar fails the header's sha256
+    raises :class:`TraceFormatError`; a file that cannot be opened
+    raises :class:`InputFileError`.
     """
     with open_input(path, "rb") as f:
         blob = f.read()
@@ -288,14 +307,31 @@ def load_trace(path: str) -> Trace:
     except ValueError as exc:
         raise TraceFormatError(f"{path}: header is not JSON ({exc})") \
             from None
-    if header.get("format") != FORMAT_VERSION:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_VERSION:
+        found = header.get("format") if isinstance(header, dict) else None
         raise TraceFormatError(
-            f"trace format {header.get('format')} unsupported "
+            f"trace format {found} unsupported "
             f"(this build reads {FORMAT_VERSION})")
-    offset = nl + 1
+    payload = memoryview(blob)[nl + 1:]
+    if hashlib.sha256(payload).hexdigest() != header.get("payload_sha256"):
+        raise TraceFormatError(
+            f"{path}: array region and sidecar do not match the header's "
+            f"sha256 (the file is damaged or cut short)")
+    try:
+        return _decode(path, header, blob, nl + 1)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        # The payload is intact, so the header itself was altered.
+        raise TraceFormatError(f"{path}: header is malformed ({exc!r})") \
+            from None
+
+
+def _decode(path: str, header: dict, blob: bytes, offset: int) -> Trace:
     arrays = {}
     for spec in header["arrays"]:
         name, shape = spec["name"], tuple(spec["shape"])
+        if any(type(n) is not int or n < 0 for n in shape):
+            raise TraceFormatError(f"{path}: array {name!r} has shape "
+                                   f"{list(shape)}")
         dtype = np.dtype(_ARRAY_DTYPES[name])
         count = int(np.prod(shape))
         nbytes = dtype.itemsize * count

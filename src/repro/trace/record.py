@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 
 import numpy as np
 
-from repro.analysis.experiments import (EVALUATION_BUFFER_CACHE_PAGES, boot,
-                                        evaluation_machine)
+from repro.analysis.experiments import (EVALUATION_BUFFER_CACHE_PAGES,
+                                        FailStop, boot, evaluation_machine)
 from repro.errors import ConfigurationError
 from repro.hw.machine import Machine
 from repro.hw.stats import Reason
@@ -42,8 +43,9 @@ from repro.trace.format import (
     OP_D_READ_RUN, OP_D_WRITE_PAGE, OP_D_WRITE_RUN, OP_D_ZERO_PAGE,
     OP_I_FLUSH, OP_I_INVAL, OP_I_PURGE, OP_I_READ_PAGE, OP_I_READ_RUN,
     OP_I_WRITE_PAGE, OP_I_WRITE_RUN, OP_I_ZERO_PAGE, OP_MEM_WRITE,
-    OP_SYNC, OP_DTYPE, REASON_INDEX, CacheImage, Trace, diff_counters,
-    encode_cost, encode_counters, encode_geometry,
+    OP_SYNC, OP_DTYPE, REASON_INDEX, COUNTER_DICT_FIELDS,
+    COUNTER_KEY_ENCODERS, COUNTER_SCALARS, UNENCODED_SCALARS, CacheImage,
+    Trace, TraceFormatError, encode_cost, encode_counters, encode_geometry,
 )
 
 #: the cache entry points recorded at depth 0 (management + data ops).
@@ -54,6 +56,45 @@ _CACHE_METHODS = ("read", "write", "read_run", "write_run", "read_page",
 #: uncached stores); reads need no recording and ``write_line`` /
 #: ``zero_page`` have no depth-0 callers.
 _MEMORY_METHODS = ("write_word", "write_words", "write_page")
+
+_scalars = operator.attrgetter(*COUNTER_SCALARS)
+_unencoded = operator.attrgetter(*UNENCODED_SCALARS)
+_dicts = operator.attrgetter(*COUNTER_DICT_FIELDS)
+# dict's own equality, not Counter's (which counts a zero entry as
+# absent): a mark equals the live Counter only if no key was added.
+_dict_eq = dict.__eq__
+
+
+def _dict_delta(before: dict, after: dict, key_of) -> dict:
+    """The encoded, sparse ``after - before`` of one Counter field."""
+    sub = {}
+    added = 0
+    for key, n in after.items():
+        then = before.get(key)
+        if then is None:
+            added += 1
+            then = 0
+        if n != then:
+            sub[key_of(key)] = n - then
+    if len(before) > len(after) - added:     # some key left the Counter
+        for key, n in before.items():
+            if n and key not in after:
+                sub[key_of(key)] = -n
+    return sub
+
+
+def _remark(marks: tuple, dicts: tuple) -> tuple:
+    """The new dict marks: a copy of each Counter that moved, the old
+    copy of each that did not."""
+    return tuple(then if _dict_eq(then, now) else dict(now)
+                 for then, now in zip(marks, dicts))
+
+
+def _delta_key(delta: dict) -> frozenset:
+    """A hashable key equal for two deltas exactly when their canonical
+    JSON spellings are."""
+    return frozenset((name, frozenset(v.items()) if type(v) is dict else v)
+                     for name, v in delta.items())
 
 
 def capture_cache_image(cache) -> CacheImage:
@@ -73,15 +114,20 @@ class TraceRecorder(Observer):
         self._ops: list[tuple] = []
         self._values: list = []          # ints and uint64 arrays, in op order
         self._sidecar: list = []
-        self._sidecar_index: dict[str, int] = {}
-        self._clock_mark = 0
-        self._counters_mark: dict = {}
+        self._sidecar_index: dict = {}   # canonical key -> sidecar index
+        self._mark()
 
     # ---- drift reconciliation ------------------------------------------------
+    #
+    # The mark is the clock plus a raw snapshot of the counters: the
+    # scalars as one tuple and shallow copies of the six Counter fields,
+    # keyed as Counters keys them.  "Nothing moved" is one exact equality
+    # against the mark; only when something moved is the encoded delta
+    # built, from the changed keys alone.  It equals
+    # ``diff_counters(encode_counters(mark), encode_counters(now))``.
 
-    def _sidecar_ref(self, entry) -> int:
-        """Intern a sidecar entry; identical entries share one slot."""
-        key = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+    def _sidecar_ref(self, entry, key) -> int:
+        """Intern a sidecar entry under ``key``; equal keys share a slot."""
         idx = self._sidecar_index.get(key)
         if idx is None:
             idx = len(self._sidecar)
@@ -92,18 +138,50 @@ class TraceRecorder(Observer):
     def _pre_op(self) -> None:
         """Emit a SYNC for any clock/counter drift since the last op."""
         clock_now = self.clock.cycles
-        state_now = encode_counters(self.counters)
-        if clock_now == self._clock_mark and state_now == self._counters_mark:
+        scalars = _scalars(self.counters)
+        dicts = _dicts(self.counters)
+        marks = self._dicts_mark
+        dicts_still = all(map(_dict_eq, marks, dicts))
+        if (dicts_still and clock_now == self._clock_mark
+                and scalars == self._scalars_mark):
             return
-        delta = diff_counters(self._counters_mark, state_now)
-        aux = self._sidecar_ref(delta) if delta else -1
-        self._ops.append((OP_SYNC, 0, clock_now - self._clock_mark, 0, aux))
-        self._clock_mark = clock_now
-        self._counters_mark = state_now
+        delta = {}
+        if scalars != self._scalars_mark:
+            for name, now, then in zip(COUNTER_SCALARS, scalars,
+                                       self._scalars_mark):
+                if now != then:
+                    delta[name] = now - then
+        if not dicts_still:
+            for name, then, now, key_of in zip(COUNTER_DICT_FIELDS, marks,
+                                               dicts, COUNTER_KEY_ENCODERS):
+                if not _dict_eq(then, now):
+                    sub = _dict_delta(then, now, key_of)
+                    if sub:
+                        delta[name] = sub
+            self._dicts_mark = _remark(marks, dicts)
+        self._scalars_mark = scalars
+        # Zero-valued Counter entries move the raw dicts but encode to
+        # nothing: with the clock still, there is no drift to emit.
+        if delta or clock_now != self._clock_mark:
+            aux = (self._sidecar_ref(delta, _delta_key(delta)) if delta
+                   else -1)
+            self._ops.append((OP_SYNC, 0, clock_now - self._clock_mark, 0,
+                              aux))
+            self._clock_mark = clock_now
+
+    def _mark(self) -> None:
+        self._clock_mark = self.clock.cycles
+        self._scalars_mark = _scalars(self.counters)
+        self._dicts_mark = tuple(map(dict, _dicts(self.counters)))
 
     def _post_op(self) -> None:
         self._clock_mark = self.clock.cycles
-        self._counters_mark = encode_counters(self.counters)
+        self._scalars_mark = _scalars(self.counters)
+        dicts = _dicts(self.counters)
+        marks = self._dicts_mark
+        # Management ops alone move the Counter fields; copy only then.
+        if not all(map(_dict_eq, marks, dicts)):
+            self._dicts_mark = _remark(marks, dicts)
 
     # ---- wrapping -------------------------------------------------------------
 
@@ -160,8 +238,7 @@ class TraceRecorder(Observer):
 
     def _install(self, patches: Patches) -> None:
         machine = self.machine
-        self._clock_mark = self.clock.cycles
-        self._counters_mark = encode_counters(self.counters)
+        self._mark()
         self._wrap_cache(patches, machine.dcache, {
             "run_r": OP_D_READ_RUN, "run_w": OP_D_WRITE_RUN,
             "page_r": OP_D_READ_PAGE, "page_w": OP_D_WRITE_PAGE,
@@ -207,7 +284,9 @@ class TraceRecorder(Observer):
         # renders to the same JSONL bytes (Event.to_json applies
         # default=str to the same leaves).
         jsonable = json.loads(json.dumps(detail, default=str))
-        self._emit(OP_BUS, aux=self._sidecar_ref({"k": kind, "d": jsonable}))
+        entry = {"k": kind, "d": jsonable}
+        key = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        self._emit(OP_BUS, aux=self._sidecar_ref(entry, key))
 
     # ---- assembly -------------------------------------------------------------
 
@@ -236,6 +315,9 @@ def record_run(workload, kernel, trace_events: bool = False,
     contract (its hash is stored; replay must reproduce it bit for bit).
     An unattached :class:`ConformanceMonitor` may be passed in; it is
     attached outside the recorder (see the module docstring on ordering).
+    A window that moves a counter the codec does not encode
+    (:data:`~repro.trace.format.UNENCODED_SCALARS`) raises
+    :class:`TraceFormatError`: replay could not reproduce it.
     """
     machine = kernel.machine
     events: list = []
@@ -248,6 +330,7 @@ def record_run(workload, kernel, trace_events: bool = False,
     start_icache = capture_cache_image(machine.icache)
     start_clock = machine.clock.cycles
     start_counters = encode_counters(machine.counters)
+    start_unencoded = _unencoded(machine.counters)
 
     recorder = TraceRecorder(machine).attach()
     if monitor is not None:
@@ -261,6 +344,13 @@ def record_run(workload, kernel, trace_events: bool = False,
         if trace_events:
             machine.bus.unsubscribe(events.append)
             machine.bus.disable()
+    moved = [name for name, then, now in zip(
+        UNENCODED_SCALARS, start_unencoded, _unencoded(machine.counters))
+        if now != then]
+    if moved:
+        raise TraceFormatError(
+            f"{workload.name}: {', '.join(moved)} moved during the "
+            f"recorded window; the trace format does not encode them")
     ops, values, sidecar = recorder.finish()
 
     jsonl = sha = None
@@ -290,7 +380,7 @@ def compile_workload(workload, policy, config=None,
                      buffer_cache_pages=EVALUATION_BUFFER_CACHE_PAGES,
                      inject: str | None = None, seed: int = 0,
                      conform: bool = False,
-                     trace_events: bool = False) -> Trace:
+                     trace_events: bool = False) -> Trace | FailStop:
     """Boot a kernel, run ``workload`` on it and compile the run.
 
     Composition happens here, at compile time: the kernel comes from
@@ -300,7 +390,10 @@ def compile_workload(workload, policy, config=None,
     into the recorded stream), and ``conform`` shadows the execute
     window with the lockstep monitor (its divergence events are recorded
     like any others).  Replay needs neither: a trace replays below the
-    level where kernels, injectors and monitors exist.
+    level where kernels, injectors and monitors exist.  Setup and the
+    recorded window share :meth:`BootedKernel.guard`'s fail-stop rule:
+    when an armed plan stops the run, the result is its
+    :class:`~repro.analysis.experiments.FailStop`, not a trace.
     """
     policy = resolve(policy)
     if policy.origin == "external":
@@ -330,12 +423,17 @@ def compile_workload(workload, policy, config=None,
             f"{config.n_cpus}; run the live simulator for SMP")
     booted = boot(policy, config, buffer_cache_pages=buffer_cache_pages,
                   inject=inject, seed=seed, conform=conform)
-    workload.setup(booted.kernel)
     meta = {"policy": policy.name,
             "inject": inject, "seed": seed if inject else None,
             "conform": bool(conform), "events": bool(trace_events)}
-    trace = record_run(workload, booted.kernel, trace_events=trace_events,
-                       meta=meta, monitor=booted.monitor)
-    if booted.monitor is not None:
+
+    def setup_and_record() -> Trace:
+        workload.setup(booted.kernel)
+        return record_run(workload, booted.kernel,
+                          trace_events=trace_events, meta=meta,
+                          monitor=booted.monitor)
+
+    trace = booted.guard(setup_and_record)
+    if booted.monitor is not None and isinstance(trace, Trace):
         trace.meta["divergences"] = len(booted.monitor.divergences)
     return trace

@@ -6,6 +6,7 @@ import pytest
 
 import repro.analysis.experiments
 import repro.cli
+import repro.trace.record
 from repro.cli import build_parser, main
 from repro.errors import StaleDataError
 
@@ -243,6 +244,38 @@ class TestBadInput:
                             stale)
         with pytest.raises(StaleDataError, match="stale word"):
             main(["run", "afs-bench", "--scale", "0.01"])
+
+    def test_trace_compile_reports_an_injected_fail_stop(self, capsys,
+                                                         tmp_path):
+        # The same plan fail-stops `run`; compile reports it the same
+        # way and writes no artifact.
+        out_path = tmp_path / "x.trace"
+        argv = ["latex-paper", "--scale", "0.1",
+                "--inject", "disk.read.missing"]
+        reports = []
+        for command in (["run"], ["trace", "compile"]):
+            extra = ["--out", str(out_path)] if command != ["run"] else []
+            with pytest.raises(SystemExit) as exc:
+                main(command + argv + extra)
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            reports.append(captured.out)
+        assert "fail-stop after 1 injections" in reports[1]
+        assert "detected: KernelError" in reports[1]
+        assert reports[1] == reports[0]
+        assert not out_path.exists()
+
+    def test_trace_compile_failure_keeps_its_traceback(self, monkeypatch,
+                                                       tmp_path):
+        # Without an injector nothing turns a failure into a result.
+        def stale(*args, **kwargs):
+            raise StaleDataError("stale word", paddr=0x40)
+
+        monkeypatch.setattr(repro.trace.record, "record_run", stale)
+        with pytest.raises(StaleDataError, match="stale word"):
+            main(["trace", "compile", "latex-paper", "--scale", "0.1",
+                  "--out", str(tmp_path / "x.trace")])
 
     @pytest.mark.parametrize("plan", ["pmap.flush.drop:abc",
                                       "pmap.flush.drop:0.5:2:9"])

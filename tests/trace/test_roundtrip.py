@@ -247,3 +247,51 @@ class TestMalformedArtifacts:
         magic, _, sidecar = self.regions(blob)
         at = magic if region == "header" else sidecar
         self.load(tmp_path, blob[:at] + b"\xff" + blob[at + 1:])
+
+    def test_a_flipped_payload_byte_fails_the_sha256(self, blob, tmp_path):
+        _, nl, sidecar = self.regions(blob)
+        for at in (nl + 1, (nl + 1 + sidecar) // 2, len(blob) - 1):
+            damaged = blob[:at] + bytes([blob[at] ^ 0x01]) + blob[at + 1:]
+            path = tmp_path / "damaged.trace"
+            path.write_bytes(damaged)
+            with pytest.raises(TraceFormatError, match="sha256"):
+                load_trace(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_damage_loads_or_raises_a_format_error(self, blob,
+                                                       tmp_path_factory,
+                                                       data):
+        """A flipped byte anywhere, or a cut anywhere, either still loads
+        — only the header can have changed, the sha256 guards the rest —
+        or raises TraceFormatError; never another exception."""
+        _, nl, _ = self.regions(blob)
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = blob[:data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            # Half the flips land in the header, where JSON has the most
+            # ways to stay valid.
+            at = data.draw(st.one_of(st.integers(0, nl),
+                                     st.integers(0, len(blob) - 1)))
+            bit = data.draw(st.integers(0, 7))
+            damaged = (blob[:at] + bytes([blob[at] ^ (1 << bit)])
+                       + blob[at + 1:])
+        path = tmp_path_factory.mktemp("fuzz") / "damaged.trace"
+        path.write_bytes(damaged)
+        try:
+            trace = load_trace(path)
+        except TraceFormatError:
+            return
+        original = load_trace(self.original(blob, tmp_path_factory))
+        assert np.array_equal(trace.ops, original.ops)
+        assert np.array_equal(trace.values, original.values)
+        assert trace.sidecar == original.sidecar
+        again = path.with_name("again.trace")
+        save_trace(again, trace)
+        load_trace(again)
+
+    @staticmethod
+    def original(blob, tmp_path_factory):
+        path = tmp_path_factory.mktemp("orig") / "t.trace"
+        path.write_bytes(blob)
+        return path
