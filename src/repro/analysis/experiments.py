@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.hw.params import MachineConfig
 from repro.kernel.kernel import Kernel
 from repro.vm.policy import (CONFIG_LADDER, NEW_SYSTEM, OLD_SYSTEM,
@@ -62,6 +62,11 @@ WORKLOADS = {
 
 
 def make_workload(name: str, scale: float = DEFAULT_SCALE) -> Workload:
+    """The paper workload ``name`` at ``scale``; an unknown name raises
+    :class:`ConfigurationError`."""
+    if name not in WORKLOADS:
+        raise ConfigurationError(f"unknown workload {name!r}; known: "
+                                 f"{', '.join(sorted(WORKLOADS))}")
     return WORKLOADS[name](scale)
 
 

@@ -537,9 +537,13 @@ def _cmd_farm(args) -> None:
         raise SystemExit("farm run requires --specs FILE.jsonl")
     specs = []
     with open_input(args.specs) as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             if line.strip():
-                specs.append(JobSpec.from_dict(json.loads(line)))
+                try:
+                    specs.append(JobSpec.from_json(line))
+                except ConfigurationError as exc:
+                    raise ConfigurationError(
+                        f"{args.specs}:{number}: {exc}") from None
     executor, finish = _farm_setup(args, default_cache=True)
     try:
         outcomes = executor.run(specs)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
@@ -33,18 +34,27 @@ _SCALARS = (str, int, float, bool, type(None))
 
 
 def _check_value(key: str, value):
-    if isinstance(value, bool) or value is None or isinstance(value, _SCALARS):
-        return value
-    if isinstance(value, (tuple, list)):
-        for item in value:
-            if not isinstance(item, _SCALARS):
-                raise ConfigurationError(
-                    f"job parameter {key!r} holds a non-scalar element "
-                    f"{item!r}")
-        return tuple(value)
-    raise ConfigurationError(
-        f"job parameter {key!r} must be a JSON scalar or a flat tuple, "
-        f"got {value!r}")
+    flat = isinstance(value, (tuple, list))
+    for item in value if flat else (value,):
+        if not isinstance(item, _SCALARS):
+            raise ConfigurationError(
+                f"job parameter {key!r} must be a JSON scalar or a flat "
+                f"tuple of them, got {value!r}")
+        if isinstance(item, float) and not math.isfinite(item):
+            # NaN never equals itself, so it could not round-trip a spec.
+            raise ConfigurationError(
+                f"job parameter {key!r} must be finite, got {value!r}")
+    return tuple(value) if flat else value
+
+
+def _canonical_params(params: dict) -> tuple[tuple[str, object], ...]:
+    """Validated, sorted parameters, ``None`` values dropped."""
+    for key in params:
+        if not isinstance(key, str):
+            raise ConfigurationError(
+                f"job parameter names must be strings, got {key!r}")
+    return tuple(sorted((k, _check_value(k, v))
+                        for k, v in params.items() if v is not None))
 
 
 @dataclass(frozen=True)
@@ -60,9 +70,7 @@ class JobSpec:
     def make(cls, kind: str, **params) -> "JobSpec":
         """Build a spec; parameters are validated and canonically sorted,
         and ``None`` values are dropped (absent == default)."""
-        items = tuple(sorted((k, _check_value(k, v))
-                             for k, v in params.items() if v is not None))
-        return cls(kind=kind, params=items)
+        return cls(kind=kind, params=_canonical_params(params))
 
     # The consumer-facing constructors; one per job kind the farm runs.
 
@@ -174,7 +182,36 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
-        return cls.make(data["kind"], **data["params"])
+        """The spec :meth:`to_dict` encoded.  Anything else — not an
+        object, other keys than ``kind`` and ``params``, a non-string
+        ``kind``, a non-object ``params``, a bad parameter — raises
+        :class:`ConfigurationError`."""
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"a job spec must be a JSON object, not {type(data).__name__}")
+        if set(data) != {"kind", "params"}:
+            raise ConfigurationError(
+                "a job spec must have exactly the keys 'kind' and "
+                f"'params', got {', '.join(sorted(map(repr, data))) or 'none'}")
+        kind, params = data["kind"], data["params"]
+        if not isinstance(kind, str):
+            raise ConfigurationError(
+                f"job kind must be a string, got {kind!r}")
+        if not isinstance(params, dict):
+            raise ConfigurationError(
+                "job params must be a JSON object, not "
+                f"{type(params).__name__}")
+        return cls(kind=kind, params=_canonical_params(params))
+
+    @classmethod
+    def from_json(cls, text: str) -> "JobSpec":
+        """The spec one line of a spec batch holds (:meth:`from_dict` of
+        its JSON); malformed JSON raises :class:`ConfigurationError`."""
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigurationError(f"not a JSON job spec: {exc}") from None
+        return cls.from_dict(data)
 
     def canonical(self) -> str:
         """The canonical JSON encoding the content hash is taken over

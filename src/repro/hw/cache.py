@@ -170,10 +170,13 @@ class Cache:
     """One cache (data or instruction) with full content simulation.
 
     Word-level operations (:meth:`read`, :meth:`write`) model individual
-    CPU accesses.  Page-level operations (:meth:`read_page`,
+    CPU accesses; they, every one-line run and every associative run or
+    page access go through one line step (:meth:`_claim_line`) for any
+    number of ways.  Page-level operations (:meth:`read_page`,
     :meth:`write_page`, :meth:`flush_page_frame`, :meth:`purge_page_frame`)
-    are vectorized fast paths with identical semantics to the equivalent
-    word/line loops; the kernel uses them for page preparation and cache
+    are vectorized fast paths on a direct-mapped cache, with the contents
+    of the equivalent word/line loops (see :meth:`read_page` for their
+    accounting); the kernel uses them for page preparation and cache
     management, exactly as Mach's machine-dependent layer loops FDC/PDC
     over a page.
     """
@@ -247,9 +250,10 @@ class Cache:
         The set comes from the virtual address, or from the physical one
         on a physically indexed cache."""
         geo = self.geo
-        if vaddr % WORD_SIZE or paddr % WORD_SIZE:
+        # Low bits decide both checks, so each is one bitwise op.
+        if (vaddr | paddr) % WORD_SIZE:
             raise AddressError("cache word access must be word aligned")
-        if vaddr % geo.page_size != paddr % geo.page_size:
+        if (vaddr ^ paddr) % geo.page_size:
             raise AddressError(
                 "virtual and physical addresses must share the page offset")
         line_size = geo.line_size
@@ -266,35 +270,33 @@ class Cache:
                                f"{tag * self.geo.line_size:#x} out of range")
 
     def _find_way(self, set_idx: int, tag: int) -> int | None:
+        tags = self._tags
         for way in range(self.geo.associativity):
-            if self._tags[way, set_idx] == tag:
+            if tags.item(way, set_idx) == tag:
                 return way
         return None
 
     def _victim_way(self, set_idx: int) -> int:
-        """The way a miss in ``set_idx`` will replace.
+        """The way a miss in ``set_idx`` of an associative cache will
+        replace.
 
         Deterministic by construction, in two stages:
 
         1. the *lowest-numbered invalid* way, if any (ways fill in index
            order from a purged cache);
         2. otherwise the way with the *smallest LRU stamp* — true LRU,
-           since :meth:`_touch` assigns stamps from a strictly increasing
-           tick, so stamps within a set are unique and ``argmin`` never
-           needs a tie-break.
+           since :meth:`_claim_line` assigns stamps from a strictly
+           increasing tick, so stamps within a set are unique and the
+           minimum never needs a tie-break.
 
         Pinned by the eviction-order regression tests at 2 and 4 ways
-        (``tests/hw/test_cache.py``).
+        (``tests/hw/test_hierarchy.py``).
         """
-        tags = self._tags[:, set_idx]
-        empties = np.flatnonzero(tags == _INVALID)
-        if len(empties):
-            return int(empties[0])
-        return int(np.argmin(self._lru[:, set_idx]))
-
-    def _touch(self, way: int, set_idx: int) -> None:
-        self._tick += 1
-        self._lru[way, set_idx] = self._tick
+        tags = self._tags[:, set_idx].tolist()
+        if _INVALID in tags:
+            return tags.index(_INVALID)
+        stamps = self._lru[:, set_idx].tolist()
+        return stamps.index(min(stamps))
 
     def _write_back_line(self, way: int, set_idx: int) -> None:
         tag = int(self._tags[way, set_idx])
@@ -336,37 +338,69 @@ class Cache:
             self._fill_epoch[way, set_idx] = self.hierarchy.epoch_of(tag)
         self._dirty[way, set_idx] = False
 
+    # ---- the line step --------------------------------------------------------
+
+    def _claim_line(self, set_idx: int, tag: int, k: int,
+                    write: bool) -> int:
+        """The word loop's ``k`` accesses to one line, as one step, on
+        any number of ways; returns the line's way.
+
+        A hit costs one tag compare (direct-mapped) or one pass over the
+        ways (:meth:`_find_way`).  A miss checks the line
+        (:meth:`_check_line`), then evicts the way :meth:`_victim_way`
+        names and fills it.  The accesses count one miss and ``k - 1``
+        hits (or ``k`` hits) with their cycles, and the LRU stamp ends
+        ``k`` ticks later, where the word loop leaves it.  A write also
+        takes the store's tail, for a word and a run's slice alike: a
+        write-back line turns dirty; write-through charges a write-back
+        per word (the caller stores to memory) and, with a hierarchy,
+        bumps the line's epoch once and re-stamps it (the epoch only has
+        to differ from stale fill stamps, not count stores).
+        """
+        ways = self.geo.associativity
+        if ways == 1:
+            way = 0 if self._tags.item(0, set_idx) == tag else None
+        else:
+            way = self._find_way(set_idx, tag)
+        if way is not None:
+            if write:
+                self.counters.write_hits += k
+            else:
+                self.counters.read_hits += k
+            self.clock.cycles += k * self.cost.cache_hit
+        else:
+            self._check_line(tag)
+            counters = self.counters
+            if write:
+                counters.write_misses += 1
+                counters.write_hits += k - 1
+            else:
+                counters.read_misses += 1
+                counters.read_hits += k - 1
+            way = self._victim_way(set_idx) if ways > 1 else 0
+            self._evict(way, set_idx)
+            self._fill(way, set_idx, tag)
+            self.clock.cycles += (k - 1) * self.cost.cache_hit
+        self._tick += k
+        self._lru[way, set_idx] = self._tick
+        if write:
+            if not self.geo.write_through:
+                self._dirty[way, set_idx] = True
+            else:
+                self.clock.cycles += k * self.cost.write_back
+                if self.hierarchy is not None:
+                    self.hierarchy.note_memory_write(tag)
+                    self._fill_epoch[way, set_idx] = \
+                        self.hierarchy.epoch_of(tag)
+        return way
+
     # ---- word access -------------------------------------------------------
 
     def read(self, vaddr: int, paddr: int) -> int:
         """CPU load of the word at (vaddr -> paddr); returns its value."""
         set_idx, tag, word = self._decode(vaddr, paddr)
-        if self.geo.associativity == 1:
-            # Direct-mapped fast path: no way search, and ndarray.item()
-            # avoids boxing the tag/value into numpy scalars.
-            if self._tags.item(0, set_idx) == tag:
-                self.counters.read_hits += 1
-                self.clock.cycles += self.cost.cache_hit
-            else:
-                self._check_line(tag)
-                self.counters.read_misses += 1
-                self._evict(0, set_idx)
-                self._fill(0, set_idx, tag)
-            self._tick += 1
-            self._lru[0, set_idx] = self._tick
-            return self._data.item(0, set_idx, word)
-        way = self._find_way(set_idx, tag)
-        if way is None:
-            self._check_line(tag)
-            self.counters.read_misses += 1
-            way = self._victim_way(set_idx)
-            self._evict(way, set_idx)
-            self._fill(way, set_idx, tag)
-        else:
-            self.counters.read_hits += 1
-            self.clock.advance(self.cost.cache_hit)
-        self._touch(way, set_idx)
-        return int(self._data[way, set_idx, word])
+        way = self._claim_line(set_idx, tag, 1, False)
+        return self._data.item(way, set_idx, word)
 
     def write(self, vaddr: int, paddr: int, value: int) -> None:
         """CPU store of the word at (vaddr -> paddr).
@@ -376,49 +410,21 @@ class Cache:
         never dirties a line (the Section 3.3 write-through variant).
         """
         set_idx, tag, word = self._decode(vaddr, paddr)
-        geo = self.geo
-        if geo.associativity == 1:
-            if self._tags.item(0, set_idx) == tag:
-                self.counters.write_hits += 1
-                self.clock.cycles += self.cost.cache_hit
-            else:
-                self._check_line(tag)
-                self.counters.write_misses += 1
-                self._evict(0, set_idx)
-                self._fill(0, set_idx, tag)
-            self._tick += 1
-            self._lru[0, set_idx] = self._tick
-            self._data[0, set_idx, word] = value
-            if geo.write_through:
-                self.memory.write_word(paddr, value)
-                self.clock.cycles += self.cost.write_back
-                if self.hierarchy is not None:
-                    self.hierarchy.note_memory_write(tag)
-                    self._fill_epoch[0, set_idx] = \
-                        self.hierarchy.epoch_of(tag)
-            else:
-                self._dirty[0, set_idx] = True
-            return
-        way = self._find_way(set_idx, tag)
-        if way is None:
-            self._check_line(tag)
-            self.counters.write_misses += 1
-            way = self._victim_way(set_idx)
-            self._evict(way, set_idx)
-            self._fill(way, set_idx, tag)
-        else:
-            self.counters.write_hits += 1
-            self.clock.advance(self.cost.cache_hit)
-        self._touch(way, set_idx)
-        self._data[way, set_idx, word] = np.uint64(value)
-        if geo.write_through:
+        way = self._claim_line(set_idx, tag, 1, True)
+        self._data[way, set_idx, word] = value
+        if self.geo.write_through:
             self.memory.write_word(paddr, value)
-            self.clock.advance(self.cost.write_back)
-            if self.hierarchy is not None:
-                self.hierarchy.note_memory_write(tag)
-                self._fill_epoch[way, set_idx] = self.hierarchy.epoch_of(tag)
-        else:
-            self._dirty[way, set_idx] = True
+
+    def _store_line(self, set_idx: int, tag: int, word: int,
+                    chunk: np.ndarray, paddr: int) -> None:
+        """Store ``chunk`` into one line from word ``word`` on (physical
+        address ``paddr``): one claim, one slice store and, write-through,
+        one memory store."""
+        k = len(chunk)
+        way = self._claim_line(set_idx, tag, k, True)
+        self._data[way, set_idx, word:word + k] = chunk
+        if self.geo.write_through:
+            self.memory.write_words(paddr, chunk)
 
     # ---- contiguous word runs (the batched access engine) --------------------
 
@@ -431,10 +437,12 @@ class Cache:
         Returns ``(sets, want, offsets)``: the set slice the run covers,
         the physical line tags it wants, and each line's LRU stamp as an
         offset from the current tick (the running count of run words up
-        to the end of that line: the word loop's last touch of the line).
+        to the end of that line: the word loop's last touch of the line,
+        and the end of the line's words in the run, :meth:`_run_lines`).
 
-        ``want`` is a read-only slice of the page's :meth:`_page_tags`,
-        which also rejects a page outside physical memory.
+        A run must stay within one page; ``want`` is a read-only slice of
+        the page's :meth:`_page_tags`, which also rejects a page outside
+        physical memory.  Both checks come before any change.
         """
         geo = self.geo
         if vaddr // geo.page_size != \
@@ -448,6 +456,39 @@ class Cache:
                             dtype=np.int64)
         offsets[-1] = n_words
         return slice(s0, s0 + n_lines), want, offsets
+
+    def _run_lines(self, vaddr: int, paddr: int, n_words: int, s0: int,
+                   tag: int, word: int) -> list[tuple[int, int, int, int, int]]:
+        """The lines of a run (arguments as :meth:`_run_shape`, whose
+        checks it shares), in order, as ``(set index, line tag, first
+        word in the line, start, end)``: the line holds the run's words
+        ``start`` up to ``end``.  The one walk of associative runs and
+        pages, and of every per-line probe and snoop."""
+        bounds = [0] + self._run_shape(vaddr, paddr, n_words, s0, tag,
+                                       word)[2].tolist()
+        return [(s0 + i, tag + i, word if i == 0 else 0, start, end)
+                for i, (start, end) in enumerate(zip(bounds, bounds[1:]))]
+
+    def _read_lines(self, vaddr: int, paddr: int, n_words: int, s0: int,
+                    tag: int, word: int) -> np.ndarray:
+        """An associative run or page read: one claim and one slice copy
+        per line of the walk."""
+        out = np.empty(n_words, dtype=np.uint64)
+        for set_idx, line, first, start, end in self._run_lines(
+                vaddr, paddr, n_words, s0, tag, word):
+            way = self._claim_line(set_idx, line, end - start, False)
+            out[start:end] = self._data[way, set_idx,
+                                        first:first + end - start]
+        return out
+
+    def _write_lines(self, vaddr: int, paddr: int, values: np.ndarray,
+                     s0: int, tag: int, word: int) -> None:
+        """An associative run or page write: one :meth:`_store_line` per
+        line of the walk."""
+        for set_idx, line, first, start, end in self._run_lines(
+                vaddr, paddr, len(values), s0, tag, word):
+            self._store_line(set_idx, line, first, values[start:end],
+                             paddr + start * WORD_SIZE)
 
     def _claim_lines(self, sets: slice, want: np.ndarray) -> int:
         """Make the lines ``want`` of a direct-mapped run or page resident
@@ -468,30 +509,6 @@ class Cache:
                               + n_wb * self.cost.write_back)
         return n_miss
 
-    def _read_words(self, vaddr: int, paddr: int, n_words: int) -> np.ndarray:
-        """The word loop an associative cache runs for a run or page read.
-
-        It calls the class's :meth:`read`, so that an observer wrapping
-        this instance's entry points sees the run once, not once more per
-        word.  A page outside physical memory raises before any access
-        (:meth:`_page_tags`)."""
-        self._page_tags(paddr - paddr % self.geo.page_size)
-        read = Cache.read
-        out = np.empty(n_words, dtype=np.uint64)
-        for i in range(n_words):
-            off = i * WORD_SIZE
-            out[i] = read(self, vaddr + off, paddr + off)
-        return out
-
-    def _write_words(self, vaddr: int, paddr: int, values) -> None:
-        """The word loop an associative cache runs for a run or page
-        write, through the class's :meth:`write` (see :meth:`_read_words`)."""
-        self._page_tags(paddr - paddr % self.geo.page_size)
-        write = Cache.write
-        for i in range(len(values)):
-            off = i * WORD_SIZE
-            write(self, vaddr + off, paddr + off, int(values[i]))
-
     def read_run(self, vaddr: int, paddr: int, n_words: int) -> np.ndarray:
         """Read ``n_words`` consecutive words starting at (vaddr -> paddr).
 
@@ -504,27 +521,28 @@ class Cache:
         write-backs and line fills touch disjoint memory and commute with
         the word loop's interleaved order).
 
-        On a direct-mapped cache a run that lies in one line (every
-        syscall request and reply) is one tag check (:meth:`_claim_line`)
-        and one copied slice — the trace interpreter's one-line rule;
-        every other run takes the vectorized path (:meth:`_run_shape`,
-        :meth:`_claim_lines`).  Associative caches take the word loop
-        (:meth:`_read_words`).  A zero-word run changes nothing; a
-        negative length raises :class:`AddressError` before any change.
-        The returned array is always fresh: the caller owns it, and
-        writing into it changes no line.
+        A run that lies in one line (every syscall request and reply) is
+        one line step (:meth:`_claim_line`) and one copied slice, on any
+        cache — the trace interpreter's one-line rule.  A longer run is
+        one line step per line on an associative cache
+        (:meth:`_read_lines`) and vectorized on a direct-mapped one
+        (:meth:`_run_shape`, :meth:`_claim_lines`).  A zero-word run
+        changes nothing; a negative length raises :class:`AddressError`
+        before any change.  The returned array is always fresh: the
+        caller owns it, and writing into it changes no line.
         """
         if n_words < 1:
             if n_words:
                 raise AddressError(
                     f"run length must be non-negative, got {n_words}")
             return np.empty(0, dtype=np.uint64)
-        if self.geo.associativity > 1:
-            return self._read_words(vaddr, paddr, n_words)
         set_idx, tag, word = self._decode(vaddr, paddr)
         if word + n_words <= self.geo.words_per_line:
-            self._claim_line(set_idx, tag, n_words, False)
-            return self._data[0, set_idx, word:word + n_words].copy()
+            way = self._claim_line(set_idx, tag, n_words, False)
+            return self._data[way, set_idx, word:word + n_words].copy()
+        if self.geo.associativity > 1:
+            return self._read_lines(vaddr, paddr, n_words, set_idx, tag,
+                                    word)
         sets, want, offsets = self._run_shape(vaddr, paddr, n_words,
                                               set_idx, tag, word)
         n_miss = self._claim_lines(sets, want)
@@ -539,21 +557,22 @@ class Cache:
         """Store ``values`` to consecutive words starting at (vaddr -> paddr).
 
         Word-loop equivalent, by the same paths as :meth:`read_run` (a run
-        in one line is one :meth:`_store_line`); like the word loop it
-        fills every missing line before storing into it, so partially
+        in one line is one :meth:`_store_line`; a longer associative run
+        one per line, :meth:`_write_lines`); like the word loop it fills
+        every missing line before storing into it, so partially
         overwritten lines keep their memory contents.  No values, no
         change.
         """
         n_words = len(values)
         if not n_words:
             return
-        if self.geo.associativity > 1:
-            self._write_words(vaddr, paddr, values)
-            return
         set_idx, tag, word = self._decode(vaddr, paddr)
         values = np.asarray(values, dtype=np.uint64)
         if word + n_words <= self.geo.words_per_line:
             self._store_line(set_idx, tag, word, values, paddr)
+            return
+        if self.geo.associativity > 1:
+            self._write_lines(vaddr, paddr, values, set_idx, tag, word)
             return
         sets, want, offsets = self._run_shape(vaddr, paddr, n_words,
                                               set_idx, tag, word)
@@ -576,53 +595,6 @@ class Cache:
         self.clock.advance(cycles)
         self._lru[0, sets] = self._tick + offsets
         self._tick += n_words
-
-    def _claim_line(self, set_idx: int, tag: int, k: int,
-                    write: bool) -> None:
-        """The word loop's ``k`` accesses to the one line of a run: a
-        miss on the first word (evict, fill) or a hit, ``k - 1`` hits
-        after it, tallied as reads or writes, and an LRU stamp that ends
-        ``k`` ticks later.  The one tag check and accounting shared by
-        :meth:`read_run` and :meth:`_store_line`.
-        """
-        counters = self.counters
-        if self._tags.item(0, set_idx) == tag:
-            if write:
-                counters.write_hits += k
-            else:
-                counters.read_hits += k
-            self.clock.cycles += k * self.cost.cache_hit
-        else:
-            self._check_line(tag)
-            if write:
-                counters.write_misses += 1
-                counters.write_hits += k - 1
-            else:
-                counters.read_misses += 1
-                counters.read_hits += k - 1
-            self._evict(0, set_idx)
-            self._fill(0, set_idx, tag)
-            self.clock.cycles += (k - 1) * self.cost.cache_hit
-        self._tick += k
-        self._lru[0, set_idx] = self._tick
-
-    def _store_line(self, set_idx: int, tag: int, word: int,
-                    chunk: np.ndarray, paddr: int) -> None:
-        """Store ``chunk`` into one line from word ``word`` on (physical
-        address ``paddr``).  A write-through line reaches memory in one
-        store and, with a hierarchy, bumps its epoch once, as in the
-        vectorized path."""
-        k = len(chunk)
-        self._claim_line(set_idx, tag, k, True)
-        self._data[0, set_idx, word:word + k] = chunk
-        if self.geo.write_through:
-            self.memory.write_words(paddr, chunk)
-            self.clock.cycles += k * self.cost.write_back
-            if self.hierarchy is not None:
-                self.hierarchy.note_memory_write(tag)
-                self._fill_epoch[0, set_idx] = self.hierarchy.epoch_of(tag)
-        else:
-            self._dirty[0, set_idx] = True
 
     # ---- page-granularity helpers -------------------------------------------
 
@@ -770,13 +742,14 @@ class Cache:
         word: a resident line counts one read hit and ``words_per_line``
         hit cycles, a missing line one read miss and one line fill (after
         its dirty victim's write-back), and no LRU stamp moves.  An
-        associative cache runs the word loop (:meth:`_read_words`), so
-        there every word counts.
+        associative cache reads the page as a run, one line step per
+        line (:meth:`_read_lines`), so there every word counts.
         """
         self._check_page_pair(va_page_base, pa_page_base)
         if self.geo.associativity > 1:
-            return self._read_words(va_page_base, pa_page_base,
-                                    self.geo.words_per_page)
+            return self._read_lines(va_page_base, pa_page_base,
+                                    self.geo.words_per_page,
+                                    *self._decode(va_page_base, pa_page_base))
         want = self._page_tags(pa_page_base)
         sets = self._page_sets(self.cache_page_of(va_page_base, pa_page_base))
         n_miss = self._claim_lines(sets, want)
@@ -797,14 +770,17 @@ class Cache:
         line is left dirty.  On a direct-mapped cache this counts no hit
         or miss and moves no LRU stamp: it charges ``words_per_page`` hit
         cycles (plus a write-back per word in write-through mode) and the
-        victims' write-backs.  An associative cache runs the word loop
-        (:meth:`_write_words`), so there every word counts.
+        victims' write-backs.  An associative cache writes the page as a
+        run, one line step per line (:meth:`_write_lines`), so there
+        every word counts.
         """
         self._check_page_pair(va_page_base, pa_page_base)
         if len(values) != self.geo.words_per_page:
             raise AddressError("write_page requires exactly one page of words")
         if self.geo.associativity > 1:
-            self._write_words(va_page_base, pa_page_base, values)
+            self._write_lines(va_page_base, pa_page_base,
+                              np.asarray(values, dtype=np.uint64),
+                              *self._decode(va_page_base, pa_page_base))
             return
         want = self._page_tags(pa_page_base)
         sets = self._page_sets(self.cache_page_of(va_page_base, pa_page_base))
@@ -901,29 +877,21 @@ class Cache:
             self._tags[way, set_idx] = _INVALID
         return found
 
-    def _run_lines(self, vaddr: int, paddr: int,
-                   n_words: int) -> list[tuple[int, int]]:
-        """The ``(set index, line tag)`` of each line of a run, in order:
-        the walk the per-line probe and snoop paths take."""
-        s0, tag, word = self._decode(vaddr, paddr)
-        num_sets = self.geo.num_sets
-        n_lines = (word + n_words - 1) // self.geo.words_per_line + 1
-        return [((s0 + i) % num_sets, tag + i) for i in range(n_lines)]
-
     def probe_run(self, vaddr: int, paddr: int, n_words: int) -> tuple[int, int]:
         """Count (resident, dirty) equivalent lines of a run, mutating
         nothing — the cluster asks this before deciding whether a snoop
         (or an injected snoop race) is even relevant."""
+        decoded = self._decode(vaddr, paddr)
         if self.geo.associativity > 1:
             found = dirty = 0
-            for set_idx, tag in self._run_lines(vaddr, paddr, n_words):
+            for set_idx, tag, *_ in self._run_lines(vaddr, paddr, n_words,
+                                                    *decoded):
                 way = self._find_way(set_idx, tag)
                 if way is not None:
                     found += 1
                     dirty += bool(self._dirty[way, set_idx])
             return found, dirty
-        sets, want, _ = self._run_shape(vaddr, paddr, n_words,
-                                        *self._decode(vaddr, paddr))
+        sets, want, _ = self._run_shape(vaddr, paddr, n_words, *decoded)
         hit = self._tags[0, sets] == want
         return int(hit.sum()), int((hit & self._dirty[0, sets]).sum())
 
@@ -940,14 +908,14 @@ class Cache:
         write-back does.
         """
         geo = self.geo
+        decoded = self._decode(vaddr, paddr)
         if geo.associativity > 1 or self.hierarchy is not None:
             found = [self.snoop(set_idx, tag, invalidate,
                                 write_back=write_back)
-                     for set_idx, tag in self._run_lines(vaddr, paddr,
-                                                         n_words)]
+                     for set_idx, tag, *_ in self._run_lines(
+                         vaddr, paddr, n_words, *decoded)]
             return len(found) - found.count(None), found.count("dirty")
-        sets, want, _ = self._run_shape(vaddr, paddr, n_words,
-                                        *self._decode(vaddr, paddr))
+        sets, want, _ = self._run_shape(vaddr, paddr, n_words, *decoded)
         tags = self._tags[0, sets]
         hit = tags == want
         n_found = int(hit.sum())

@@ -312,6 +312,22 @@ class TestBadInput:
         lines = self.one_line_error(capsys, f"cannot read {missing}")
         assert lines == [lines[-1]]
 
+    @pytest.mark.parametrize("line,message", [
+        ('{"params":{}}', "a job spec must have exactly the keys 'kind' "
+                          "and 'params', got 'params'"),
+        ("not json", "not a JSON job spec"),
+        ("[1,2]", "a job spec must be a JSON object, not list"),
+    ])
+    def test_farm_run_of_a_malformed_spec_line(self, capsys, tmp_path, line,
+                                               message):
+        specs = tmp_path / "batch.jsonl"
+        specs.write_text('{"kind":"selftest","params":{}}\n\n' + line + "\n")
+        assert main(["farm", "run", "--specs", str(specs),
+                     "--cache-dir", str(tmp_path / "cache")]) == 2
+        lines = self.one_line_error(capsys, f"{specs}:3: {message}")
+        assert lines == [lines[-1]]
+        assert not (tmp_path / "cache").exists()
+
     def test_farm_run_of_a_missing_spec_batch(self, capsys, tmp_path):
         missing = tmp_path / "absent.jsonl"
         assert main(["farm", "run", "--specs", str(missing),

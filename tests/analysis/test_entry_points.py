@@ -4,9 +4,9 @@
 ``workload`` job and ``compile_workload`` must report the same cycles and
 counters for the same policy and geometry.  kernel-build at scale 0.5
 presses on the evaluation buffer cache, so a path that booted a
-different buffer cache would read different cycles here.  A 2-way data
-cache runs every page operation as a word loop (about 3 s a run at this
-scale), so that geometry runs under policy F only.
+different buffer cache would read different cycles here.  The 2- and
+4-way cells run under both policies: policy A's eager flushes put the
+associative page operations and runs on the path.
 """
 
 import functools
@@ -30,7 +30,7 @@ from repro.trace.format import decode_counters
 
 WORKLOAD, SCALE = "kernel-build", 0.5
 CELLS = [(policy, geometry) for policy in ("A", "F")
-         for geometry in (None, "wt", "victim8")] + [("F", "2way")]
+         for geometry in (None, "wt", "victim8", "2way", "4way")]
 
 
 def config_for(geometry):

@@ -13,6 +13,8 @@ from repro.analysis.experiments import (evaluation_machine, run_alignment_micro,
                                         make_workload)
 from repro.analysis.tables import (render_micro, render_overhead_summary,
                                    render_table1, render_table4)
+from repro.errors import ConfigurationError
+from repro.farm import Executor, JobSpec
 from repro.vm.policy import CONFIG_LADDER
 
 SCALE = 0.25
@@ -137,6 +139,17 @@ class TestHarness:
     def test_make_workload_names(self):
         for name in ("afs-bench", "latex-paper", "kernel-build"):
             assert make_workload(name, 0.25).name == name
+
+    def test_unknown_workload_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="unknown workload 'nope'"):
+            make_workload("nope")
+
+    def test_a_farm_job_naming_an_unknown_workload_fails_typed(self):
+        spec = JobSpec.workload(workload="nope", policy="F", scale=0.1)
+        (outcome,) = Executor(jobs=1, retries=0).run([spec])
+        assert not outcome.ok
+        assert "ConfigurationError: unknown workload 'nope'" in \
+            outcome.failure.message
 
     def test_run_workload_reports_config(self):
         metrics = run_workload(make_workload("latex-paper", SCALE),

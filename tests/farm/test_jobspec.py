@@ -88,6 +88,69 @@ class TestEncoding:
         assert JobSpec.chaos(seed=9).label().startswith("chaos(")
 
 
+# Any JSON value, nested a little; floats include NaN and infinities.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+# Near-miss spec objects: keys, kinds and params of the right and the
+# wrong shapes.
+spec_objects = st.dictionaries(
+    st.sampled_from(["kind", "params", "extra"]),
+    st.text("abcxyz", max_size=6) | json_values | params,
+    max_size=3)
+spec_lines = (st.text(max_size=40)
+              | json_values.map(json.dumps)
+              | spec_objects.map(json.dumps)
+              | params.map(lambda p: json.dumps({"kind": "selftest",
+                                                 "params": p})))
+
+
+class TestParsing:
+    """A spec batch line is a spec that round-trips, or a
+    :class:`ConfigurationError`, never another exception."""
+
+    @pytest.mark.parametrize("line,message", [
+        ('{"params":{}}', "exactly the keys 'kind' and 'params'"),
+        ('{"kind":"selftest"}', "exactly the keys 'kind' and 'params'"),
+        ('{"kind":"selftest","params":{},"x":1}', "exactly the keys"),
+        ("not json", "not a JSON job spec"),
+        ("[1,2]", "must be a JSON object, not list"),
+        ('{"kind":7,"params":{}}', "job kind must be a string"),
+        ('{"kind":"selftest","params":[]}', "params must be a JSON object"),
+        ('{"kind":"selftest","params":{"a":{"b":1}}}', "JSON scalar"),
+        ('{"kind":"selftest","params":{"a":[[1]]}}', "JSON scalar"),
+        ('{"kind":"selftest","params":{"a":NaN}}', "must be finite"),
+        ('{"kind":"selftest","params":{"a":[Infinity]}}', "must be finite"),
+    ])
+    def test_malformed_lines(self, line, message):
+        with pytest.raises(ConfigurationError, match=message):
+            JobSpec.from_json(line)
+
+    def test_parameter_names_must_be_strings(self):
+        with pytest.raises(ConfigurationError, match="must be strings"):
+            JobSpec.from_dict({"kind": "selftest", "params": {1: 2}})
+
+    def test_a_parameter_may_be_named_like_an_argument(self):
+        spec = JobSpec.from_json(
+            '{"kind":"selftest","params":{"kind":1,"cls":2}}')
+        assert spec["kind"] == 1 and spec["cls"] == 2
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(spec_lines)
+    def test_every_line_round_trips_or_is_rejected(self, line):
+        try:
+            spec = JobSpec.from_json(line)
+        except ConfigurationError:
+            return
+        again = JobSpec.from_json(json.dumps(spec.to_dict()))
+        assert again == spec
+        assert again.canonical() == spec.canonical()
+
+
 class TestKeys:
     FP = "f" * 64
 

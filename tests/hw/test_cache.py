@@ -333,6 +333,17 @@ BAD_PAIRS = {
 }
 
 
+# Every run entry point with a run from 8 bytes before the end of page 0:
+# four words cross into page 1.
+CROSSING_RUNS = {
+    "read_run": lambda c, a: c.read_run(a, a, 4),
+    "write_run": lambda c, a: c.write_run(a, a,
+                                          np.arange(4, dtype=np.uint64)),
+    "probe_run": lambda c, a: c.probe_run(a, a, 4),
+    "snoop_run": lambda c, a: c.snoop_run(a, a, 4, invalidate=True),
+}
+
+
 class TestAddressErrorParity:
     """Every word-granular entry point rejects a bad address pair with
     the same :class:`AddressError`, before any change."""
@@ -353,6 +364,17 @@ class TestAddressErrorParity:
     @pytest.mark.parametrize("cell", sorted(TestFramesOutOfRange.CELLS))
     def test_good_pair_accepted(self, cell, entry):
         WORD_ENTRY_POINTS[entry](TestFramesOutOfRange.make(cell), GOOD, GOOD)
+
+    @pytest.mark.parametrize("entry", sorted(CROSSING_RUNS))
+    @pytest.mark.parametrize("cell", sorted(TestFramesOutOfRange.CELLS))
+    def test_run_crossing_a_page_rejected_before_any_change(self, cell,
+                                                             entry):
+        cache = TestFramesOutOfRange.make(cell)
+        before = TestFramesOutOfRange.state(cache)
+        with pytest.raises(AddressError) as info:
+            CROSSING_RUNS[entry](cache, PAGE - 8)
+        assert str(info.value) == "a cache run must stay within one page"
+        assert TestFramesOutOfRange.state(cache) == before
 
 
 class TestWordBeyondMemory:
