@@ -11,8 +11,7 @@ invariant, which is itself worth checking).
 from conftest import emit, farm_executor
 
 from repro.analysis.metrics import RunMetrics
-from repro.farm import JobSpec
-from repro.farm.suites import FarmJobError
+from repro.farm import JobSpec, job_payloads
 
 FULL_MACHINE = dict(phys_pages=1024)
 FULL_SCALE = 5.0     # kernel-build: 200 sources; afs-bench: 80 files
@@ -23,7 +22,7 @@ NAMES = ("afs-bench", "kernel-build")
 def test_full_scale(once):
     # The four paper-scale runs are independent pure jobs — the shape of
     # work the simulation farm exists for.  REPRO_FARM_JOBS shards them;
-    # the default executor runs the identical serial path.
+    # by default they run in this process.
     executor = farm_executor()
     specs = [JobSpec.workload(workload=name, policy=policy,
                               scale=FULL_SCALE,
@@ -32,12 +31,8 @@ def test_full_scale(once):
              for name in NAMES for policy in ("A", "F")]
 
     def run():
-        outcomes = executor.run(specs)
-        for outcome in outcomes:
-            if not outcome.ok:
-                raise FarmJobError(outcome)
-        metrics = [RunMetrics.from_dict(o.payload["metrics"])
-                   for o in outcomes]
+        metrics = [RunMetrics.from_dict(payload["metrics"])
+                   for payload in job_payloads(executor, specs)]
         return {name: (metrics[2 * i], metrics[2 * i + 1])
                 for i, name in enumerate(NAMES)}
 

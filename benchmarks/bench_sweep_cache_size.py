@@ -13,25 +13,20 @@ and the old-vs-new gap persisting at every size.
 
 from conftest import SCALE, emit, farm_executor
 
-from repro.analysis.sweep import render_sweep, sweep_cache_sizes
-from repro.vm.policy import CONFIG_A, CONFIG_F
+from repro.analysis.sweep import render_sweep, run_sweep
 
 SIZES = (32, 64, 256)
 
 
 def test_cache_size_sweep(once):
     # Each (policy, size) point is one farm job: REPRO_FARM_JOBS shards
-    # the sweep, REPRO_FARM_CACHE makes reruns near-free; the default is
-    # the serial path, point-for-point identical (tests/farm asserts so).
+    # the sweep, REPRO_FARM_CACHE makes reruns near-free; the default
+    # runs every job in this process, point-for-point identical.
     executor = farm_executor()
 
     def run():
-        return {
-            "A": sweep_cache_sizes("kernel-build", CONFIG_A, SIZES, SCALE,
-                                   executor=executor),
-            "F": sweep_cache_sizes("kernel-build", CONFIG_F, SIZES, SCALE,
-                                   executor=executor),
-        }
+        return run_sweep("kernel-build", ("A", "F"), SIZES, SCALE,
+                         executor=executor)
 
     sweeps = once(run)
     emit("sweep_cache_size", render_sweep(sweeps, "kernel-build"))

@@ -29,7 +29,7 @@ OUT_DIR = pathlib.Path(__file__).parent / "out"
 SCALE = DEFAULT_SCALE
 
 #: how wide the farm-wired benches run (bench_sweep_cache_size,
-#: bench_full_scale); 1 == the historical serial path, bit-identical.
+#: bench_full_scale); 1 runs every job in this process, bit-identical.
 FARM_JOBS = int(os.environ.get("REPRO_FARM_JOBS", "1"))
 
 

@@ -3,7 +3,7 @@ paper's tables."""
 
 from repro.analysis.charts import render_comparison_chart, render_ladder_chart
 from repro.analysis.comparison import SystemTraits, render_table5, table5_matrix
-from repro.analysis.sweep import SweepPoint, render_sweep, sweep_cache_sizes
+from repro.analysis.sweep import SweepPoint, render_sweep, run_sweep
 from repro.analysis.trace import Tracer
 from repro.analysis.experiments import (Table1Row, evaluation_machine,
                                         make_workload, run_alignment_micro,
@@ -20,5 +20,5 @@ __all__ = [
     "render_table5", "render_micro", "render_overhead_summary",
     "SystemTraits", "table5_matrix", "Tracer",
     "render_ladder_chart", "render_comparison_chart",
-    "SweepPoint", "sweep_cache_sizes", "render_sweep",
+    "SweepPoint", "run_sweep", "render_sweep",
 ]

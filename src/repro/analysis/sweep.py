@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.experiments import make_workload, run_workload
 from repro.analysis.metrics import RunMetrics
 from repro.hw.params import CacheGeometry, MachineConfig
-from repro.policy import ConsistencyPolicy, get_policy
-from repro.vm.policy import PolicyConfig
+from repro.policy import get_policy
 
 
 @dataclass(frozen=True)
@@ -44,58 +42,34 @@ def machine_with_dcache(kib: int, phys_pages: int = 320) -> MachineConfig:
         phys_pages=phys_pages)
 
 
-def sweep_cache_sizes(workload_name: str,
-                      policy: ConsistencyPolicy | PolicyConfig,
-                      sizes_kib: tuple[int, ...] = (32, 64, 128, 256),
-                      scale: float = 0.5, jobs: int = 1,
-                      executor=None,
-                      geometry: str | None = None) -> list[SweepPoint]:
-    """Run one workload/policy across data-cache sizes.
-
-    With ``jobs > 1`` (or an explicit farm ``executor``) each size runs
-    as one farm job — identical points, sharded and cacheable (see
-    :mod:`repro.farm`); every sweep point is a pure function of
-    (workload, policy, size, scale, geometry).  ``geometry`` is an
-    :func:`~repro.hw.params.apply_geometry` spec ("2way+victim8+l2")
-    applied on top of each resized machine."""
-    if jobs <= 1 and executor is None:
-        points = []
-        for kib in sizes_kib:
-            config = machine_with_dcache(kib)
-            if geometry is not None:
-                from repro.hw.params import apply_geometry
-                config = apply_geometry(config, geometry)
-            metrics = run_workload(make_workload(workload_name, scale),
-                                   policy, config=config)
-            points.append(SweepPoint(kib, metrics))
-        return points
-    from repro.farm import Executor, farm_sweep_points
-
-    if executor is None:
-        executor = Executor(jobs=jobs)
-    return farm_sweep_points(workload_name, policy.name, tuple(sizes_kib),
-                             scale, executor, geometry=geometry)
-
-
 def run_sweep(workload_name: str, policy_names: tuple[str, ...],
               sizes_kib: tuple[int, ...], scale: float = 0.5,
-              jobs: int = 1, executor=None,
+              executor=None,
               geometry: str | None = None) -> dict[str, list[SweepPoint]]:
-    """The CLI's sweep: every policy across every cache size.  When
-    farmed, the whole (policy, size) grid runs as one spec batch, so
-    every point shares the worker pool."""
-    policies = [get_policy(name) for name in policy_names]  # fail fast
-    if jobs <= 1 and executor is None:
-        return {name: sweep_cache_sizes(workload_name, policy,
-                                        sizes_kib, scale, geometry=geometry)
-                for name, policy in zip(policy_names, policies)}
-    from repro.farm import Executor, farm_sweep_grid
+    """Every policy across every data-cache size: ``{policy: [SweepPoint]}``
+    in the order given.
 
-    if executor is None:
-        executor = Executor(jobs=jobs)
-    return farm_sweep_grid(workload_name, tuple(policy_names),
-                           tuple(sizes_kib), scale, executor,
-                           geometry=geometry)
+    The whole (policy, size) grid is one farm spec batch run on
+    ``executor`` (default: in-process, ``Executor()``), so every point
+    shares the worker pool and the result cache; each point is a pure
+    function of (workload, policy, size, scale, geometry).  ``geometry``
+    is an :func:`~repro.hw.params.apply_geometry` spec ("2way+victim8+l2")
+    applied on top of each resized machine."""
+    for name in policy_names:
+        get_policy(name)  # fail fast, before any job runs
+    from repro.farm import Executor, JobSpec, job_payloads
+
+    grid = [(name, kib) for name in policy_names for kib in sizes_kib]
+    specs = [JobSpec.workload(workload=workload_name, policy=name,
+                              scale=scale, dcache_kib=kib,
+                              geometry=geometry)
+             for name, kib in grid]
+    points: dict[str, list[SweepPoint]] = {name: [] for name in policy_names}
+    for (name, kib), payload in zip(grid, job_payloads(executor or Executor(),
+                                                       specs)):
+        points[name].append(
+            SweepPoint(kib, RunMetrics.from_dict(payload["metrics"])))
+    return points
 
 
 def sweep_to_dict(points_by_policy: dict[str, list[SweepPoint]],

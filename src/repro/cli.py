@@ -69,10 +69,11 @@ docs/policies.md) usable wherever ``--policy`` is accepted;
 purges, faults, DMA, injections, divergences) to a JSONL file (see
 docs/observability.md).
 
-``sweep`` runs cache-size sweeps and ``chaos``/``conform`` accept
-``--jobs N``: work shards across the simulation farm's worker pool with
-per-job timeouts, bounded retries, and a content-addressed result cache
-that makes reruns near-free (see docs/farm.md); ``farm`` inspects and
+``sweep``, ``chaos`` and ``conform`` run their batches as simulation
+farm jobs: in this process by default, across a worker pool with
+``--jobs N`` (per-job timeouts, retries of hung or dead workers; a job
+that raises fails at once), and through a content-addressed result
+cache that makes reruns near-free (see docs/farm.md); ``farm`` inspects and
 maintains that cache (``stats``/``gc``/``clear``) or runs an arbitrary
 spec batch from a JSONL file (``run --specs``).  Farm commands accept
 ``--trace-events FILE`` to stream fleet progress (jobs queued, started,
@@ -255,6 +256,12 @@ def _farm_setup(args, default_cache: bool = False):
     return executor, handle.close
 
 
+def _farm_flags(args) -> bool:
+    """Whether a command whose batches always run on the farm was given
+    a farm flag, and so reports the ``farm:`` summary line."""
+    return bool(args.jobs > 1 or args.cache_dir or args.trace_events)
+
+
 def _farm_line(executor, stats=None) -> str:
     s = stats if stats is not None else executor.stats
     line = (f"farm: {s.jobs} jobs, {s.done} done, {s.failed} failed, "
@@ -292,22 +299,16 @@ def _cmd_chaos(args) -> None:
                else [p for p in PRESETS
                      if p != "control"
                      and (args.cpus > 1 or p != "snoop")])
-    # The classic in-process loop unless a farm flag asks for sharding,
-    # caching, or progress events — jobs=1 farm runs are bit-identical.
-    farmed = bool(args.jobs > 1 or args.cache_dir or args.trace_events)
-    executor, finish = _farm_setup(args) if farmed else (None, lambda: None)
+    executor, finish = _farm_setup(args)
     reports = []
     totals = None
-    policy_kwargs = ({"policy": args.policy}
-                     if getattr(args, "policy", None) else {})
     try:
         for preset in presets:
             reports += run_chaos_suite(
                 range(args.seed, args.seed + args.plans),
                 preset=preset, steps=args.steps, executor=executor,
-                n_cpus=args.cpus, **policy_kwargs)
-            if executor is not None:
-                totals = _merge_stats(totals, executor.stats)
+                n_cpus=args.cpus, policy=args.policy)
+            totals = _merge_stats(totals, executor.stats)
     finally:
         finish()
     print(render_suite(reports))
@@ -320,7 +321,7 @@ def _cmd_chaos(args) -> None:
                             for cpu, n in sorted(per_cpu.items()))
         print(f"per-CPU lockstep divergences ({args.cpus} CPUs): "
               f"{shadows or 'none'}")
-    if executor is not None:
+    if _farm_flags(args):
         print(_farm_line(executor, totals))
     if any(not r.ok for r in reports):
         raise SystemExit(1)
@@ -387,7 +388,8 @@ def _cmd_serve(args) -> None:
 
 
 def _cmd_conform(args) -> None:
-    from repro.conformance import ArcCoverage, Explorer, apply_mutant
+    from repro.conformance import (ArcCoverage, ConformanceSummary, Explorer,
+                                   apply_mutant)
 
     if args.mutant:
         with apply_mutant(args.mutant):
@@ -404,25 +406,17 @@ def _cmd_conform(args) -> None:
               f"shortest shrunk witness {shortest} events)")
         return
 
+    from repro.farm import JobSpec, farm_explore, job_payloads
+
     failed = False
-    totals = None
-    # --jobs N farms the explorer sweep (independently seeded shards,
-    # coverage merged) and the three workload shadow runs; the serial
-    # path below is untouched when jobs is 1 and no farm flag is set.
-    farmed = bool(args.jobs > 1 or args.cache_dir or args.trace_events)
-    executor, finish = _farm_setup(args) if farmed else (None, lambda: None)
+    executor, finish = _farm_setup(args)
     try:
         # 1. The seeded sweep: many deep sequences, zero divergences
-        #    expected.
-        if executor is None:
-            sweep = Explorer(num_cache_pages=args.cache_pages,
-                             seed=args.seed).explore(args.sequences)
-        else:
-            from repro.farm import farm_explore
-
-            sweep = farm_explore(args.seed, args.sequences,
-                                 args.cache_pages, executor)
-            totals = _merge_stats(totals, executor.stats)
+        #    expected; --jobs N splits it into independently seeded
+        #    shards whose coverage merges.
+        sweep = farm_explore(args.seed, args.sequences, args.cache_pages,
+                             executor)
+        totals = _merge_stats(None, executor.stats)
         print(sweep.render())
         failed |= not sweep.ok
 
@@ -438,43 +432,28 @@ def _cmd_conform(args) -> None:
         merged = ArcCoverage()
         merged.merge(sweep.coverage)
         merged.merge(cover.coverage)
-        if executor is None:
-            for name in WORKLOAD_NAMES:
-                booted = boot(policy, conform=True)
-                booted.run(make_workload(name, args.scale))
-                monitor = booted.monitor
-                print(f"{name:>12}: {monitor.summary()}")
-                merged.merge(monitor.coverage)
-                failed |= not monitor.ok
-                for divergence in monitor.divergences:
-                    print(f"              {divergence}")
-        else:
-            from repro.farm import JobSpec
-
-            specs = [JobSpec.workload(workload=name, policy=policy.name,
-                                      scale=args.scale, conform=True)
-                     for name in WORKLOAD_NAMES]
-            outcomes = executor.run(specs)
-            totals = _merge_stats(totals, executor.stats)
-            for name, outcome in zip(WORKLOAD_NAMES, outcomes):
-                if not outcome.ok:
-                    print(f"{name:>12}: farm job failed: {outcome.failure}")
-                    failed = True
-                    continue
-                shadow = outcome.payload["conform"]
-                coverage = ArcCoverage.from_dict(shadow["coverage"])
-                print(f"{name:>12}: {shadow['events']} events, "
-                      f"{len(shadow['divergences'])} divergences, "
-                      f"{coverage.summary()}")
-                merged.merge(coverage)
-                failed |= not shadow["ok"]
-                for divergence in shadow["divergences"]:
-                    print(f"              {divergence}")
+        specs = [JobSpec.workload(workload=name, policy=policy.name,
+                                  scale=args.scale, conform=True)
+                 for name in WORKLOAD_NAMES]
+        payloads = job_payloads(executor, specs)
+        totals = _merge_stats(totals, executor.stats)
+        for name, payload in zip(WORKLOAD_NAMES, payloads):
+            shadow = payload["conform"]
+            coverage = ArcCoverage.from_dict(shadow["coverage"])
+            summary = ConformanceSummary(
+                events=shadow["events"], frames=shadow["frames"],
+                divergences=len(shadow["divergences"]),
+                coverage_percent=coverage.percent)
+            print(f"{name:>12}: {summary}")
+            merged.merge(coverage)
+            failed |= not shadow["ok"]
+            for divergence in shadow["divergences"]:
+                print(f"              {divergence}")
     finally:
         finish()
 
     print(f"combined {merged.summary()}")
-    if executor is not None:
+    if _farm_flags(args):
         print(_farm_line(executor, totals))
     if failed:
         print("verdict: DIVERGED from the Table 2 model")
@@ -565,7 +544,8 @@ def _cmd_farm(args) -> None:
                     "payload": outcome.payload,
                     "failure": None if failure is None else {
                         "kind": failure.kind, "message": failure.message,
-                        "attempts": failure.attempts},
+                        "attempts": failure.attempts,
+                        "traceback": failure.traceback},
                 }) + "\n")
         print(f"wrote {len(outcomes)} outcomes to {args.out}")
     if any(not o.ok for o in outcomes):
@@ -739,8 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_farm_args(p):
         p.add_argument("--jobs", type=int, default=1,
-                       help="farm worker processes (1 = in-process "
-                            "serial, bit-identical to the classic path)")
+                       help="farm worker processes (1 = every job in "
+                            "this process; results are identical at any N)")
         p.add_argument("--cache-dir", metavar="DIR", dest="cache_dir",
                        help="result-cache directory (default "
                             "$REPRO_FARM_CACHE or ~/.cache/repro-farm)")

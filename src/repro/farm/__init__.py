@@ -9,7 +9,7 @@ exploits that purity twice:
 * **sharding** — a :class:`JobSpec` batch runs across a
   ``multiprocessing`` pool (:class:`Executor`) with per-job timeouts,
   bounded retries on worker death, and graceful degradation to serial
-  execution; ``jobs=1`` is bit-identical to the historical serial loops;
+  execution; ``jobs=1`` runs the same batch in-process, bit-identical;
 * **memoization** — completed payloads land in a content-addressed
   :class:`ResultCache` keyed by hash(spec, code fingerprint), so
   repeated sweeps and CI reruns answer from disk; any source change
@@ -21,16 +21,14 @@ semantics, and the CLI surface (``sweep``, ``farm``, ``--jobs``).
 
 from repro.farm.cache import ResultCache, default_cache_root
 from repro.farm.executor import (DEFAULT_TIMEOUT, Executor, FarmStats,
-                                 JobFailure, JobOutcome, run_specs)
+                                 JobFailure, JobOutcome)
 from repro.farm.fingerprint import code_fingerprint
 from repro.farm.jobspec import JobSpec
 from repro.farm.runners import run_spec
 from repro.farm.snapshot import (fork_available, prewarm_fork_snapshot,
                                  snapshot_info)
-from repro.farm.suites import (FarmJobError, farm_chaos_suite,
-                               farm_exhaustive, farm_explore, farm_serve,
-                               farm_sweep_grid, farm_sweep_points,
-                               serve_cohort_specs)
+from repro.farm.suites import (FarmJobError, farm_exhaustive, farm_explore,
+                               farm_serve, job_payloads, serve_cohort_specs)
 
 __all__ = [
     "DEFAULT_TIMEOUT",
@@ -43,16 +41,13 @@ __all__ = [
     "ResultCache",
     "code_fingerprint",
     "default_cache_root",
-    "farm_chaos_suite",
     "farm_exhaustive",
     "farm_explore",
     "farm_serve",
-    "farm_sweep_grid",
-    "farm_sweep_points",
     "fork_available",
+    "job_payloads",
     "prewarm_fork_snapshot",
     "run_spec",
-    "run_specs",
     "serve_cohort_specs",
     "snapshot_info",
 ]

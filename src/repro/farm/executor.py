@@ -1,12 +1,10 @@
 """The executor: one spec list in, one outcome list out — any width.
 
-``Executor(jobs=1)`` runs every spec in the calling process with the
-exact code path the repository's serial consumers always used, so a
-one-wide farm run is bit-identical to today's loops.  ``jobs=N`` shards
-the specs across ``N`` worker processes; because every job is a pure
-function of its spec (see :mod:`repro.farm.jobspec`), the two modes
-produce identical payloads, and the equivalence property tests assert
-exactly that.
+``Executor(jobs=1)`` runs every spec in the calling process, over the
+same runners a pool worker calls.  ``jobs=N`` shards the specs across
+``N`` worker processes; because every job is a pure function of its
+spec (see :mod:`repro.farm.jobspec`), the two modes produce identical
+payloads, and the equivalence property tests assert exactly that.
 
 Two mechanisms keep the pool from losing to serial execution on real
 batches (the 0.88x regime the farm shipped in):
@@ -32,15 +30,20 @@ wrong):
   job is terminated (hung simulations cannot be cancelled from inside);
   under batched dispatch the deadline re-arms as each result of the
   chunk streams back, so the bound stays per-job, not per-chunk;
-* **bounded retries** — a job whose worker raised, hung, or died is
-  retried up to ``retries`` more times (on a fresh worker where needed)
-  before being reported.  Only jobs that actually *started* consume an
-  attempt: the unstarted tail of a killed worker's chunk requeues with
-  its attempt count unchanged;
-* **structured failure** — an exhausted job yields a
-  :class:`JobFailure` (kind, message, attempt count) in its outcome
-  slot, with the wall time the losing attempt burned; the run never
-  hangs and never silently drops a job;
+* **a job's exception is final** — every job is a pure function of its
+  spec, so a job that raised would raise again: it fails on its first
+  attempt, in-process or in a worker;
+* **bounded retries** — a job whose worker hung or died is retried up
+  to ``retries`` more times on a fresh worker before being reported.
+  Only jobs that actually *started* consume an attempt: the unstarted
+  tail of a killed worker's chunk requeues with its attempt count
+  unchanged;
+* **structured failure** — a failed job yields a :class:`JobFailure`
+  (kind, message, attempt count, the raising job's traceback) in its
+  outcome slot, with the wall time the losing attempt burned; an
+  in-process failure also keeps the exception object itself
+  (:attr:`JobOutcome.error`).  The run never hangs and never silently
+  drops a job;
 * **graceful degradation** — when workers keep dying (more than
   ``degrade_after`` replacements), the pool is abandoned and the
   remaining jobs run serially in the parent, which cannot crash-loop.
@@ -66,7 +69,7 @@ import queue
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.farm.cache import ResultCache
@@ -91,11 +94,12 @@ MAX_CHUNK = 32
 
 @dataclass(frozen=True)
 class JobFailure:
-    """Why one job exhausted its attempts."""
+    """Why one job failed."""
 
     kind: str            # "exception" | "timeout" | "worker-death"
     message: str
     attempts: int
+    traceback: str = ""  # the raising job's, for kind "exception"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.kind} after {self.attempts} attempts: {self.message}"
@@ -111,6 +115,8 @@ class JobOutcome:
     cache_hit: bool = False
     attempts: int = 1
     wall_seconds: float = 0.0
+    #: the exception an in-process job raised (None from a worker).
+    error: Exception | None = None
 
     @property
     def ok(self) -> bool:
@@ -331,10 +337,10 @@ class Executor:
                       attempt=attempt, wall=round(wall, 4))
 
     def _fail(self, outcomes, index, spec, kind, message, attempt,
-              wall) -> None:
-        failure = JobFailure(kind, message, attempt)
+              wall, trace: str = "", error: Exception | None = None) -> None:
+        failure = JobFailure(kind, message, attempt, trace)
         outcomes[index] = JobOutcome(spec, failure=failure, attempts=attempt,
-                                     wall_seconds=wall)
+                                     wall_seconds=wall, error=error)
         self._publish("farm-failure", job=index, label=spec.label(),
                       failure=kind, message=message, attempts=attempt,
                       wall=round(wall, 4))
@@ -348,10 +354,11 @@ class Executor:
     # ---- serial ------------------------------------------------------------
 
     def _run_serial(self, specs, pending, outcomes) -> None:
-        """In-process execution: today's serial loops, plus the farm's
-        retry-on-exception and structured-failure semantics.  Hangs are
-        not preemptible in-process — only the pool path can kill a hung
-        job, which is why per-job timeouts require ``jobs > 1``."""
+        """In-process execution with the farm's structured-failure
+        semantics; a job that raises fails at once and keeps its
+        exception.  Hangs are not preemptible in-process — only the pool
+        path can kill a hung job, which is why per-job timeouts require
+        ``jobs > 1``."""
         while pending:
             index, attempt = pending.popleft()
             spec = specs[index]
@@ -361,12 +368,10 @@ class Executor:
             try:
                 payload = run_spec(spec)
             except Exception as exc:
-                if attempt <= self.retries:
-                    self._retry(pending, index, spec, "exception", attempt)
-                else:
-                    self._fail(outcomes, index, spec, "exception",
-                               f"{type(exc).__name__}: {exc}", attempt,
-                               time.perf_counter() - begun)
+                self._fail(outcomes, index, spec, "exception",
+                           f"{type(exc).__name__}: {exc}", attempt,
+                           time.perf_counter() - begun,
+                           traceback.format_exc(), exc)
                 continue
             self._complete(outcomes, index, spec, payload, attempt,
                            time.perf_counter() - begun)
@@ -447,12 +452,10 @@ class Executor:
         if status == "ok":
             self._complete(state.outcomes, index, spec, data, attempt,
                            elapsed)
-        elif attempt <= self.retries:
-            self._retry(state.pending, index, spec, "exception", attempt)
         else:
             self._fail(state.outcomes, index, spec, "exception",
                        f"{data['type']}: {data['message']}", attempt,
-                       elapsed)
+                       elapsed, data["traceback"])
         if flight.batch:
             # The next job of the chunk starts now: re-arm its per-job
             # deadline and announce it.
@@ -559,9 +562,3 @@ class Executor:
                 worker.stop()
             result_q.close()
             result_q.cancel_join_thread()
-
-
-def run_specs(specs, jobs: int = 1, cache: ResultCache | None = None,
-              **kwargs) -> list[JobOutcome]:
-    """One-call convenience: build an executor, run, return outcomes."""
-    return Executor(jobs=jobs, cache=cache, **kwargs).run(specs)

@@ -52,8 +52,7 @@ Kinds:
     :class:`CheckReport` dict.
 ``selftest``
     A test-only runner exercising the executor's failure machinery:
-    echo a value, raise, hang, busy-spin, exit the worker process, or
-    fail once then succeed (``flaky`` — keyed on a scratch file).
+    echo a value, raise, hang, busy-spin, or exit the worker process.
 """
 
 from __future__ import annotations
@@ -138,6 +137,7 @@ def _run_workload_job(spec: JobSpec) -> dict:
         payload["conform"] = {
             "ok": monitor.ok,
             "events": monitor.events_seen,
+            "frames": monitor.summary().frames,
             "divergences": [str(d) for d in monitor.divergences],
             "coverage": monitor.coverage.to_dict(),
         }
@@ -263,13 +263,4 @@ def _run_selftest_job(spec: JobSpec) -> dict:
         if multiprocessing.parent_process() is not None:
             os._exit(int(spec.get("code", 13)))
         raise RuntimeError("selftest die: not in a worker process")
-    if mode == "flaky":
-        # Fail until the scratch file exists; the first attempt creates
-        # it, so the bounded retry's second attempt succeeds.
-        marker = spec["path"]
-        if os.path.exists(marker):
-            return {"value": "recovered", "pid": os.getpid()}
-        with open(marker, "w") as handle:
-            handle.write("attempted\n")
-        raise RuntimeError("selftest flaky: first attempt fails")
     raise ConfigurationError(f"unknown selftest mode {mode!r}")

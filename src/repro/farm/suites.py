@@ -1,12 +1,16 @@
 """Farm wiring for the repository's expensive consumers.
 
-Each helper turns one existing serial loop into a spec batch, runs it
-through an :class:`~repro.farm.executor.Executor`, and reassembles the
-exact result objects the serial path produces — so callers switch
-between ``jobs=1`` and ``jobs=N`` without changing anything downstream.
-A failed job surfaces as a raised :class:`FarmJobError` carrying the
-structured :class:`~repro.farm.executor.JobFailure`; the farm never
-silently drops a shard.
+Each consumer builds a spec batch, runs it through an
+:class:`~repro.farm.executor.Executor` with :func:`job_payloads`, and
+reassembles its result objects from the payloads.  The cache-size sweep
+(:func:`repro.analysis.sweep.run_sweep`) and the chaos suite
+(:func:`repro.faults.run_chaos_suite`) do so in their own modules; the
+helpers here cover the serve workload, the conformance explorer and the
+exhaustive checker.  A job that raised in-process re-raises its own
+exception; any other failed job surfaces as a raised
+:class:`FarmJobError` carrying the structured
+:class:`~repro.farm.executor.JobFailure`.  The farm never silently drops
+a shard.
 """
 
 from __future__ import annotations
@@ -17,80 +21,30 @@ from repro.farm.jobspec import JobSpec
 
 
 class FarmJobError(ReproError):
-    """A farmed job exhausted its retries; carries the failure."""
+    """A farmed job failed outside this process (it raised in a worker,
+    hung, or killed its worker); carries the failure, and the message
+    of a raising job ends with its traceback."""
 
     def __init__(self, outcome: JobOutcome):
-        super().__init__(f"farm job {outcome.spec.label()} failed: "
-                         f"{outcome.failure}")
+        failure = outcome.failure
+        message = f"farm job {outcome.spec.label()} failed: {failure}"
+        if failure.traceback:
+            message += "\n" + failure.traceback.rstrip("\n")
+        super().__init__(message)
         self.outcome = outcome
 
 
-def _payloads(executor: Executor, specs: list[JobSpec]) -> list[dict]:
-    """Run specs; return payloads in spec order or raise on any failure."""
+def job_payloads(executor: Executor, specs: list[JobSpec]) -> list[dict]:
+    """Run specs; return payloads in spec order or raise on the first
+    failure.  An exception a job raised in this process is re-raised
+    unchanged, with its own type and traceback."""
     outcomes = executor.run(specs)
     for outcome in outcomes:
+        if outcome.error is not None:
+            raise outcome.error
         if not outcome.ok:
             raise FarmJobError(outcome)
     return [outcome.payload for outcome in outcomes]
-
-
-# ---- chaos -----------------------------------------------------------------
-
-
-def farm_chaos_suite(seeds, preset: str, steps: int,
-                     executor: Executor, n_cpus: int = 1,
-                     policy: str | None = None) -> list:
-    """The chaos suite as a spec batch; returns verified ChaosReports in
-    seed order, exactly as :func:`repro.faults.run_chaos_suite` does.
-    ``policy`` names a registered consistency policy (None == default)."""
-    from repro.faults.harness import ChaosReport
-
-    specs = [JobSpec.chaos(seed=seed, preset=preset, steps=steps,
-                           n_cpus=n_cpus, policy=policy)
-             for seed in seeds]
-    return [ChaosReport.from_dict(payload["report"])
-            for payload in _payloads(executor, specs)]
-
-
-# ---- cache-size sweeps -----------------------------------------------------
-
-
-def farm_sweep_points(workload_name: str, policy_name: str,
-                      sizes_kib, scale: float, executor: Executor,
-                      geometry: str | None = None) -> list:
-    """One workload/policy across data-cache sizes, as parallel jobs;
-    returns SweepPoints identical to the serial sweep's."""
-    from repro.analysis.metrics import RunMetrics
-    from repro.analysis.sweep import SweepPoint
-
-    specs = [JobSpec.workload(workload=workload_name, policy=policy_name,
-                              scale=scale, dcache_kib=kib,
-                              geometry=geometry)
-             for kib in sizes_kib]
-    return [SweepPoint(kib, RunMetrics.from_dict(payload["metrics"]))
-            for kib, payload in zip(sizes_kib,
-                                    _payloads(executor, specs))]
-
-
-def farm_sweep_grid(workload_name: str, policy_names, sizes_kib,
-                    scale: float, executor: Executor,
-                    geometry: str | None = None) -> dict:
-    """Every (policy, size) point of a sweep as ONE spec batch, so the
-    whole grid shares the worker pool; returns ``{policy: [SweepPoint]}``
-    exactly as :func:`repro.analysis.sweep.run_sweep` does."""
-    from repro.analysis.metrics import RunMetrics
-    from repro.analysis.sweep import SweepPoint
-
-    grid = [(name, kib) for name in policy_names for kib in sizes_kib]
-    specs = [JobSpec.workload(workload=workload_name, policy=name,
-                              scale=scale, dcache_kib=kib,
-                              geometry=geometry)
-             for name, kib in grid]
-    points: dict = {name: [] for name in policy_names}
-    for (name, kib), payload in zip(grid, _payloads(executor, specs)):
-        points[name].append(
-            SweepPoint(kib, RunMetrics.from_dict(payload["metrics"])))
-    return points
 
 
 # ---- serve macro-workload --------------------------------------------------
@@ -121,7 +75,7 @@ def farm_serve(cohorts: int, users_per_cohort: int, executor: Executor,
     specs = serve_cohort_specs(cohorts, users_per_cohort, policy=policy,
                                conform=conform, **sizing)
     results = [ServeCohortResult.from_dict(payload["result"])
-               for payload in _payloads(executor, specs)]
+               for payload in job_payloads(executor, specs)]
     return merge_cohorts(results)
 
 
@@ -153,7 +107,7 @@ def farm_explore(seed: int, sequences: int, cache_pages: int,
     specs = explore_shard_specs(seed, sequences, cache_pages,
                                 shards or executor.jobs)
     reports = [ExplorationReport.from_dict(payload["report"])
-               for payload in _payloads(executor, specs)]
+               for payload in job_payloads(executor, specs)]
     return merge_exploration_reports(reports)
 
 
@@ -171,5 +125,5 @@ def farm_exhaustive(num_cache_pages: int, depth: int, executor: Executor,
                                 depth=depth, prefix=prefix)
              for prefix in shard_prefixes(num_cache_pages, shard_depth)]
     reports = [CheckReport.from_dict(payload["report"])
-               for payload in _payloads(executor, specs)]
+               for payload in job_payloads(executor, specs)]
     return merge_reports(reports)

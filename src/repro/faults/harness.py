@@ -47,7 +47,7 @@ import numpy as np
 
 from repro.conformance.lockstep import (ConformanceMonitor,
                                         SmpConformanceMonitor)
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.faults.injector import (CONSISTENCY_POINTS, DIVERGENCE_POINTS,
                                    SNOOP_POINTS, FaultInjector, FaultPlan,
                                    FaultRule)
@@ -413,38 +413,22 @@ def verify_report(report: ChaosReport, injector: FaultInjector,
 
 
 def run_chaos_suite(seeds, preset: str = "mixed", steps: int = 200,
-                    jobs: int = 1, executor=None, n_cpus: int = 1,
-                    **kwargs) -> list[ChaosReport]:
+                    executor=None, n_cpus: int = 1,
+                    policy: str | None = None) -> list[ChaosReport]:
     """Run one chaos run per seed; every report must uphold the invariant
     (callers assert ``all(r.ok for r in reports)``).
 
-    With ``jobs > 1`` (or an explicit farm ``executor``) the suite runs
-    as a sharded spec batch on the simulation farm — identical reports
-    in seed order, sharding and caching per the executor — which only
-    covers the (seed, preset, steps, n_cpus, policy-by-name) surface:
-    custom kernels or machines (``**kwargs``) are not
-    content-addressable and stay serial.
-    """
-    if jobs <= 1 and executor is None:
-        return [run_chaos(seed, preset=preset, steps=steps, n_cpus=n_cpus,
-                          **kwargs)
-                for seed in seeds]
-    policy = kwargs.pop("policy", None)
-    if policy is not None and not isinstance(policy, str):
-        raise ConfigurationError(
-            "the farmed chaos suite shards policies by registered name; "
-            "pass a string (or run jobs=1 for a policy object)")
-    if kwargs:
-        raise ConfigurationError(
-            f"the farmed chaos suite shards only (seed, preset, steps, "
-            f"n_cpus, policy); run jobs=1 for custom arguments "
-            f"{sorted(kwargs)}")
-    from repro.farm import Executor, farm_chaos_suite
+    The suite is one farm spec batch run on ``executor`` (default:
+    in-process, ``Executor()``); reports come back in seed order at any
+    pool width.  ``policy`` names a registered consistency policy (None
+    is the default new system)."""
+    from repro.farm import Executor, JobSpec, job_payloads
 
-    if executor is None:
-        executor = Executor(jobs=jobs)
-    return farm_chaos_suite(seeds, preset, steps, executor, n_cpus=n_cpus,
-                            policy=policy)
+    specs = [JobSpec.chaos(seed=seed, preset=preset, steps=steps,
+                           n_cpus=n_cpus, policy=policy)
+             for seed in seeds]
+    return [ChaosReport.from_dict(payload["report"])
+            for payload in job_payloads(executor or Executor(), specs)]
 
 
 def render_suite(reports: list[ChaosReport]) -> str:

@@ -35,6 +35,14 @@ from repro.hw.stats import Clock, Counters, Reason
 _INVALID = -1
 
 
+def _check_run_length(n_words: int) -> None:
+    """The run rule for a length below one: zero words are a run that
+    changes nothing (the caller returns at once), a negative length an
+    :class:`AddressError` raised before any change."""
+    if n_words < 0:
+        raise AddressError(f"run length must be non-negative, got {n_words}")
+
+
 # ---- page kernels -------------------------------------------------------------
 #
 # The array work of the page operations on a direct-mapped cache with no
@@ -532,9 +540,7 @@ class Cache:
         caller owns it, and writing into it changes no line.
         """
         if n_words < 1:
-            if n_words:
-                raise AddressError(
-                    f"run length must be non-negative, got {n_words}")
+            _check_run_length(n_words)
             return np.empty(0, dtype=np.uint64)
         set_idx, tag, word = self._decode(vaddr, paddr)
         if word + n_words <= self.geo.words_per_line:
@@ -880,7 +886,11 @@ class Cache:
     def probe_run(self, vaddr: int, paddr: int, n_words: int) -> tuple[int, int]:
         """Count (resident, dirty) equivalent lines of a run, mutating
         nothing — the cluster asks this before deciding whether a snoop
-        (or an injected snoop race) is even relevant."""
+        (or an injected snoop race) is even relevant.  Zero words find
+        nothing, as in :meth:`read_run`."""
+        if n_words < 1:
+            _check_run_length(n_words)
+            return 0, 0
         decoded = self._decode(vaddr, paddr)
         if self.geo.associativity > 1:
             found = dirty = 0
@@ -905,8 +915,12 @@ class Cache:
         account coherence traffic.  Snoop probes themselves are free on
         the shared clock (the bus runs them in parallel with the access);
         only dirty write-backs cost cycles, exactly as a victim
-        write-back does.
+        write-back does.  Zero words snoop nothing, as in
+        :meth:`read_run`.
         """
+        if n_words < 1:
+            _check_run_length(n_words)
+            return 0, 0
         geo = self.geo
         decoded = self._decode(vaddr, paddr)
         if geo.associativity > 1 or self.hierarchy is not None:

@@ -6,6 +6,7 @@ import pytest
 
 import repro.analysis.experiments
 import repro.cli
+import repro.faults.harness
 import repro.trace.record
 from repro.cli import build_parser, main
 from repro.errors import StaleDataError
@@ -327,6 +328,36 @@ class TestBadInput:
         lines = self.one_line_error(capsys, f"{specs}:3: {message}")
         assert lines == [lines[-1]]
         assert not (tmp_path / "cache").exists()
+
+    def test_farm_run_of_a_failing_job_runs_it_once(self, capsys,
+                                                     tmp_path):
+        # A job is a pure function of its spec: its exception is final,
+        # and the --out record keeps the job's traceback.
+        specs = tmp_path / "batch.jsonl"
+        specs.write_text('{"kind":"workload","params":'
+                         '{"policy":"F","scale":0.1,"workload":"nope"}}\n')
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["farm", "run", "--specs", str(specs), "--no-cache",
+                  "--out", str(out)])
+        assert exc.value.code == 1
+        assert "exception after 1 attempts" in capsys.readouterr().out
+        failure = json.loads(out.read_text())["failure"]
+        assert failure["attempts"] == 1
+        assert failure["traceback"].rstrip().endswith(
+            "ConfigurationError: unknown workload 'nope'; known: "
+            "afs-bench, kernel-build, latex-paper")
+
+    def test_a_chaos_simulator_failure_keeps_its_traceback(self,
+                                                           monkeypatch):
+        # The chaos suite always runs as farm jobs; in-process, a job's
+        # exception reaches main() as itself.
+        def stale(*args, **kwargs):
+            raise StaleDataError("stale word", paddr=0x40)
+
+        monkeypatch.setattr(repro.faults.harness, "run_chaos", stale)
+        with pytest.raises(StaleDataError, match="stale word"):
+            main(["chaos", "--plans", "1", "--steps", "10"])
 
     def test_farm_run_of_a_missing_spec_batch(self, capsys, tmp_path):
         missing = tmp_path / "absent.jsonl"

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.analysis.sweep import (machine_with_dcache, render_sweep,
-                                  run_sweep, sweep_cache_sizes)
-from repro.vm.policy import CONFIG_F
+from repro.analysis.sweep import machine_with_dcache, render_sweep, run_sweep
 
 
 class TestSweep:
@@ -14,16 +12,16 @@ class TestSweep:
         assert config.icache.size == 32 * 1024
 
     def test_sweep_produces_one_point_per_size(self):
-        points = sweep_cache_sizes("latex-paper", CONFIG_F,
-                                   sizes_kib=(32, 256), scale=0.25)
+        points = run_sweep("latex-paper", ("F",), sizes_kib=(32, 256),
+                           scale=0.25)["F"]
         assert [p.dcache_kib for p in points] == [32, 256]
         for point in points:
             assert point.metrics.cycles > 0
 
     def test_render(self):
-        points = sweep_cache_sizes("latex-paper", CONFIG_F,
-                                   sizes_kib=(64,), scale=0.25)
-        text = render_sweep({"F": points}, "latex-paper")
+        points = run_sweep("latex-paper", ("F",), sizes_kib=(64,),
+                           scale=0.25)
+        text = render_sweep(points, "latex-paper")
         assert "64Ki" in text
         assert "latex-paper" in text
 

@@ -1,7 +1,8 @@
 """The executor: failure semantics a naive pool gets wrong.
 
-Raising, hanging, and dying workers are all retried up to the bound and
-then reported as structured failures in the right outcome slot; a
+A raising job fails on its first attempt, since a job is a pure function
+of its spec; hanging and dying workers are retried up to the bound; every
+failure is reported structurally in the right outcome slot; a
 crash-looping pool degrades to serial execution instead of spinning; and
 every step of the run narrates itself on the event bus.
 """
@@ -11,7 +12,8 @@ import os
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.farm import Executor, JobSpec, ResultCache
+from repro.farm import (Executor, FarmJobError, JobSpec, ResultCache,
+                        job_payloads)
 
 OK = [JobSpec.selftest(mode="ok", value=i) for i in range(6)]
 
@@ -43,28 +45,38 @@ class TestHappyPath:
 
 
 class TestFailureSemantics:
-    def test_raising_job_retries_to_the_bound(self):
-        (outcome,) = Executor(jobs=1, retries=2).run(
+    def test_raising_job_fails_on_its_first_attempt(self):
+        executor = Executor(jobs=1, retries=2)
+        (outcome,) = executor.run(
             [JobSpec.selftest(mode="raise", value="boom")])
         assert not outcome.ok
         assert outcome.failure.kind == "exception"
-        assert outcome.failure.attempts == 3          # 1 try + 2 retries
+        assert outcome.failure.attempts == 1
+        assert executor.stats.retries == 0
         assert "RuntimeError" in outcome.failure.message
+        # In-process, the outcome keeps the exception and its traceback.
+        assert isinstance(outcome.error, RuntimeError)
+        assert "selftest raise (boom)" in str(outcome.error)
+        assert "_run_selftest_job" in outcome.failure.traceback
 
     def test_pool_raising_job_fails_structurally(self):
         executor = Executor(jobs=2, retries=1, timeout=30.0)
         bad, good = executor.run([JobSpec.selftest(mode="raise"),
                                   JobSpec.selftest(mode="ok", value=5)])
-        assert not bad.ok and bad.failure.attempts == 2
+        assert not bad.ok and bad.failure.attempts == 1
+        assert bad.error is None          # the exception stayed in the worker
+        assert "_run_selftest_job" in bad.failure.traceback
         assert good.ok and good.payload["value"] == 5
-        assert executor.stats.retries == 1
+        assert executor.stats.retries == 0
 
-    def test_flaky_job_recovers_on_retry(self, tmp_path):
-        marker = str(tmp_path / "marker")
-        (outcome,) = Executor(jobs=1, retries=1).run(
-            [JobSpec.selftest(mode="flaky", path=marker)])
-        assert outcome.ok and outcome.attempts == 2
-        assert outcome.payload["value"] == "recovered"
+    def test_worker_failure_message_ends_with_its_traceback(self):
+        with pytest.raises(FarmJobError) as caught:
+            job_payloads(Executor(jobs=2, timeout=30.0),
+                         [JobSpec.selftest(mode="raise", value="w")])
+        message = str(caught.value)
+        assert "exception after 1 attempts" in message
+        assert message.splitlines()[-1] == \
+            "RuntimeError: selftest raise (w)"
 
     def test_hanging_job_times_out(self):
         executor = Executor(jobs=2, timeout=0.3, retries=0)
@@ -157,14 +169,13 @@ class TestEventsAndCache:
         executor.bus.enable()
         kinds = []
         executor.bus.subscribe(lambda event: kinds.append(event.kind))
-        marker = str(tmp_path / "marker")
         specs = [JobSpec.selftest(mode="ok", value=1),
-                 JobSpec.selftest(mode="flaky", path=marker),
                  JobSpec.selftest(mode="raise")]
         executor.run(specs)
         for expected in ("farm-queued", "farm-start", "farm-done",
-                         "farm-retry", "farm-failure", "farm-complete"):
+                         "farm-failure", "farm-complete"):
             assert expected in kinds, expected
+        assert "farm-retry" not in kinds      # an exception is final
         executor.run([specs[0]])
         assert "farm-cache-hit" in kinds
 

@@ -296,14 +296,23 @@ class TestEmptyAndNegativeRuns:
         cache.write_run(0, PAGE, np.empty(0, dtype=np.uint64))
         cache.write_run(0, PAGE, [])
         assert got.dtype == np.uint64 and got.size == 0
+        # Probes and snoops of no words, at a page start and mid-page,
+        # over frame 0's resident dirty lines: nothing found, nothing
+        # written back or invalidated.
+        for vaddr in (0, 32):
+            assert cache.probe_run(vaddr, vaddr, 0) == (0, 0)
+            assert cache.snoop_run(vaddr, vaddr, 0, invalidate=True) == (0, 0)
         assert TestFramesOutOfRange.state(cache) == before
 
     @pytest.mark.parametrize("cell", sorted(TestFramesOutOfRange.CELLS))
     def test_negative_length_rejected_before_any_change(self, cell):
         cache = TestFramesOutOfRange.make(cell)
         before = TestFramesOutOfRange.state(cache)
-        with pytest.raises(AddressError, match="must be non-negative"):
-            cache.read_run(0, PAGE, -1)
+        for run in (lambda: cache.read_run(0, PAGE, -1),
+                    lambda: cache.probe_run(32, 32, -1),
+                    lambda: cache.snoop_run(32, 32, -1, invalidate=True)):
+            with pytest.raises(AddressError, match="must be non-negative"):
+                run()
         assert TestFramesOutOfRange.state(cache) == before
 
 
