@@ -17,7 +17,9 @@ The simulator charges all CPUs to one shared clock, so cycles/record is
 a *cost* metric (per-record work including coherence and fault
 handling), not parallel throughput.
 
-Each point is one farm job (``JobSpec.smp``), so the sweep shards across
+The curve and its gates live in :mod:`repro.workloads.smp` (``repro
+smp`` prints the same table); this file writes ``BENCH_smp.json``.  Each
+point is one farm job (``JobSpec.smp``), so the sweep shards across
 ``REPRO_FARM_JOBS`` workers and caches like any other farm batch.  Also
 runnable standalone (the CI smp job invocation)::
 
@@ -36,87 +38,7 @@ JSON_PATH = REPO_ROOT / "BENCH_smp.json"
 if str(REPO_ROOT / "src") not in sys.path:      # standalone invocation
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.farm import Executor, JobSpec
-
-CPU_COUNTS = tuple(range(1, 9))
-RECORDS = 120
-DATA_PAGES = 2
-
-
-def measure(executor: Executor | None = None) -> dict:
-    executor = executor or Executor(jobs=1)
-    specs = [JobSpec.smp(n_cpus=n, aligned=aligned, records=RECORDS,
-                         data_pages=DATA_PAGES)
-             for n in CPU_COUNTS for aligned in (True, False)]
-    outcomes = executor.run(specs)
-    assert all(o.ok for o in outcomes), \
-        [str(o.failure) for o in outcomes if not o.ok]
-    points = [o.payload["result"] for o in outcomes]
-    return {
-        "workload": "smp-ring",
-        "records_per_pair": RECORDS,
-        "data_pages": DATA_PAGES,
-        "cpu_counts": list(CPU_COUNTS),
-        "points": points,
-        "farm": executor.stats.as_dict(),
-    }
-
-
-def _by_n(result: dict, aligned: bool) -> dict[int, dict]:
-    return {p["n_cpus"]: p for p in result["points"]
-            if p["aligned"] is aligned}
-
-
-def render(result: dict) -> str:
-    aligned, unaligned = _by_n(result, True), _by_n(result, False)
-    lines = [
-        f"SMP scaling: ring workload, {result['records_per_pair']} "
-        f"records/pair, {result['data_pages']} data pages "
-        "(cycles/record is shared-clock cost, not throughput)",
-        "",
-        f"{'CPUs':>4} {'aligned c/r':>12} {'unalign c/r':>12} "
-        f"{'al faults':>10} {'un faults':>10} {'al snoop inv':>13} "
-        f"{'un snoop inv':>13}",
-    ]
-    for n in result["cpu_counts"]:
-        a, u = aligned[n], unaligned[n]
-        lines.append(
-            f"{n:>4} {a['cycles_per_record']:>12.1f} "
-            f"{u['cycles_per_record']:>12.1f} "
-            f"{a['consistency_faults']:>10} {u['consistency_faults']:>10} "
-            f"{a['coherence_invalidations']:>13} "
-            f"{u['coherence_invalidations']:>13}")
-    lines.append("")
-    lines.append("snooping resolves aligned sharing; unaligned aliases "
-                 "never snoop-hit and keep the uniprocessor's software "
-                 "consistency cost on every CPU (Section 3.3)")
-    return "\n".join(lines)
-
-
-def check(result: dict) -> list[str]:
-    """The CI gates; returns failure descriptions (empty == pass)."""
-    aligned, unaligned = _by_n(result, True), _by_n(result, False)
-    failures = []
-    for n in result["cpu_counts"]:
-        a, u = aligned[n], unaligned[n]
-        if u["cycles_per_record"] < a["cycles_per_record"]:
-            failures.append(
-                f"N={n}: unaligned {u['cycles_per_record']:.1f} c/r "
-                f"cheaper than aligned {a['cycles_per_record']:.1f}")
-        if u["consistency_faults"] <= a["consistency_faults"]:
-            failures.append(
-                f"N={n}: unaligned consistency faults "
-                f"({u['consistency_faults']}) not above aligned "
-                f"({a['consistency_faults']})")
-        if u["coherence_invalidations"] != 0:
-            failures.append(
-                f"N={n}: unaligned sharing snoop-hit "
-                f"{u['coherence_invalidations']} times — aliases in "
-                f"different sets must be invisible to the bus")
-        if n >= 2 and a["coherence_invalidations"] == 0:
-            failures.append(
-                f"N={n}: aligned sharing generated no coherence traffic")
-    return failures
+from repro.workloads.smp import check, measure, render
 
 
 def test_smp_scaling(once):

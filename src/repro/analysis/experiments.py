@@ -30,7 +30,7 @@ from repro.workloads.microbench import AliasLoopResult, run_alias_write_loop
 from repro.analysis.metrics import RunMetrics, diff_metrics, snapshot_counters
 
 if TYPE_CHECKING:
-    from repro.conformance import ConformanceMonitor, SmpConformanceMonitor
+    from repro.conformance import ConformanceMonitor
     from repro.faults import FaultInjector
 
 
@@ -92,7 +92,7 @@ class BootedKernel:
 
     kernel: Kernel
     injector: FaultInjector | None
-    monitor: ConformanceMonitor | SmpConformanceMonitor | None
+    monitor: ConformanceMonitor | None
 
     def guard(self, step, *args, **kwargs):
         """Call ``step``; with an injector armed, return the
@@ -129,8 +129,8 @@ def boot(policy, config: MachineConfig | None = None, *,
     The ``inject`` plan is parsed before anything is built, so a
     malformed plan is a :class:`~repro.errors.ConfigurationError` and no
     kernel.  The injector is armed at boot, before the workload's setup.
-    ``conform`` builds the lockstep shadow — one per CPU on a cluster —
-    in record-only mode.  Observers never change which kernel is booted.
+    ``conform`` builds the lockstep shadow of every CPU's data cache in
+    record-only mode.  Observers never change which kernel is booted.
     """
     plan = injector = monitor = None  # each package loads only if asked
     if inject:
@@ -143,12 +143,9 @@ def boot(policy, config: MachineConfig | None = None, *,
         injector = FaultInjector(plan, kernel.machine.clock)
         injector.attach_kernel(kernel)
     if conform:
-        from repro.conformance import (ConformanceMonitor,
-                                       SmpConformanceMonitor)
+        from repro.conformance import ConformanceMonitor
 
-        shadow = (SmpConformanceMonitor if kernel.machine.config.n_cpus > 1
-                  else ConformanceMonitor)
-        monitor = shadow(kernel, record_only=True)
+        monitor = ConformanceMonitor(kernel, record_only=True)
     return BootedKernel(kernel, injector, monitor)
 
 

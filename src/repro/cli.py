@@ -39,7 +39,7 @@ grammar); ``chaos`` runs the detected-or-harmless harness over a batch of
 seeded random fault plans.  ``--cpus N`` boots an N-CPU coherent cluster
 (Section 3.3, docs/smp.md): ``run`` spreads the workload's tasks over
 the CPUs, ``chaos`` arms the ``smp.snoop.*`` race points and shadows
-every CPU with its own lockstep oracle, and ``smp`` regenerates the
+every CPU's cache with the lockstep oracle, and ``smp`` regenerates the
 1..8-CPU aligned-vs-unaligned scaling curve (``BENCH_smp.json``).
 ``--geometry SPEC`` reshapes the cache hierarchy for ``run`` and
 ``sweep``: '+'-separated tokens ``<N>way`` (set-associative L1),
@@ -328,32 +328,23 @@ def _cmd_chaos(args) -> None:
 
 
 def _cmd_smp(args) -> None:
-    import importlib.util
     import json
-    import pathlib
 
-    # The measurement lives in the benchmark module (the CI smp job runs
-    # the same file standalone); the CLI farms and prints it.
-    bench_path = (pathlib.Path(__file__).resolve().parents[2]
-                  / "benchmarks" / "bench_smp_scaling.py")
-    spec = importlib.util.spec_from_file_location("bench_smp_scaling",
-                                                  bench_path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    from repro.workloads.smp import check, measure, render
 
     executor, finish = _farm_setup(args, default_cache=True)
     try:
-        result = bench.measure(executor)
+        result = measure(executor)
     finally:
         finish()
-    print(bench.render(result))
+    print(render(result))
     print(_farm_line(executor))
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(result, handle, indent=2)
             handle.write("\n")
         print(f"wrote SMP scaling curve to {args.out}")
-    failures = bench.check(result)
+    failures = check(result)
     for failure in failures:
         print(f"GATE FAILED: {failure}")
     if failures:
@@ -802,7 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cpus", type=int, default=1,
                    help="boot each run on an N-CPU coherent cluster: "
                         "snoop-race points arm and the conformance shadow "
-                        "becomes one lockstep oracle per CPU")
+                        "checks every CPU's cache")
     p.add_argument("--policy", default=None, type=_policy_name,
                    help="consistency policy for every run (any name from "
                         "`repro policies`; default: the paper's new "

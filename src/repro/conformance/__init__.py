@@ -22,14 +22,13 @@ from repro.conformance.explorer import (Counterexample, ExplorationReport,
                                         StepDivergence, apply_cache_op)
 from repro.conformance.lockstep import (ConformanceMonitor,
                                         ConformanceSummary, Divergence,
-                                        ObservedEvent, SmpConformanceMonitor,
-                                        effective_decode)
+                                        ObservedEvent, effective_decode)
 from repro.conformance.mutants import MUTANTS, apply_mutant
 
 __all__ = [
     "ALL_ARCS", "ArcCoverage", "arcs_of_event",
     "ConformanceMonitor", "ConformanceSummary", "Divergence",
-    "ObservedEvent", "SmpConformanceMonitor", "effective_decode",
+    "ObservedEvent", "effective_decode",
     "Counterexample", "ExplorationReport", "Explorer", "LockstepPair",
     "StepDivergence", "apply_cache_op",
     "MUTANTS", "apply_mutant",

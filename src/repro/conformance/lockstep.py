@@ -6,9 +6,11 @@ tracer does — pure observation, no behaviour, cost or counter changes —
 but at the *hardware* boundary: every data-cache access (word, run, and
 page granularity), every data-cache flush/purge, and every DMA transfer
 is replayed through one :class:`~repro.core.model.ConsistencyModel` per
-physical frame.  Wrapping the cache rather than the pmap callbacks means
-*every* path that touches a line is observed, including the quarantine
-and uncached-conversion sweeps that bypass the callback layer.
+physical frame and L1 data cache — one cache on a uniprocessor, one per
+CPU on a coherent cluster.  Wrapping the cache rather than the pmap
+callbacks means *every* path that touches a line is observed, including
+the quarantine and uncached-conversion sweeps that bypass the callback
+layer.
 
 Two judgments run at every CPU/DMA access (never at flush/purge
 instants, where the implementation state is legitimately mid-transition):
@@ -57,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: the data-cache entry points the monitor observes, as (name, model
 #: event, full-page write).  A full-page write may skip the purge of its
-#: stale target page (see :meth:`ConformanceMonitor._check_access`);
+#: stale target page (see :meth:`_CacheShadow.check_access`);
 #: ``write_run`` is one only when it covers exactly one aligned page,
 #: which is decided per call (``None``).
 _DCACHE_EVENTS = (
@@ -71,19 +73,6 @@ _DCACHE_EVENTS = (
     ("flush_page_frame", MemoryOp.FLUSH, False),
     ("purge_page_frame", MemoryOp.PURGE, False),
 )
-
-
-def _wrap_dma(patches: Patches, dma, observe) -> None:
-    """Wrap both DMA directions to call ``observe(op, frame)`` before the
-    transfer."""
-    for name, op in (("dma_read", MemoryOp.DMA_READ),
-                     ("dma_write", MemoryOp.DMA_WRITE)):
-        def make(orig, op=op):
-            def observed(ppage, *rest):
-                observe(op, ppage)
-                return orig(ppage, *rest)
-            return observed
-        patches.wrap(dma, name, make)
 
 
 @dataclass(frozen=True)
@@ -111,7 +100,7 @@ class Divergence:
     frame: int
     cache_page: int | None
     detail: str
-    cpu: int | None = None     # which CPU's monitor observed it (SMP only)
+    cpu: int | None = None     # the observing CPU (None on a uniprocessor)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (f"event #{self.seq}: "
@@ -155,54 +144,19 @@ class ConformanceSummary:
                 f"arc coverage {self.coverage_percent:.1f}%")
 
 
-class ConformanceMonitor(Observer):
-    """Attachable lockstep differential oracle for one kernel.
+class _CacheShadow:
+    """The lockstep state of one L1 data cache: its per-frame models,
+    event log, pre-action states and reported divergences."""
 
-    Args:
-        kernel: the booted kernel to shadow.  Attaching after boot is
-            sound: the model starts all-EMPTY, which demands nothing and
-            forbids nothing, so pre-attach history can only *hide*
-            obligations, never invent them.
-        record_only: collect divergences instead of raising on the first.
-        max_events: bound the replay log (a deque keeps the most recent
-            events for the error prefix); None keeps everything.
-        cache: the cache object to wrap; defaults to ``machine.dcache``.
-            :class:`SmpConformanceMonitor` passes each per-CPU cache of a
-            cluster here, one monitor per CPU.
-        cpu: CPU number for divergence attribution (None on a
-            uniprocessor).
-        wrap_dma: also wrap the DMA engine.  Per-CPU monitors set this
-            False; the composite wraps DMA once and broadcasts.
-        coverage: a shared :class:`ArcCoverage` to record into (per-CPU
-            monitors share one); None builds a private instance.
-        model_factory: ``factory(num_cache_pages) -> model`` building the
-            per-frame shadow model.  None derives the factory from the
-            wrapped cache's geometry
-            (:func:`repro.core.variants.model_factory_for_geometry`), so
-            each hierarchy configuration is checked against *its* derived
-            Table 2 — the canonical model for any write-back virtually
-            indexed cache (whatever its associativity or lower levels),
-            the write-through and physically-indexed derivations for
-            those variants.
-    """
-
-    def __init__(self, kernel: "Kernel", record_only: bool = False,
-                 max_events: int | None = 4096, *,
-                 cache=None, cpu: int | None = None, wrap_dma: bool = True,
-                 coverage: ArcCoverage | None = None, model_factory=None):
-        self.kernel = kernel
-        self.machine = kernel.machine
-        self.cache = cache if cache is not None else self.machine.dcache
+    def __init__(self, monitor: "ConformanceMonitor", cache,
+                 cpu: int | None, max_events: int | None):
+        self.monitor = monitor
+        self.cache = cache
         self.cpu = cpu
-        self.wrap_dma = wrap_dma
-        self.page_size = self.machine.page_size
-        self.words_per_page = self.machine.memory.words_per_page
-        self.ncp = self.cache.geo.num_cache_pages
-        self.record_only = record_only
-        self.model_factory = (model_factory if model_factory is not None
-                              else model_factory_for_geometry(self.cache.geo))
+        self.page_size = monitor.machine.page_size
+        self.ncp = cache.geo.num_cache_pages
+        self.model_factory = model_factory_for_geometry(cache.geo)
         self.models: dict[int, ConsistencyModel] = {}
-        self.coverage = coverage if coverage is not None else ArcCoverage()
         self.events: deque[ObservedEvent] = deque(maxlen=max_events)
         self.events_seen = 0
         self.divergences: list[Divergence] = []
@@ -214,15 +168,7 @@ class ConformanceMonitor(Observer):
         # re-report at every subsequent access of the frame.
         self._reported: set[tuple[int, str]] = set()
 
-    # ---- attachment ------------------------------------------------------------
-
-    def _install(self, patches: Patches) -> None:
-        for name, op, full_page in _DCACHE_EVENTS:
-            patches.wrap(self.cache, name, self._dcache_wrapper(op, full_page))
-        if self.wrap_dma:
-            _wrap_dma(patches, self.machine.dma, self._on_dma)
-
-    def _dcache_wrapper(self, op: MemoryOp, full_page: bool | None):
+    def wrapper(self, op: MemoryOp, full_page: bool | None):
         """The wrapper factory for one data-cache entry point."""
         if op.is_cache_op:
             on_cache_op = self._on_cache_op
@@ -236,7 +182,8 @@ class ConformanceMonitor(Observer):
 
         on_access = self._on_access
         if full_page is None:
-            page_size, words_per_page = self.page_size, self.words_per_page
+            page_size = self.page_size
+            words_per_page = self.monitor.machine.memory.words_per_page
 
             def make(orig):
                 def observed(vaddr, paddr, values):
@@ -266,8 +213,8 @@ class ConformanceMonitor(Observer):
     def _log(self, op: MemoryOp, frame: int,
              cache_page: int | None) -> int:
         seq = self.events_seen
-        self.events.append(ObservedEvent(seq, self.machine.clock.cycles,
-                                         op, frame, cache_page))
+        self.events.append(ObservedEvent(
+            seq, self.monitor.machine.clock.cycles, op, frame, cache_page))
         self.events_seen += 1
         return seq
 
@@ -279,32 +226,24 @@ class ConformanceMonitor(Observer):
         model = self.model_of(frame)
         if frame not in self._pre_action:
             self._pre_action[frame] = list(model.states)
-        self.coverage.record_event(op, model.states, cache_page)
+        self.monitor.coverage.record_event(op, model.states, cache_page)
         model.apply(op, cache_page)
         self._log(op, frame, cache_page)
-
-    def _on_dma(self, op: MemoryOp, frame: int) -> None:
-        self._check_access(op, frame, None, full_page=False)
-
-    def observe_dma(self, op: MemoryOp, frame: int) -> None:
-        """Feed a DMA transfer observed elsewhere into this monitor's
-        models (the SMP composite wraps DMA once and broadcasts here)."""
-        self._on_dma(op, frame)
 
     def _on_access(self, op: MemoryOp, vaddr: int, paddr: int,
                    full_page: bool = False) -> None:
         frame = paddr // self.page_size
         cache_page = self.cache.cache_page_of(vaddr, paddr)
-        self._check_access(op, frame, cache_page, full_page)
+        self.check_access(op, frame, cache_page, full_page)
 
-    def _check_access(self, op: MemoryOp, frame: int,
-                      cache_page: int | None, full_page: bool) -> None:
+    def check_access(self, op: MemoryOp, frame: int,
+                     cache_page: int | None, full_page: bool) -> None:
         model = self.model_of(frame)
         pre = self._pre_action.pop(frame, None)
         if pre is None:
             pre = list(model.states)
         required = model.apply(op, cache_page)
-        self.coverage.record_event(op, pre, cache_page)
+        self.monitor.coverage.record_event(op, pre, cache_page)
         seq = self._log(op, frame, cache_page)
 
         missing = [a for a in required
@@ -317,11 +256,10 @@ class ConformanceMonitor(Observer):
             # way, so a fully waived miss leaves both sides agreeing and
             # only the state comparison remains.  The default policy
             # waives nothing.
-            cpolicy = getattr(self.kernel, "cpolicy", None)
-            if cpolicy is not None and all(
-                    cpolicy.waives_missed_action(self.kernel, self.cache,
-                                                 frame, a)
-                    for a in missing):
+            kernel = self.monitor.kernel
+            if all(kernel.cpolicy.waives_missed_action(kernel, self.cache,
+                                                       frame, a)
+                   for a in missing):
                 self._check_states(seq, frame, model)
                 return
             self._diverge(seq, "missed-action", frame, cache_page,
@@ -335,7 +273,7 @@ class ConformanceMonitor(Observer):
         """The dangerous-direction state comparison (model S => impl S,
         model D => impl effective-D); only model-S/D lines can disagree
         dangerously, so only those are compared."""
-        state = self.kernel.pmap.page_states.get(frame)
+        state = self.monitor.kernel.pmap.page_states.get(frame)
         if state is None or state.uncached:
             return  # no bookkeeping to compare (quarantined / uncached)
         for c, model_state in enumerate(model.states):
@@ -359,11 +297,11 @@ class ConformanceMonitor(Observer):
         divergence = Divergence(seq, kind, frame, cache_page, detail,
                                 cpu=self.cpu)
         self.divergences.append(divergence)
-        bus = self.machine.bus
+        bus = self.monitor.machine.bus
         if bus is not None and bus.enabled:
             bus.publish("divergence", divergence=kind, frame=frame,
                         cache_page=cache_page, detail=detail, cpu=self.cpu)
-        if self.record_only:
+        if self.monitor.record_only:
             return
         where = f"cpu{self.cpu}: " if self.cpu is not None else ""
         raise ConformanceError(
@@ -373,85 +311,93 @@ class ConformanceMonitor(Observer):
             kind=kind, frame=frame, cache_page=cache_page, event_index=seq,
             cpu=self.cpu, prefix=tuple(self.events))
 
-    # ---- reporting -------------------------------------------------------------
 
-    def summary(self) -> ConformanceSummary:
-        return ConformanceSummary(
-            events=self.events_seen, frames=len(self.models),
-            divergences=len(self.divergences),
-            coverage_percent=self.coverage.percent,
-            uncovered=self.coverage.uncovered())
+class ConformanceMonitor(Observer):
+    """Attachable lockstep differential oracle for one kernel.
 
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-
-class SmpConformanceMonitor(Observer):
-    """Per-CPU lockstep over a :class:`~repro.hw.smp.CoherentCluster`.
-
-    One :class:`ConformanceMonitor` shadows each CPU's data cache,
-    sharing a single :class:`ArcCoverage` (the Table 2 arcs are
+    The monitor shadows every L1 data cache of the machine
+    (:attr:`Machine.dcaches <repro.hw.machine.Machine.dcaches>`): the one
+    cache of a uniprocessor, or each CPU's cache of a
+    :class:`~repro.hw.smp.CoherentCluster` — Section 3.3's distributed
+    set-associative cache, checked against the same rules.  Each cache
+    keeps its own per-frame models, event log and sequence numbers; the
+    shadows share one :class:`ArcCoverage` (the Table 2 arcs are
     CPU-agnostic, so the union is the meaningful coverage number).
-    Cluster-wide management operations are observed per CPU naturally —
-    the cluster's flush/purge loops call each wrapped cache — while DMA
-    is wrapped once here and broadcast to every monitor, since a device
-    transfer changes the frame's standing for every CPU at once.
+    Cluster-wide flush/purge loops call each wrapped cache, so every
+    shadow sees them; DMA is wrapped once and fed to every shadow in CPU
+    order, since a device transfer changes the frame's standing for
+    every CPU at once.
 
     Soundness of the per-CPU projection: each CPU's model sees that
     CPU's accesses plus all management and DMA traffic, so it demands a
     subset of what a whole-machine model would — no false missed-action
     reports — and the dangerous-direction state checks compare against
     the shared (CPU-agnostic) pmap bookkeeping exactly as on one CPU.
-    Divergences carry the observing CPU (:attr:`Divergence.cpu`).
+    On a cluster, divergences carry the observing CPU
+    (:attr:`Divergence.cpu`); on a uniprocessor it is ``None``.
+
+    Each shadow's model is derived from its cache's geometry
+    (:func:`repro.core.variants.model_factory_for_geometry`), so each
+    hierarchy configuration is checked against *its* derived Table 2 —
+    the canonical model for any write-back virtually indexed cache
+    (whatever its associativity or lower levels), the write-through and
+    physically-indexed derivations for those variants.
+
+    Args:
+        kernel: the booted kernel to shadow.  Attaching after boot is
+            sound: the model starts all-EMPTY, which demands nothing and
+            forbids nothing, so pre-attach history can only *hide*
+            obligations, never invent them.
+        record_only: collect divergences instead of raising on the first.
+        max_events: bound each cache's replay log (a deque keeps the most
+            recent events for the error prefix); None keeps everything.
     """
 
     def __init__(self, kernel: "Kernel", record_only: bool = False,
                  max_events: int | None = 4096):
-        cluster = kernel.machine.cluster
-        if cluster is None:
-            raise ConformanceError(
-                "SmpConformanceMonitor needs a multi-CPU machine; "
-                "use ConformanceMonitor on a uniprocessor")
         self.kernel = kernel
         self.machine = kernel.machine
         self.record_only = record_only
         self.coverage = ArcCoverage()
-        self.monitors = [
-            ConformanceMonitor(kernel, record_only=record_only,
-                               max_events=max_events, cache=cache, cpu=i,
-                               wrap_dma=False, coverage=self.coverage)
-            for i, cache in enumerate(cluster.caches)
-        ]
+        caches = self.machine.dcaches
+        self.shadows = tuple(
+            _CacheShadow(self, cache, cpu if len(caches) > 1 else None,
+                         max_events)
+            for cpu, cache in enumerate(caches))
 
     def _install(self, patches: Patches) -> None:
-        for monitor in self.monitors:
-            monitor._install(patches)
-        _wrap_dma(patches, self.machine.dma, self._broadcast_dma)
+        for shadow in self.shadows:
+            for name, op, full_page in _DCACHE_EVENTS:
+                patches.wrap(shadow.cache, name, shadow.wrapper(op, full_page))
+        for name, op in (("dma_read", MemoryOp.DMA_READ),
+                         ("dma_write", MemoryOp.DMA_WRITE)):
+            def make(orig, op=op, shadows=self.shadows):
+                def observed(ppage, *rest):
+                    for shadow in shadows:
+                        shadow.check_access(op, ppage, None, full_page=False)
+                    return orig(ppage, *rest)
+                return observed
+            patches.wrap(self.machine.dma, name, make)
 
-    def _broadcast_dma(self, op: MemoryOp, frame: int) -> None:
-        for monitor in self.monitors:
-            monitor.observe_dma(op, frame)
-
-    # ---- aggregated reporting -----------------------------------------------
+    # ---- reporting -------------------------------------------------------------
 
     @property
     def events_seen(self) -> int:
-        return sum(m.events_seen for m in self.monitors)
+        return sum(s.events_seen for s in self.shadows)
 
     @property
     def divergences(self) -> list[Divergence]:
-        out = [d for m in self.monitors for d in m.divergences]
-        out.sort(key=lambda d: (d.seq, d.cpu if d.cpu is not None else -1))
+        out = [d for s in self.shadows for d in s.divergences]
+        out.sort(key=lambda d: (d.seq, d.cpu or 0))
         return out
 
     def per_cpu_divergences(self) -> dict[int, int]:
-        return {m.cpu: len(m.divergences) for m in self.monitors}
+        """Divergences per CPU; empty on a uniprocessor."""
+        return {s.cpu: len(s.divergences) for s in self.shadows
+                if s.cpu is not None}
 
     def summary(self) -> ConformanceSummary:
-        frames = set()
-        for monitor in self.monitors:
-            frames.update(monitor.models)
+        frames = set().union(*(s.models for s in self.shadows))
         return ConformanceSummary(
             events=self.events_seen, frames=len(frames),
             divergences=len(self.divergences),
@@ -460,4 +406,4 @@ class SmpConformanceMonitor(Observer):
 
     @property
     def ok(self) -> bool:
-        return all(m.ok for m in self.monitors)
+        return all(not s.divergences for s in self.shadows)

@@ -45,8 +45,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from repro.conformance.lockstep import (ConformanceMonitor,
-                                        SmpConformanceMonitor)
+from repro.conformance.lockstep import ConformanceMonitor
 from repro.errors import ReproError
 from repro.faults.injector import (CONSISTENCY_POINTS, DIVERGENCE_POINTS,
                                    SNOOP_POINTS, FaultInjector, FaultPlan,
@@ -222,26 +221,19 @@ def run_chaos(seed: int, preset: str = "mixed", steps: int = 200,
     (``report.event_summary``).  With ``n_cpus > 1`` the run boots a
     :class:`~repro.hw.smp.CoherentCluster`, the stressor's tasks spread
     over the CPUs, the ``smp.snoop.*`` race points arm, and the
-    conformance shadow becomes one lockstep oracle *per CPU*
-    (divergences name the CPU that diverged)."""
+    conformance shadow checks every CPU's cache (divergences name the
+    CPU that diverged)."""
     plan = build_plan(seed, preset)
     kernel = Kernel(policy=policy,
                     config=config or chaos_machine(n_cpus=n_cpus),
                     buffer_cache_pages=24)
-    cluster = kernel.machine.cluster
-    n_cpus = 1 if cluster is None else len(cluster)
     oracle = kernel.machine.oracle
     oracle.record_only = True
     if trace:
         kernel.machine.bus.enable()
-    monitor = None
-    if conform:
-        if n_cpus > 1:
-            monitor = SmpConformanceMonitor(kernel, record_only=True,
-                                            max_events=512).attach()
-        else:
-            monitor = ConformanceMonitor(kernel, record_only=True,
-                                         max_events=512).attach()
+    monitor = (ConformanceMonitor(kernel, record_only=True,
+                                  max_events=512).attach()
+               if conform else None)
     injector = FaultInjector(plan, kernel.machine.clock)
     injector.attach_kernel(kernel)
 
@@ -277,10 +269,8 @@ def run_chaos(seed: int, preset: str = "mixed", steps: int = 200,
         violations=len(oracle.violations),
         conform_events=monitor.events_seen if monitor else 0,
         conform_divergences=len(monitor.divergences) if monitor else 0,
-        n_cpus=n_cpus,
-        conform_per_cpu=(monitor.per_cpu_divergences()
-                         if isinstance(monitor, SmpConformanceMonitor)
-                         else {}),
+        n_cpus=kernel.machine.config.n_cpus,
+        conform_per_cpu=monitor.per_cpu_divergences() if monitor else {},
         cycles=kernel.machine.clock.cycles,
         disk_retries=counters.disk_retries,
         tlb_parity_recoveries=counters.tlb_parity_recoveries,

@@ -300,7 +300,7 @@ class FaultInjector:
         kernel.disk.injector = self
         kernel.machine.dma.injector = self
         kernel.machine.tlb.injector = self
-        if getattr(kernel.machine, "cluster", None) is not None:
+        if kernel.machine.cluster is not None:
             kernel.machine.cluster.injector = self
         self.bus = kernel.machine.bus
         return self

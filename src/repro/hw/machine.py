@@ -65,7 +65,9 @@ class Machine:
     per-CPU caches behind an :class:`SmpDataCache` facade; accesses are
     routed to the CPU the task's address space is bound to
     (:meth:`bind_cpu`), and the instruction cache stays shared (it is
-    never dirty, so it needs no coherence).
+    never dirty, so it needs no coherence).  ``dcaches`` lists every L1
+    data cache in CPU order: ``(dcache,)`` on one CPU, the cluster's
+    per-CPU caches on several.
     """
 
     def __init__(self, config: MachineConfig):
@@ -94,6 +96,7 @@ class Machine:
                                            self.clock, self.counters,
                                            hierarchy=self.hierarchy)
             self.dcache = SmpDataCache(self.cluster)
+            self.dcaches = tuple(self.cluster.caches)
             # asid -> CPU; unbound address spaces run on CPU 0 (where
             # the kernel's own asid-0 accesses also land).
             self.cpu_bindings: dict[int, int] | None = {}
@@ -103,6 +106,7 @@ class Machine:
             self.dcache = Cache(config.dcache, self.memory, config.cost,
                                 self.clock, self.counters, name="dcache",
                                 hierarchy=self.hierarchy)
+            self.dcaches = (self.dcache,)
         self.icache = Cache(config.icache, self.memory, config.cost,
                             self.clock, self.counters, name="icache",
                             is_icache=True, hierarchy=self.hierarchy)

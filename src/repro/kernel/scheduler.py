@@ -46,8 +46,7 @@ class Scheduler:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        cluster = kernel.machine.cluster
-        self.n_cpus = 1 if cluster is None else len(cluster)
+        self.n_cpus = kernel.machine.config.n_cpus
         self.queues: list[deque[Tasklet]] = [deque()
                                              for _ in range(self.n_cpus)]
         self.finished: list[Tasklet] = []

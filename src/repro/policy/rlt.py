@@ -39,14 +39,6 @@ from repro.policy.base import ConsistencyPolicy
 from repro.vm.policy import CONFIG_F
 
 
-def _dcaches(machine):
-    """The physical data caches (per-CPU under SMP, else the one L1)."""
-    cluster = getattr(machine.dcache, "cluster", None)
-    if cluster is not None:
-        return list(cluster.caches)
-    return [machine.dcache]
-
-
 class ReverseLookupPolicy(ConsistencyPolicy):
     """Configuration F with exact, RLT-backed synonym invalidation."""
 
@@ -59,7 +51,7 @@ class ReverseLookupPolicy(ConsistencyPolicy):
             origin="external")
 
     def setup(self, pmap) -> None:
-        for cache in _dcaches(pmap.machine):
+        for cache in pmap.machine.dcaches:
             cache.exact_management = True
 
     # One consult answers "which lines of this frame sit in this cache

@@ -17,6 +17,9 @@ CPU.  These workloads make the claim measurable:
   request/reply crosses the coherence fabric between the client's cache
   and the server's.  Channel alignment follows the kernel's policy
   (``align_server_pages``), exactly as on the uniprocessor.
+* :func:`measure` / :func:`render` / :func:`check` — the 1..8-CPU
+  aligned-vs-unaligned ring curve (``repro smp``, ``BENCH_smp.json``)
+  and its gates.
 
 The simulator charges every CPU to one shared clock (accesses are
 serialized), so these results measure per-record/per-request *cost* —
@@ -81,11 +84,6 @@ class SmpServerResult:
         return data
 
 
-def _n_cpus(kernel: Kernel) -> int:
-    cluster = kernel.machine.cluster
-    return 1 if cluster is None else len(cluster)
-
-
 # ---- producer/consumer rings across CPUs -----------------------------------
 
 
@@ -126,7 +124,7 @@ def run_smp_ring(kernel: Kernel, records_per_pair: int = 120,
     schedule — the contention pattern, not just the totals, is
     reproducible.
     """
-    n = _n_cpus(kernel)
+    n = kernel.machine.config.n_cpus
     pairs = max(1, n // 2)
     scheduler = Scheduler(kernel)
 
@@ -218,7 +216,7 @@ def run_smp_unix_server(kernel: Kernel, pages_per_client: int = 3,
     measurement.  On one CPU the single client shares CPU 0 with the
     server (the degenerate baseline).
     """
-    n = _n_cpus(kernel)
+    n = kernel.machine.config.n_cpus
     scheduler = Scheduler(kernel)
     client_cpus = list(range(1, n)) or [0]
     requests = [0]
@@ -255,3 +253,88 @@ def run_smp_unix_server(kernel: Kernel, pages_per_client: int = 3,
     for proc in procs:
         proc.exit()
     return result
+
+
+# ---- the scaling curve (``repro smp``, BENCH_smp.json) ---------------------
+
+CPU_COUNTS = tuple(range(1, 9))
+RECORDS = 120
+DATA_PAGES = 2
+
+
+def measure(executor=None) -> dict:
+    """Run the ring at every CPU count, aligned and unaligned, one farm
+    job (``JobSpec.smp``) per point on ``executor`` (default in-process)."""
+    from repro.farm import Executor, JobSpec, job_payloads
+
+    executor = executor or Executor(jobs=1)
+    specs = [JobSpec.smp(n_cpus=n, aligned=aligned, records=RECORDS,
+                         data_pages=DATA_PAGES)
+             for n in CPU_COUNTS for aligned in (True, False)]
+    points = [p["result"] for p in job_payloads(executor, specs)]
+    return {
+        "workload": "smp-ring",
+        "records_per_pair": RECORDS,
+        "data_pages": DATA_PAGES,
+        "cpu_counts": list(CPU_COUNTS),
+        "points": points,
+        "farm": executor.stats.as_dict(),
+    }
+
+
+def _by_n(result: dict, aligned: bool) -> dict[int, dict]:
+    return {p["n_cpus"]: p for p in result["points"]
+            if p["aligned"] is aligned}
+
+
+def render(result: dict) -> str:
+    aligned, unaligned = _by_n(result, True), _by_n(result, False)
+    lines = [
+        f"SMP scaling: ring workload, {result['records_per_pair']} "
+        f"records/pair, {result['data_pages']} data pages "
+        "(cycles/record is shared-clock cost, not throughput)",
+        "",
+        f"{'CPUs':>4} {'aligned c/r':>12} {'unalign c/r':>12} "
+        f"{'al faults':>10} {'un faults':>10} {'al snoop inv':>13} "
+        f"{'un snoop inv':>13}",
+    ]
+    for n in result["cpu_counts"]:
+        a, u = aligned[n], unaligned[n]
+        lines.append(
+            f"{n:>4} {a['cycles_per_record']:>12.1f} "
+            f"{u['cycles_per_record']:>12.1f} "
+            f"{a['consistency_faults']:>10} {u['consistency_faults']:>10} "
+            f"{a['coherence_invalidations']:>13} "
+            f"{u['coherence_invalidations']:>13}")
+    lines.append("")
+    lines.append("snooping resolves aligned sharing; unaligned aliases "
+                 "never snoop-hit and keep the uniprocessor's software "
+                 "consistency cost on every CPU (Section 3.3)")
+    return "\n".join(lines)
+
+
+def check(result: dict) -> list[str]:
+    """The Section 3.3 gates; returns failure descriptions (empty ==
+    pass)."""
+    aligned, unaligned = _by_n(result, True), _by_n(result, False)
+    failures = []
+    for n in result["cpu_counts"]:
+        a, u = aligned[n], unaligned[n]
+        if u["cycles_per_record"] < a["cycles_per_record"]:
+            failures.append(
+                f"N={n}: unaligned {u['cycles_per_record']:.1f} c/r "
+                f"cheaper than aligned {a['cycles_per_record']:.1f}")
+        if u["consistency_faults"] <= a["consistency_faults"]:
+            failures.append(
+                f"N={n}: unaligned consistency faults "
+                f"({u['consistency_faults']}) not above aligned "
+                f"({a['consistency_faults']})")
+        if u["coherence_invalidations"] != 0:
+            failures.append(
+                f"N={n}: unaligned sharing snoop-hit "
+                f"{u['coherence_invalidations']} times — aliases in "
+                f"different sets must be invisible to the bus")
+        if n >= 2 and a["coherence_invalidations"] == 0:
+            failures.append(
+                f"N={n}: aligned sharing generated no coherence traffic")
+    return failures

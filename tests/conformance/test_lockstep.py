@@ -123,7 +123,8 @@ class TestCleanShadowing:
         stressor = AliasStressor(kernel, n_tasks=3, n_pages=4, seed=0)
         with ConformanceMonitor(kernel, max_events=64) as monitor:
             stressor.run(300)
-        assert len(monitor.events) == 64
+        (shadow,) = monitor.shadows
+        assert len(shadow.events) == 64
         assert monitor.events_seen > 64
 
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
@@ -138,4 +139,4 @@ class TestCleanShadowing:
             run_workload(make_workload(name, 0.25), policy, kernel=kernel)
         assert monitor.ok
         assert monitor.events_seen > 100
-        assert len(monitor.models) > 10
+        assert monitor.summary().frames > 10

@@ -1,9 +1,10 @@
-"""Per-CPU lockstep conformance over a coherent cluster."""
+"""Lockstep conformance over a coherent cluster: one monitor, one shadow
+per CPU's cache."""
 
 import pytest
 
-from repro.conformance.lockstep import (ConformanceMonitor,
-                                        SmpConformanceMonitor)
+from repro.conformance.lockstep import ConformanceMonitor
+from repro.core.states import MemoryOp
 from repro.errors import ConformanceError
 from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.hw.params import small_machine
@@ -19,26 +20,38 @@ def smp_kernel(n_cpus=2):
 
 
 class TestConstruction:
-    def test_needs_a_cluster(self):
-        kernel = Kernel(config=small_machine(phys_pages=192),
-                        buffer_cache_pages=24)
-        with pytest.raises(ConformanceError):
-            SmpConformanceMonitor(kernel)
-
     def test_one_shadow_per_cpu_sharing_coverage(self):
         kernel = smp_kernel(3)
-        monitor = SmpConformanceMonitor(kernel)
-        assert len(monitor.monitors) == 3
-        assert [m.cpu for m in monitor.monitors] == [0, 1, 2]
-        assert all(m.coverage is monitor.coverage
-                   for m in monitor.monitors)
+        monitor = ConformanceMonitor(kernel)
+        assert [s.cpu for s in monitor.shadows] == [0, 1, 2]
+        assert [s.cache for s in monitor.shadows] == \
+            kernel.machine.cluster.caches
+        assert monitor.per_cpu_divergences() == {0: 0, 1: 0, 2: 0}
+        # Every shadow records into the monitor's one coverage: a DMA
+        # transfer fed to three CPUs' shadows counts each arc three times
+        # as often as on one CPU.
+        counts = {}
+        for n in (1, 3):
+            kernel = smp_kernel(n)
+            with ConformanceMonitor(kernel) as monitor:
+                kernel.machine.dma.dma_read(
+                    kernel.machine.config.phys_pages - 1)
+            counts[n] = monitor.coverage.to_dict()["counts"]
+        assert counts[1]
+        assert [(*c[:-1], c[-1] * 3) for c in counts[1]] == \
+            [tuple(c) for c in counts[3]]
 
     def test_attach_detach_restores_dma(self):
-        kernel = smp_kernel(2)
+        kernel = smp_kernel(3)
         dma = kernel.machine.dma
         originals = (dma.dma_read, dma.dma_write)
-        monitor = SmpConformanceMonitor(kernel).attach()
+        monitor = ConformanceMonitor(kernel).attach()
         assert dma.dma_read is not originals[0]
+        # DMA is wrapped once: one transfer reaches each shadow once
+        dma.dma_read(kernel.machine.config.phys_pages - 1)
+        assert [s.events_seen for s in monitor.shadows] == [1, 1, 1]
+        assert all(s.events[-1].op is MemoryOp.DMA_READ
+                   for s in monitor.shadows)
         monitor.detach()
         assert (dma.dma_read, dma.dma_write) == originals
 
@@ -47,7 +60,7 @@ class TestCleanShadowing:
     def test_alias_stressor_on_four_cpus_is_divergence_free(self):
         kernel = smp_kernel(4)
         stressor = AliasStressor(kernel, n_tasks=4, n_pages=4, seed=0)
-        with SmpConformanceMonitor(kernel) as monitor:
+        with ConformanceMonitor(kernel) as monitor:
             stressor.run(250)
         assert monitor.ok, monitor.divergences[:3]
         assert monitor.events_seen > 0
@@ -58,11 +71,11 @@ class TestCleanShadowing:
 
     def test_smp_ring_shadows_clean(self):
         kernel = smp_kernel(2)
-        with SmpConformanceMonitor(kernel) as monitor:
+        with ConformanceMonitor(kernel) as monitor:
             run_smp_ring(kernel, records_per_pair=30, aligned=False)
         assert monitor.ok, monitor.divergences[:3]
         # both CPUs actually produced events
-        assert all(m.events_seen > 0 for m in monitor.monitors)
+        assert all(s.events_seen > 0 for s in monitor.shadows)
 
 
 class TestDivergenceAttribution:
@@ -76,7 +89,7 @@ class TestDivergenceAttribution:
                                      FaultRule("pmap.purge.drop", rate=1.0))),
             kernel.machine.clock)
         injector.attach_kernel(kernel)
-        monitor = SmpConformanceMonitor(kernel, record_only=True).attach()
+        monitor = ConformanceMonitor(kernel, record_only=True).attach()
         stressor = AliasStressor(kernel, n_tasks=n_cpus, n_pages=4,
                                  seed=seed)
         try:
@@ -102,7 +115,7 @@ class TestDivergenceAttribution:
                                      FaultRule("pmap.purge.drop", rate=1.0))),
             kernel.machine.clock)
         injector.attach_kernel(kernel)
-        monitor = SmpConformanceMonitor(kernel).attach()
+        monitor = ConformanceMonitor(kernel).attach()
         stressor = AliasStressor(kernel, n_tasks=2, n_pages=4, seed=11)
         with pytest.raises(ConformanceError) as excinfo:
             stressor.run(200)
@@ -119,4 +132,5 @@ class TestUniprocessorMonitorUnchanged:
         with ConformanceMonitor(kernel) as monitor:
             stressor.run(100)
         assert monitor.ok
-        assert all(d.cpu is None for d in monitor.divergences)
+        assert [s.cpu for s in monitor.shadows] == [None]
+        assert monitor.per_cpu_divergences() == {}

@@ -192,7 +192,7 @@ class TestConformanceShadow:
         injector = FaultInjector(FaultPlan(seed=0), kernel.machine.clock)
         injector.attach_kernel(kernel)
         monitor = ConformanceMonitor(kernel, record_only=True)
-        monitor.divergences.append(
+        monitor.shadows[0].divergences.append(
             Divergence(seq=0, kind="state-divergence", frame=9,
                        cache_page=0, detail="fabricated"))
         report = ChaosReport(seed=0, preset="unit", steps=0, completed=True,

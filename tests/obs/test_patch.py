@@ -10,8 +10,7 @@ import pytest
 from repro.analysis.experiments import (evaluation_machine, make_workload,
                                         run_workload)
 from repro.analysis.trace import Tracer, diff_traces
-from repro.conformance.lockstep import (ConformanceMonitor,
-                                        SmpConformanceMonitor)
+from repro.conformance.lockstep import ConformanceMonitor
 from repro.hw.params import small_machine
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import UserProcess
@@ -43,7 +42,7 @@ OBSERVERS = {
     "profiler": (_Profiler, 1),
     "recorder": (lambda kernel: TraceRecorder(kernel.machine), 1),
     "monitor": (ConformanceMonitor, 1),
-    "smp-monitor": (SmpConformanceMonitor, 2),
+    "monitor-2cpu": (ConformanceMonitor, 2),
 }
 
 
