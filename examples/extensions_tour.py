@@ -93,14 +93,21 @@ def pageout() -> None:
 def multiprocessor() -> None:
     print("=== 4. coherent multiprocessor (Section 3.3) ===")
     geo = CacheGeometry(size=16 * 1024)
+    counters = Counters()
     cluster = CoherentCluster(2, geo, PhysicalMemory(8, 4096), CostModel(),
-                              Clock(), Counters())
-    cluster.write(0, 0, 0, 7)
+                              Clock(), counters)
+    # The cluster is one data cache; current_cpu picks whose cache an
+    # access goes through.
+    cluster.current_cpu = 0
+    cluster.write(0, 0, 7)
+    cluster.current_cpu = 1
     print(f"  cpu1 reads cpu0's dirty line (aligned): "
-          f"{cluster.read(1, 0, 0)} — hardware coherence, "
-          f"{cluster.coherence_writebacks} snoop write-back")
-    cluster.write(0, 0, 0, 8)
-    stale = cluster.read(1, 4096, 0)   # unaligned alias on cpu1
+          f"{cluster.read(0, 0)} — hardware coherence, "
+          f"{counters.coherence_writebacks} snoop write-back")
+    cluster.current_cpu = 0
+    cluster.write(0, 0, 8)
+    cluster.current_cpu = 1
+    stale = cluster.read(4096, 0)   # unaligned alias on cpu1
     print(f"  cpu1 reads through an UNALIGNED alias: {stale} (stale!) — "
           "the software model applies unchanged")
     # Table 2 for a CPU-read of a stale line: flush the dirty unaligned
@@ -110,7 +117,7 @@ def multiprocessor() -> None:
     cluster.flush_page_frame(0, 0, Reason.ALIAS_READ)
     cluster.purge_page_frame(1, 0, Reason.ALIAS_READ)
     print(f"  after the model's flush + purge: "
-          f"{cluster.read(1, 4096, 0)}")
+          f"{cluster.read(4096, 0)}")
 
 
 if __name__ == "__main__":

@@ -128,21 +128,3 @@ def check_cell_exhaustive(cell: MatrixCell, depth: int = 6) -> "CheckReport":
         num_cache_pages=cell.exhaustive_pages, depth=depth,
         model_factory=model_factory_by_name(cell.model_name))
 
-
-def run_matrix(cells: tuple[MatrixCell, ...] = HIERARCHY_MATRIX,
-               steps: int = 300, depth: int = 6) -> dict:
-    """Run both checks for every cell; returns
-    ``{cell name: {"model", "lockstep_events", "lockstep_divergences",
-    "exhaustive_sequences", "exhaustive_ok"}}``."""
-    results: dict = {}
-    for cell in cells:
-        summary = check_cell_lockstep(cell, steps=steps)
-        report = check_cell_exhaustive(cell, depth=depth)
-        results[cell.name] = {
-            "model": cell.model_name,
-            "lockstep_events": summary.events,
-            "lockstep_divergences": summary.divergences,
-            "exhaustive_sequences": report.sequences,
-            "exhaustive_ok": report.ok,
-        }
-    return results

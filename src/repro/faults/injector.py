@@ -300,19 +300,17 @@ class FaultInjector:
         kernel.disk.injector = self
         kernel.machine.dma.injector = self
         kernel.machine.tlb.injector = self
-        if kernel.machine.cluster is not None:
-            kernel.machine.cluster.injector = self
+        if kernel.machine.config.n_cpus > 1:
+            kernel.machine.dcache.injector = self
         self.bus = kernel.machine.bus
         return self
 
     def attach(self, *, pmap=None, disk=None, dma=None, tlb=None,
-               cluster=None, kernel=None) -> "FaultInjector":
+               kernel=None) -> "FaultInjector":
         """Wire the injector into individual components (for rigs that
         assemble a machine without a full kernel)."""
         if pmap is not None:
             pmap.injector = self
-        if cluster is not None:
-            cluster.injector = self
         if disk is not None:
             disk.injector = self
         if dma is not None:

@@ -28,13 +28,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.core.oracle import ShadowMemory
-from repro.errors import AddressError, FaultLoopError, ProtectionError
+from repro.errors import (AddressError, ConfigurationError, FaultLoopError,
+                          ProtectionError)
 from repro.hw.cache import Cache
 from repro.hw.dma import DmaEngine
 from repro.hw.hierarchy import CacheHierarchy
 from repro.hw.params import WORD_SIZE, MachineConfig
 from repro.hw.physmem import PhysicalMemory
-from repro.hw.smp import CoherentCluster, SmpDataCache
+from repro.hw.smp import CoherentCluster
 from repro.hw.stats import Clock, Counters
 from repro.hw.tlb import Tlb
 from repro.obs.events import EventBus
@@ -61,13 +62,12 @@ class Machine:
     """A machine with split virtually-indexed I/D caches and DMA.
 
     ``config.n_cpus == 1`` is the paper's uniprocessor.  With more CPUs
-    the data cache becomes a Section 3.3 :class:`CoherentCluster` of
-    per-CPU caches behind an :class:`SmpDataCache` facade; accesses are
-    routed to the CPU the task's address space is bound to
-    (:meth:`bind_cpu`), and the instruction cache stays shared (it is
-    never dirty, so it needs no coherence).  ``dcaches`` lists every L1
-    data cache in CPU order: ``(dcache,)`` on one CPU, the cluster's
-    per-CPU caches on several.
+    ``dcache`` is a Section 3.3 :class:`CoherentCluster` of per-CPU
+    caches; accesses are routed to the CPU the task's address space is
+    bound to (:meth:`bind_cpu`), and the instruction cache stays shared
+    (it is never dirty, so it needs no coherence).  ``dcaches`` lists
+    every L1 data cache in CPU order: ``(dcache,)`` on one CPU, the
+    cluster's per-CPU caches on several.
     """
 
     def __init__(self, config: MachineConfig):
@@ -91,17 +91,15 @@ class Machine:
                                          l2=config.l2)
                           if config.has_hierarchy else None)
         if config.n_cpus > 1:
-            self.cluster = CoherentCluster(config.n_cpus, config.dcache,
-                                           self.memory, config.cost,
-                                           self.clock, self.counters,
-                                           hierarchy=self.hierarchy)
-            self.dcache = SmpDataCache(self.cluster)
-            self.dcaches = tuple(self.cluster.caches)
+            self.dcache = CoherentCluster(config.n_cpus, config.dcache,
+                                          self.memory, config.cost,
+                                          self.clock, self.counters,
+                                          hierarchy=self.hierarchy)
+            self.dcaches = tuple(self.dcache.caches)
             # asid -> CPU; unbound address spaces run on CPU 0 (where
             # the kernel's own asid-0 accesses also land).
             self.cpu_bindings: dict[int, int] | None = {}
         else:
-            self.cluster = None
             self.cpu_bindings = None
             self.dcache = Cache(config.dcache, self.memory, config.cost,
                                 self.clock, self.counters, name="dcache",
@@ -114,7 +112,7 @@ class Machine:
                        self.counters)
         self.dma = DmaEngine(self.memory, config, self.clock, self.counters,
                              oracle=self.oracle, hierarchy=self.hierarchy)
-        for component in (self.dcache, self.icache, self.tlb, self.dma):
+        for component in (*self.dcaches, self.icache, self.tlb, self.dma):
             component.bus = self.bus
         # Installed by the OS layer.
         self.translation_source: TranslationSource | None = None
@@ -125,26 +123,21 @@ class Machine:
         # mapping is already writable.
         self.write_notifier: Callable[[int, int], None] | None = None
 
-    # ---- CPU scheduling (multiprocessor only) --------------------------------
+    # ---- CPU scheduling ------------------------------------------------------
 
     def bind_cpu(self, asid: int, cpu: int) -> None:
         """Pin an address space to a CPU; its accesses go through that
         CPU's cache.  (This models which processor the task is scheduled
         on; the simulator executes one access at a time, so binding is
-        the whole scheduling interface the hardware needs.)"""
-        if self.cluster is None:
-            if cpu != 0:
-                raise ValueError(f"uniprocessor machine has no CPU {cpu}")
-            return
-        if not 0 <= cpu < len(self.cluster):
-            raise ValueError(f"CPU {cpu} out of range for "
-                             f"{len(self.cluster)}-CPU cluster")
-        self.cpu_bindings[asid] = cpu
-
-    def cpu_of(self, asid: int) -> int:
-        if self.cpu_bindings is None:
-            return 0
-        return self.cpu_bindings.get(asid, 0)
+        the whole scheduling interface the hardware needs.)  A CPU
+        outside ``0 .. n_cpus - 1`` raises :class:`ConfigurationError`
+        on every CPU count."""
+        n_cpus = self.config.n_cpus
+        if not 0 <= cpu < n_cpus:
+            raise ConfigurationError(
+                f"CPU {cpu} out of range for {n_cpus} CPU(s)")
+        if self.cpu_bindings is not None:
+            self.cpu_bindings[asid] = cpu
 
     # ---- translation with fault retry ---------------------------------------
 

@@ -124,16 +124,14 @@ class Kernel:
 
     def create_task(self, name: str | None = None,
                     cpu: int | None = None) -> Task:
-        task = Task(self, next(self._asids), name)
-        self.tasks[task.asid] = task
-        if self.machine.cluster is not None:
-            # Deterministic round-robin placement unless the caller pins
-            # the task; asid 1 (the Unix server) lands on CPU 0.
-            if cpu is None:
-                cpu = (task.asid - 1) % len(self.machine.cluster)
-            self.machine.bind_cpu(task.asid, cpu)
-        elif cpu not in (None, 0):
-            raise KernelError(f"no CPU {cpu} on a uniprocessor")
+        asid = next(self._asids)
+        # Deterministic round-robin placement unless the caller pins the
+        # task; asid 1 (the Unix server) lands on CPU 0.  The binding
+        # validates the CPU before the task is registered.
+        if cpu is None:
+            cpu = (asid - 1) % self.machine.config.n_cpus
+        self.machine.bind_cpu(asid, cpu)
+        task = self.tasks[asid] = Task(self, asid, name)
         return task
 
     def destroy_task(self, task: Task) -> None:

@@ -27,7 +27,6 @@ from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
-    from repro.kernel.task import Task
 
 
 @dataclass
@@ -58,10 +57,13 @@ class Scheduler:
               cpu: int | None = None) -> Tasklet:
         """Enqueue a generator as a tasklet.
 
-        Without an explicit ``cpu`` placement is round-robin in spawn
-        order — the same rule :meth:`Kernel.create_task` uses for
-        address spaces, so a tasklet and its task land together by
-        default.
+        Without an explicit ``cpu`` the ``k``-th tasklet spawned
+        (counting from 0, explicitly placed ones included) runs on CPU
+        ``k % n_cpus``.  That is not :meth:`Kernel.create_task`'s rule,
+        which puts asid ``a`` on CPU ``(a - 1) % n_cpus``: asid 1, the
+        Unix server, takes CPU 0, so the first user task lands on CPU 1
+        while the first default tasklet lands on CPU 0.  Pass ``cpu`` to
+        run a tasklet beside its task.
         """
         if cpu is None:
             cpu = self._spawned % self.n_cpus
@@ -72,10 +74,6 @@ class Scheduler:
         tasklet = Tasklet(name=name, cpu=cpu, gen=iter(gen))
         self.queues[cpu].append(tasklet)
         return tasklet
-
-    def pin(self, task: "Task", cpu: int) -> None:
-        """Re-bind a task's address space to a CPU (migration)."""
-        self.kernel.machine.bind_cpu(task.asid, cpu)
 
     # ---- dispatch ----------------------------------------------------------
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.conformance.matrix import (HIERARCHY_MATRIX, MatrixCell,
                                       cell_by_name, check_cell_exhaustive,
-                                      check_cell_lockstep, run_matrix)
+                                      check_cell_lockstep)
 from repro.errors import ConfigurationError
 
 #: the quick cells (direct-mapped L1: a few hundred lockstep events) and
@@ -70,6 +70,14 @@ class TestMatrixStructure:
         assert cell_by_name("pi+wt").exhaustive_pages == 1
         assert cell_by_name("baseline").exhaustive_pages == 3
 
+    def test_custom_base_config_is_respected(self):
+        from repro.hw.params import small_machine
+        base = small_machine(phys_pages=192)
+        cell = MatrixCell("2way", "2way")
+        config = cell.config(base)
+        assert config.dcache.associativity == 2
+        assert config.dcache.size == base.dcache.size
+
 
 class TestFastCells:
     @pytest.mark.parametrize("name", _names(FAST_CELLS))
@@ -100,24 +108,3 @@ class TestSlowCells:
     def test_exhaustive_depth_6(self, name):
         report = check_cell_exhaustive(cell_by_name(name), depth=6)
         assert report.ok, report
-
-
-class TestRunMatrix:
-    def test_reports_every_requested_cell(self):
-        cells = (cell_by_name("baseline"), cell_by_name("wt"))
-        results = run_matrix(cells, steps=60, depth=4)
-        assert sorted(results) == ["baseline", "wt"]
-        for name, row in results.items():
-            assert row["model"] == ("wt" if name == "wt" else "canonical")
-            assert row["lockstep_divergences"] == 0
-            assert row["exhaustive_ok"] is True
-            assert row["lockstep_events"] > 0
-            assert row["exhaustive_sequences"] > 0
-
-    def test_custom_base_config_is_respected(self):
-        from repro.hw.params import small_machine
-        base = small_machine(phys_pages=192)
-        cell = MatrixCell("2way", "2way")
-        config = cell.config(base)
-        assert config.dcache.associativity == 2
-        assert config.dcache.size == base.dcache.size

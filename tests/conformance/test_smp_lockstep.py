@@ -24,8 +24,8 @@ class TestConstruction:
         kernel = smp_kernel(3)
         monitor = ConformanceMonitor(kernel)
         assert [s.cpu for s in monitor.shadows] == [0, 1, 2]
-        assert [s.cache for s in monitor.shadows] == \
-            kernel.machine.cluster.caches
+        assert tuple(s.cache for s in monitor.shadows) == \
+            kernel.machine.dcaches
         assert monitor.per_cpu_divergences() == {0: 0, 1: 0, 2: 0}
         # Every shadow records into the monitor's one coverage: a DMA
         # transfer fed to three CPUs' shadows counts each arc three times

@@ -11,6 +11,7 @@ from repro.hw.params import CacheGeometry, CostModel
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.smp import CoherentCluster
 from repro.hw.stats import Clock, Counters
+from tests.hw.smp_helpers import on_cpu, resident_copies
 
 PAGE = 4096
 
@@ -50,11 +51,11 @@ class TestInvalidateDrop:
     def test_remote_copy_survives_the_store(self):
         cluster, mem, inj = make_cluster(
             point="smp.snoop.invalidate.drop")
-        cluster.read(1, 0, 0)           # cpu1 caches the line
-        cluster.write(0, 0, 0, 42)      # invalidation is dropped
-        set_idx = cluster.geometry.set_index(0)
-        assert cluster.resident_copies(set_idx, 0) == 2
-        assert cluster.coherence_invalidations == 0
+        on_cpu(cluster, 1).read(0, 0)       # cpu1 caches the line
+        on_cpu(cluster, 0).write(0, 0, 42)  # invalidation is dropped
+        set_idx = cluster.geo.set_index(0)
+        assert resident_copies(cluster, set_idx, 0) == 2
+        assert cluster.counters.coherence_invalidations == 0
         # cpu1 now reads the stale cached word: the race is observable.
         assert cluster.caches[1].read(0, 0) == 0
         [record] = inj.audit
@@ -65,7 +66,7 @@ class TestInvalidateDrop:
     def test_without_a_resident_peer_the_point_is_silent(self):
         cluster, mem, inj = make_cluster(
             point="smp.snoop.invalidate.drop")
-        cluster.write(0, 0, 0, 42)      # no peer copy -> nothing to race
+        on_cpu(cluster, 0).write(0, 0, 42)  # no peer copy -> nothing to race
         assert inj.audit == []
 
 
@@ -73,17 +74,18 @@ class TestWritebackStale:
     def test_reader_fills_from_stale_memory(self):
         cluster, mem, inj = make_cluster(
             point="smp.snoop.writeback.stale")
-        cluster.write(0, 0, 0, 42)      # dirty on cpu0, memory still 0
-        assert cluster.read(1, 0, 0) == 0   # write-back lost: stale fill
-        assert cluster.coherence_writebacks == 0
+        on_cpu(cluster, 0).write(0, 0, 42)  # dirty on cpu0, memory still 0
+        # The write-back is lost: cpu1 fills from stale memory.
+        assert on_cpu(cluster, 1).read(0, 0) == 0
+        assert cluster.counters.coherence_writebacks == 0
         [record] = inj.audit
         assert record.consequential
 
     def test_clean_peer_never_consults_the_point(self):
         cluster, mem, inj = make_cluster(
             point="smp.snoop.writeback.stale")
-        cluster.read(0, 0, 0)           # clean copy: no write-back to lose
-        assert cluster.read(1, 0, 0) == 0
+        on_cpu(cluster, 0).read(0, 0)  # clean copy: no write-back to lose
+        assert on_cpu(cluster, 1).read(0, 0) == 0
         assert inj.audit == []
 
 
@@ -91,11 +93,11 @@ class TestWritebackLost:
     def test_dirty_data_dies_with_the_invalidation(self):
         cluster, mem, inj = make_cluster(
             point="smp.snoop.writeback.lost")
-        cluster.write(0, 0, 0, 42)      # dirty on cpu0
-        cluster.write(1, 0, 0, 7)       # invalidates without write-back
-        set_idx = cluster.geometry.set_index(0)
-        assert cluster.resident_copies(set_idx, 0) == 1
-        assert cluster.coherence_writebacks == 0
+        on_cpu(cluster, 0).write(0, 0, 42)  # dirty on cpu0
+        on_cpu(cluster, 1).write(0, 0, 7)   # invalidates without write-back
+        set_idx = cluster.geo.set_index(0)
+        assert resident_copies(cluster, set_idx, 0) == 1
+        assert cluster.counters.coherence_writebacks == 0
         # cpu1's own store landed; the dirty 42 never reached memory.
         cluster.flush_page_frame(cluster.caches[0].cache_page_of(0, 0), 0,
                                  None)
@@ -108,11 +110,11 @@ class TestInvalidateMisroute:
     def test_intended_copy_survives(self):
         cluster, mem, inj = make_cluster(
             point="smp.snoop.invalidate.misroute")
-        cluster.read(1, 0, 0)
-        cluster.write(0, 0, 0, 42)
-        set_idx = cluster.geometry.set_index(0)
+        on_cpu(cluster, 1).read(0, 0)
+        on_cpu(cluster, 0).write(0, 0, 42)
+        set_idx = cluster.geo.set_index(0)
         # The invalidation landed one cache page over; both copies live.
-        assert cluster.resident_copies(set_idx, 0) == 2
+        assert resident_copies(cluster, set_idx, 0) == 2
         [record] = inj.audit
         assert record.consequential
 
@@ -125,17 +127,17 @@ class TestRunOps:
                               "smp.snoop.invalidate.misroute",
                               "smp.snoop.writeback.lost")
         if point == "smp.snoop.writeback.stale":
-            cluster.write_run(0, 0, 0, list(range(8)))   # dirty on cpu0
-            cluster.read_run(1, 0, 0, 8)
+            on_cpu(cluster, 0).write_run(0, 0, list(range(8)))  # dirty cpu0
+            on_cpu(cluster, 1).read_run(0, 0, 8)
         else:
             if point == "smp.snoop.writeback.lost":
-                cluster.write_run(1, 0, 0, [9] * 8)      # dirty peer
+                on_cpu(cluster, 1).write_run(0, 0, [9] * 8)  # dirty peer
             else:
-                cluster.read_run(1, 0, 0, 8)             # resident peer
-            cluster.write_run(0, 0, 0, list(range(8)))
+                on_cpu(cluster, 1).read_run(0, 0, 8)  # resident peer
+            on_cpu(cluster, 0).write_run(0, 0, list(range(8)))
         assert len(inj.audit) == 1
         assert inj.audit[0].consequential
-        assert write_run or not cluster.coherence_invalidations
+        assert write_run or not cluster.counters.coherence_invalidations
 
 
 class TestChaosIntegration:

@@ -1,8 +1,10 @@
 """The deterministic round-robin multi-CPU scheduler."""
 
+import copy
+
 import pytest
 
-from repro.errors import ConfigurationError, KernelError
+from repro.errors import ConfigurationError
 from repro.hw.params import small_machine
 from repro.kernel.kernel import Kernel
 from repro.kernel.scheduler import Scheduler
@@ -94,19 +96,20 @@ class TestCpuBinding:
         # (asid - 1) % n round-robin from CPU 1.
         kernel = make_kernel(3)
         tasks = [kernel.create_task(f"t{i}") for i in range(4)]
-        assert [kernel.machine.cpu_of(t.asid) for t in tasks] == [1, 2, 0, 1]
+        bindings = kernel.machine.cpu_bindings
+        assert [bindings[t.asid] for t in tasks] == [1, 2, 0, 1]
 
     def test_explicit_binding_and_migration(self):
         kernel = make_kernel(4)
         task = kernel.create_task("pinned", cpu=2)
-        assert kernel.machine.cpu_of(task.asid) == 2
-        Scheduler(kernel).pin(task, 0)
-        assert kernel.machine.cpu_of(task.asid) == 0
+        assert kernel.machine.cpu_bindings[task.asid] == 2
+        kernel.machine.bind_cpu(task.asid, 0)
+        assert kernel.machine.cpu_bindings[task.asid] == 0
 
     def test_uniprocessor_rejects_nonzero_cpu(self):
         kernel = Kernel(config=small_machine(phys_pages=128),
                         buffer_cache_pages=8)
-        with pytest.raises(KernelError):
+        with pytest.raises(ConfigurationError):
             kernel.create_task("bad", cpu=1)
 
     def test_accesses_route_to_the_bound_cpu(self):
@@ -114,6 +117,39 @@ class TestCpuBinding:
         task = kernel.create_task("t", cpu=1)
         vpage = task.allocate_anon(1)
         task.write(vpage, 0, 42)
-        cluster = kernel.machine.cluster
-        assert cluster.caches[1]._dirty.any()
-        assert not cluster.caches[0]._dirty.any()
+        cpu0, cpu1 = kernel.machine.dcaches
+        assert cpu1._dirty.any()
+        assert not cpu0._dirty.any()
+
+
+class TestCpuRange:
+    """One rule on every CPU count: a CPU outside ``0 .. n_cpus - 1``
+    raises :class:`ConfigurationError` and registers and binds nothing."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    @pytest.mark.parametrize("cpu", ["n_cpus", -1])
+    def test_create_task_rejects_before_registering(self, n_cpus, cpu):
+        kernel = make_kernel(n_cpus)
+        cpu = n_cpus if cpu == "n_cpus" else cpu
+        tasks = dict(kernel.tasks)
+        bindings = copy.copy(kernel.machine.cpu_bindings)
+        with pytest.raises(ConfigurationError):
+            kernel.create_task("bad", cpu=cpu)
+        assert kernel.tasks == tasks
+        assert kernel.machine.cpu_bindings == bindings
+        # The kernel stays usable: the next task is created and bound.
+        task = kernel.create_task("good", cpu=n_cpus - 1)
+        assert kernel.tasks[task.asid] is task
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_bind_cpu_rejects_out_of_range(self, n_cpus):
+        kernel = make_kernel(n_cpus)
+        task = kernel.create_task("t")
+        tasks = dict(kernel.tasks)
+        bindings = copy.copy(kernel.machine.cpu_bindings)
+        with pytest.raises(ConfigurationError):
+            kernel.machine.bind_cpu(task.asid, n_cpus)
+        with pytest.raises(ConfigurationError):
+            kernel.machine.bind_cpu(task.asid, -1)
+        assert kernel.tasks == tasks
+        assert kernel.machine.cpu_bindings == bindings

@@ -52,8 +52,8 @@ def plumbing(kernel):
     objects = [kernel, kernel.pmap, kernel.pmap.engine, machine,
                machine.dma, machine.dcache, machine.icache, machine.memory,
                kernel.disk, kernel.buffer_cache, kernel.pageout]
-    if machine.cluster is not None:
-        objects.extend(machine.cluster.caches)
+    if machine.config.n_cpus > 1:
+        objects.extend(machine.dcaches)
     return objects
 
 

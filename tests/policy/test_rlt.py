@@ -29,7 +29,7 @@ class TestSetup:
 
     def test_exact_management_armed_per_cpu_on_a_cluster(self):
         kernel = make_kernel(n_cpus=2)
-        for cache in kernel.machine.cluster.caches:
+        for cache in kernel.machine.dcaches:
             assert cache.exact_management
 
     def test_flags_extend_f(self):

@@ -26,6 +26,7 @@ from repro.hw.physmem import PhysicalMemory
 from repro.hw.smp import CoherentCluster
 from repro.hw.stats import Clock, Counters, FaultKind
 from repro.prot import AccessKind, Prot
+from tests.hw.smp_helpers import on_cpu
 
 PAGE = 4096
 WPP = PAGE // WORD_SIZE
@@ -378,20 +379,21 @@ class TestClusterRunsEqualWordLoops:
             for op_cpu, (ppage, word, value, op_write) in zip(cpus, ops):
                 addr = ppage * PAGE + word * WORD_SIZE
                 if op_write:
-                    cluster.write(op_cpu, addr, addr, value)
+                    on_cpu(cluster, op_cpu).write(addr, addr, value)
                 else:
-                    cluster.read(op_cpu, addr, addr)
+                    on_cpu(cluster, op_cpu).read(addr, addr)
         base, n = short_run_span(run)
+        by_run.current_cpu = by_word.current_cpu = cpu
         if is_write:
             values = np.arange(7, 7 + n, dtype=np.uint64)
-            by_run.write_run(cpu, base, base, values)
+            by_run.write_run(base, base, values)
             for i in range(n):
-                by_word.write(cpu, base + i * WORD_SIZE,
-                              base + i * WORD_SIZE, int(values[i]))
+                by_word.write(base + i * WORD_SIZE, base + i * WORD_SIZE,
+                              int(values[i]))
         else:
-            got = by_run.read_run(cpu, base, base, n)
-            want = [by_word.read(cpu, base + i * WORD_SIZE,
-                                 base + i * WORD_SIZE) for i in range(n)]
+            got = by_run.read_run(base, base, n)
+            want = [by_word.read(base + i * WORD_SIZE, base + i * WORD_SIZE)
+                    for i in range(n)]
             assert got.tolist() == want
         for a, b in zip(by_run.caches, by_word.caches):
             assert cache_state(a, mem_a) == cache_state(b, mem_b)
@@ -409,22 +411,23 @@ class TestClusterRunsEqualWordLoops:
             for cluster, mem in ((by_run, mem_a), (by_word, mem_b)):
                 fill_memory(mem)
                 if peer == "clean":
-                    cluster.read(1, line, line)
+                    on_cpu(cluster, 1).read(line, line)
                 elif peer == "dirty":
-                    cluster.write(1, line, line, 0xBEEF)
-                prepare_line(lambda a, c=cluster: c.read(0, a, a),
-                             lambda a, v, c=cluster: c.write(0, a, a, v),
+                    on_cpu(cluster, 1).write(line, line, 0xBEEF)
+                cluster.current_cpu = 0
+                prepare_line(lambda a, c=cluster: c.read(a, a),
+                             lambda a, v, c=cluster: c.write(a, a, v),
                              state)
             base = line + offset * WORD_SIZE
             if is_write:
                 values = np.arange(7, 7 + n, dtype=np.uint64)
-                by_run.write_run(0, base, base, values)
+                by_run.write_run(base, base, values)
                 for i in range(n):
-                    by_word.write(0, base + i * WORD_SIZE,
+                    by_word.write(base + i * WORD_SIZE,
                                   base + i * WORD_SIZE, int(values[i]))
             else:
-                got = by_run.read_run(0, base, base, n)
-                want = [by_word.read(0, base + i * WORD_SIZE,
+                got = by_run.read_run(base, base, n)
+                want = [by_word.read(base + i * WORD_SIZE,
                                      base + i * WORD_SIZE) for i in range(n)]
                 assert got.tolist() == want, (offset, n)
             for a, b in zip(by_run.caches, by_word.caches):

@@ -9,6 +9,7 @@ from repro.hw.params import CacheGeometry, CostModel
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.smp import CoherentCluster
 from repro.hw.stats import Clock, Counters
+from tests.hw.smp_helpers import dirty_copies, on_cpu
 
 PAGE = 4096
 
@@ -17,7 +18,7 @@ def make_cluster(n_cpus):
     geo = CacheGeometry(size=8 * 1024)
     mem = PhysicalMemory(8, PAGE)
     return CoherentCluster(n_cpus, geo, mem, CostModel(), Clock(),
-                           Counters()), geo
+                           Counters()), geo, mem
 
 
 aligned_ops = st.lists(
@@ -33,16 +34,16 @@ class TestCoherentClusterProperties:
     @given(aligned_ops)
     @settings(max_examples=150)
     def test_aligned_sharing_matches_flat_reference(self, ops):
-        cluster, geo = make_cluster(3)
+        cluster, geo, _ = make_cluster(3)
         reference = {}
         for cpu, word, window, value, is_write in ops:
             paddr = word * 4
             vaddr = paddr + window * geo.way_span
             if is_write:
-                cluster.write(cpu, vaddr, paddr, value)
+                on_cpu(cluster, cpu).write(vaddr, paddr, value)
                 reference[paddr] = value
             else:
-                assert cluster.read(cpu, vaddr, paddr) \
+                assert on_cpu(cluster, cpu).read(vaddr, paddr) \
                     == reference.get(paddr, 0)
 
     @given(aligned_ops)
@@ -50,37 +51,37 @@ class TestCoherentClusterProperties:
     def test_single_dirty_copy_per_equivalent_line(self, ops):
         # The hardware invariant Section 3.3 relies on: the physical tags
         # within the distributed set are unique, dirty in at most one.
-        cluster, geo = make_cluster(3)
+        cluster, geo, _ = make_cluster(3)
         touched = set()
         for cpu, word, window, value, is_write in ops:
             paddr = word * 4
             vaddr = paddr + window * geo.way_span
             if is_write:
-                cluster.write(cpu, vaddr, paddr, value)
+                on_cpu(cluster, cpu).write(vaddr, paddr, value)
             else:
-                cluster.read(cpu, vaddr, paddr)
+                on_cpu(cluster, cpu).read(vaddr, paddr)
             set_idx = geo.set_index(vaddr)
             tag = paddr // geo.line_size
             touched.add((set_idx, tag))
             for s, t in touched:
-                assert cluster.dirty_copies(s, t) <= 1
+                assert dirty_copies(cluster, s, t) <= 1
 
     @given(aligned_ops)
     @settings(max_examples=60)
     def test_cluster_flush_syncs_memory(self, ops):
-        cluster, geo = make_cluster(3)
+        cluster, geo, mem = make_cluster(3)
         reference = {}
         for cpu, word, window, value, is_write in ops:
             paddr = word * 4
             vaddr = paddr + window * geo.way_span
             if is_write:
-                cluster.write(cpu, vaddr, paddr, value)
+                on_cpu(cluster, cpu).write(vaddr, paddr, value)
                 reference[paddr] = value
             else:
-                cluster.read(cpu, vaddr, paddr)
+                on_cpu(cluster, cpu).read(vaddr, paddr)
         cluster.flush_page_frame(0, 0, None)
         for paddr, value in reference.items():
-            assert cluster.memory.read_word(paddr) == value
+            assert mem.read_word(paddr) == value
 
 
 # --- 1-CPU degeneracy -------------------------------------------------------
@@ -98,24 +99,22 @@ mixed_ops = st.lists(
     min_size=1, max_size=50)
 
 
-def drive(target, ops, geo, cpu_prefix):
-    """Apply one op list; ``cpu_prefix`` is () for a bare Cache and
-    ``(0,)`` for a cluster."""
+def drive(target, ops, geo):
+    """Apply one op list to a bare Cache or a cluster (on its CPU 0)."""
     observed = []
     for op, word, window, value in ops:
         paddr = word * 4
         vaddr = paddr + window * geo.way_span
         if op == "read":
-            observed.append(target.read(*cpu_prefix, vaddr, paddr))
+            observed.append(target.read(vaddr, paddr))
         elif op == "write":
-            target.write(*cpu_prefix, vaddr, paddr, value)
+            target.write(vaddr, paddr, value)
         elif op == "read_run":
             observed.extend(
                 int(v) for v in
-                target.read_run(*cpu_prefix, vaddr, paddr, 1 + value % 8))
+                target.read_run(vaddr, paddr, 1 + value % 8))
         elif op == "write_run":
-            target.write_run(*cpu_prefix, vaddr, paddr,
-                             [value, value ^ 1, value ^ 2])
+            target.write_run(vaddr, paddr, [value, value ^ 1, value ^ 2])
         elif op == "flush":
             target.flush_page_frame(0, 0, None)
         else:
@@ -137,7 +136,7 @@ class TestUniprocessorDegeneracy:
         cluster = CoherentCluster(1, geo, clu_mem, CostModel(), clu_clock,
                                   clu_counters)
 
-        assert drive(flat, ops, geo, ()) == drive(cluster, ops, geo, (0,))
+        assert drive(flat, ops, geo) == drive(cluster, ops, geo)
         # Same data everywhere -- cached state included, so flush both
         # and compare raw memory.
         flat.flush_page_frame(0, 0, None)
