@@ -125,10 +125,11 @@ def flush_lines(tags, dirty, data, mem_lines, sets: slice,
     """Flush the resident lines of ``want``: write back the dirty ones,
     invalidate all.  Returns (resident lines, lines written back).
 
-    Shaped by how much of the page is resident: none touches no array;
-    the whole page is exactly the line range ``want``, so its slices
-    clear whole and an all-dirty page writes back as one contiguous
-    copy; a few lines move one by one.
+    ``want`` is a line range, so its ``i``-th line is memory line
+    ``want[0] + i``.  Shaped by how much of the page is resident: none
+    touches no array; the whole page clears its slices whole and, all
+    dirty, writes back as one contiguous copy; a few lines move one by
+    one.
     """
     tv = tags[sets]
     match = tv == want
@@ -148,11 +149,12 @@ def flush_lines(tags, dirty, data, mem_lines, sets: slice,
         tv[:] = _INVALID
         return hits, n_dirty
     s0 = sets.start
+    w0 = want.item(0)
     n_dirty = 0
-    for i in np.flatnonzero(match).tolist():
+    for i in match.nonzero()[0].tolist():
         s = s0 + i
         if dirty.item(s):
-            mem_lines[want.item(i)] = data[s]
+            mem_lines[w0 + i] = data[s]
             dirty[s] = False
             n_dirty += 1
         tags[s] = _INVALID

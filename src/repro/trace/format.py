@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ReproError, open_input
-from repro.hw.params import CacheGeometry, CostModel
+from repro.errors import ConfigurationError, ReproError, open_input
+from repro.hw.params import WORD_SIZE, CacheGeometry, CostModel
 from repro.hw.stats import SCALAR_FIELDS, Counters, FaultKind, Reason
 
 FORMAT_VERSION = 2
@@ -291,9 +291,10 @@ def load_trace(path: str) -> Trace:
     """Read an artifact written by :func:`save_trace`.
 
     A file that is not a trace, one cut short, one whose header is
-    garbled or whose array region or sidecar fails the header's sha256
-    raises :class:`TraceFormatError`; a file that cannot be opened
-    raises :class:`InputFileError`.
+    garbled or whose array region or sidecar fails the header's sha256,
+    and one whose start images do not fit the machine its header's
+    config describes raise :class:`TraceFormatError`; a file that cannot
+    be opened raises :class:`InputFileError`.
     """
     with open_input(path, "rb") as f:
         blob = f.read()
@@ -350,6 +351,8 @@ def _decode(path: str, header: dict, blob: bytes, offset: int) -> Trace:
         raise TraceFormatError(f"{path}: sidecar is not JSON ({exc})") \
             from None
 
+    _check_image_shapes(path, header["config"], arrays)
+
     def image(prefix: str, tick: int) -> CacheImage:
         return CacheImage(tags=arrays[f"{prefix}_tags"].copy(),
                           dirty=arrays[f"{prefix}_dirty"].astype(bool),
@@ -368,3 +371,29 @@ def _decode(path: str, header: dict, blob: bytes, offset: int) -> Trace:
         end_clock=end["clock"], end_counters=end["counters"],
         n_events=end["events"], end_events_sha256=end["events_sha256"],
     )
+
+
+def _check_image_shapes(path: str, config: dict, arrays: dict) -> None:
+    """The start images must fit the machine the header's config builds:
+    replay copies each into an array of that machine's shape."""
+    pages, page_size = config["phys_pages"], config["page_size"]
+    if type(pages) is not int or type(page_size) is not int:
+        raise TraceFormatError(f"{path}: config phys_pages {pages!r} and "
+                               f"page_size {page_size!r} must be integers")
+    expected = {"memory": (pages * (page_size // WORD_SIZE),)}
+    for prefix in ("dcache", "icache"):
+        try:
+            geo = CacheGeometry(**config[prefix])
+        except ConfigurationError as exc:
+            raise TraceFormatError(f"{path}: config {prefix}: {exc}") \
+                from None
+        lines = (geo.associativity, geo.num_sets)
+        for name in ("tags", "dirty", "lru"):
+            expected[f"{prefix}_{name}"] = lines
+        expected[f"{prefix}_data"] = lines + (geo.words_per_line,)
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise TraceFormatError(
+                f"{path}: the {name} image has shape "
+                f"{list(arrays[name].shape)}, but the header's config "
+                f"needs {list(shape)}")

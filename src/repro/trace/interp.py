@@ -505,6 +505,20 @@ def _run(rows, values, sidecar, dcache: Cache, icache: Cache,
     return vpos
 
 
+def _restore_memory(memory: PhysicalMemory, image: np.ndarray) -> None:
+    """Copy in the pages of ``image`` that hold a nonzero word.
+
+    A fresh memory is already zero, so a zero page needs no copy, and a
+    page that no op touches is then never written (nor, on the host,
+    ever mapped).  One scan of the image finds the nonzero pages (a
+    word is unsigned, so a page is nonzero iff its maximum is); one
+    fancy-index assignment copies them.
+    """
+    pages = image.reshape(memory.num_pages, memory.words_per_page)
+    nonzero = pages.max(axis=1).nonzero()[0]
+    memory._words.reshape(pages.shape)[nonzero] = pages[nonzero]
+
+
 def _restore_image(cache: Cache, image) -> None:
     cache._tags[:] = image.tags
     cache._dirty[:] = image.dirty
@@ -530,7 +544,7 @@ def replay_trace(trace: Trace) -> ReplayResult:
     counters = Counters()
     apply_counters_delta(counters, trace.start_counters)
     memory = PhysicalMemory(config["phys_pages"], config["page_size"])
-    memory._words[:] = trace.start_memory
+    _restore_memory(memory, trace.start_memory)
     dcache = Cache(geo_d, memory, cost, clock, counters, name="dcache")
     icache = Cache(geo_i, memory, cost, clock, counters, name="icache",
                    is_icache=True)

@@ -10,6 +10,7 @@ import repro.faults.harness
 import repro.trace.record
 from repro.cli import build_parser, main
 from repro.errors import StaleDataError
+from repro.trace.format import MAGIC
 
 
 class TestParser:
@@ -234,6 +235,25 @@ class TestBadInput:
         assert main(["trace", "replay", str(garbage)]) == 2
         lines = self.one_line_error(capsys, "is not a trace artifact")
         assert lines == [f"repro: error: {garbage} is not a trace artifact"]
+
+    def test_trace_replay_rejects_a_header_that_misfits_its_images(
+            self, capsys, tmp_path):
+        # Halving phys_pages leaves the sha256-covered payload intact, so
+        # only the shape check stands between it and a numpy broadcast
+        # error inside replay.
+        artifact = tmp_path / "a.trace"
+        assert main(["trace", "compile", "latex-paper", "--scale", "0.1",
+                     "--out", str(artifact)]) == 0
+        capsys.readouterr()
+        blob = artifact.read_bytes()
+        nl = blob.index(b"\n", len(MAGIC))
+        header = json.loads(blob[len(MAGIC):nl])
+        header["config"]["phys_pages"] //= 2
+        artifact.write_bytes(MAGIC + json.dumps(header).encode() + blob[nl:])
+        assert main(["trace", "replay", str(artifact)]) == 2
+        lines = self.one_line_error(capsys, "the memory image has shape")
+        assert lines == [lines[-1]]
+        assert lines[0].startswith("repro: error: ")
 
     def test_a_simulator_failure_keeps_its_traceback(self, monkeypatch):
         # A stale read is a consistency defect, not bad input: main()

@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiments import evaluation_machine, make_workload
 from repro.hw.params import WORD_SIZE
+from repro.hw.physmem import PhysicalMemory
 from repro.kernel.kernel import Kernel
 from repro.policy import get_policy
 from repro.trace import compile_workload, load_trace, replay_trace, save_trace
 from repro.trace.format import (MAGIC, OP_D_READ_RUN, OP_D_WRITE_RUN,
                                 TraceFormatError, decode_counters)
+from repro.trace.interp import _restore_memory
 from repro.workloads import RandomOps
 from repro.workloads.base import Workload
 
@@ -43,6 +45,17 @@ def assert_roundtrip(trace):
         assert result.n_events == trace.n_events
         assert result.events_sha256 == trace.end_events_sha256
     return result
+
+
+def assert_same_machine_state(result, machine):
+    """The replay ended in ``machine``'s memory and cache state, word
+    for word."""
+    assert np.array_equal(result.memory._words, machine.memory._words)
+    for mine, theirs in ((result.dcache, machine.dcache),
+                         (result.icache, machine.icache)):
+        assert np.array_equal(mine._tags, theirs._tags)
+        assert np.array_equal(mine._dirty, theirs._dirty)
+        assert np.array_equal(mine._data, theirs._data)
 
 
 class BlockSweep(Workload):
@@ -116,13 +129,40 @@ class TestPaperWorkloads:
         # different payload values even though its timing is identical).
         result = replay_trace(trace)
         assert result.equivalent
-        machine = recorded.machine
-        assert np.array_equal(result.memory._words, machine.memory._words)
-        for mine, theirs in ((result.dcache, machine.dcache),
-                             (result.icache, machine.icache)):
-            assert np.array_equal(mine._tags, theirs._tags)
-            assert np.array_equal(mine._dirty, theirs._dirty)
-            assert np.array_equal(mine._data, theirs._data)
+        assert_same_machine_state(result, recorded.machine)
+
+    def test_replay_restores_a_nonzero_start_image(self):
+        """Every shipped trace starts from all-zero memory, so record a
+        second program on a kernel that already ran one: its start image
+        holds nonzero pages, some that the run overwrites and some that
+        end as they started, and replay must restore both kinds."""
+        kernel = Kernel(policy=get_policy("F"), config=evaluation_machine(),
+                        buffer_cache_pages=48)
+        first = make_workload("afs-bench", SCALE)
+        first.setup(kernel)
+        first.execute(kernel)
+        trace = make_workload("latex-paper", SCALE).record(kernel)
+
+        machine = kernel.machine
+        words = machine.memory.words_per_page
+        start = trace.start_memory.reshape(-1, words)
+        nonzero = start.any(axis=1)
+        moved = (start != machine.memory._words.reshape(-1, words)).any(axis=1)
+        assert (nonzero & moved).any()
+        assert (nonzero & ~moved).any()
+
+        assert_same_machine_state(assert_roundtrip(trace), machine)
+
+
+def test_restore_copies_every_page_with_a_nonzero_word():
+    memory = PhysicalMemory(8, 4096)
+    image = np.zeros_like(memory._words)
+    pages = image.reshape(8, -1)
+    pages[1, -1] = 1 << 63           # one word, at the end of its page
+    pages[4] = np.arange(1, pages.shape[1] + 1)
+    pages[7, 0] = 1
+    _restore_memory(memory, image)
+    assert np.array_equal(memory._words, image)
 
 
 class TestRandomOpsWithFaults:
@@ -257,6 +297,26 @@ class TestMalformedArtifacts:
             with pytest.raises(TraceFormatError, match="sha256"):
                 load_trace(path)
 
+    @pytest.mark.parametrize("field,edit,image", [
+        ("phys_pages", lambda config: config["phys_pages"] // 2, "memory"),
+        ("dcache", lambda config: dict(config["dcache"],
+                                       size=config["dcache"]["size"] // 2),
+         "dcache_tags"),
+        ("icache", lambda config: dict(
+            config["icache"], line_size=config["icache"]["line_size"] * 2),
+         "icache_tags"),
+    ], ids=("phys_pages-halved", "dcache-size-halved", "icache-line-doubled"))
+    def test_a_config_that_does_not_fit_the_images_is_rejected(
+            self, blob, tmp_path, field, edit, image):
+        """The sha256 covers only the payload, so a header whose config
+        no longer fits the start images still passes it; the shape check
+        rejects it before replay would copy an image into the wrong
+        shape."""
+        path = tmp_path / "doctored.trace"
+        path.write_bytes(doctored_header(blob, field, edit))
+        with pytest.raises(TraceFormatError, match=f"the {image} image"):
+            load_trace(path)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_any_damage_loads_or_raises_a_format_error(self, blob,
@@ -295,3 +355,14 @@ class TestMalformedArtifacts:
         path = tmp_path_factory.mktemp("orig") / "t.trace"
         path.write_bytes(blob)
         return path
+
+
+def doctored_header(blob: bytes, field: str, edit) -> bytes:
+    """``blob`` with ``config[field]`` in its header replaced by
+    ``edit(config)``; the payload and its sha256 stay intact."""
+    nl = blob.index(b"\n", len(MAGIC))
+    header = json.loads(blob[len(MAGIC):nl])
+    header["config"][field] = edit(header["config"])
+    return (MAGIC + json.dumps(header, sort_keys=True,
+                               separators=(",", ":")).encode("utf-8")
+            + blob[nl:])
