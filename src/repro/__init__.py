@@ -28,12 +28,13 @@ The package is layered bottom-up:
 
 Quickstart::
 
-    from repro import Kernel, NEW_SYSTEM, OLD_SYSTEM
-    from repro.workloads import afs_bench
+    from repro import NEW_SYSTEM, OLD_SYSTEM
+    from repro.analysis import run_workload
+    from repro.workloads import AfsBench
 
-    kernel = Kernel(policy=NEW_SYSTEM)
-    afs_bench.run(kernel)
-    print(kernel.elapsed_seconds, kernel.machine.counters.snapshot())
+    for policy in (OLD_SYSTEM, NEW_SYSTEM):
+        metrics = run_workload(AfsBench(scale=0.25), policy)
+        print(policy.name, metrics.seconds, metrics.page_flushes)
 """
 
 from repro.errors import (ConfigurationError, KernelError, ProtectionError,

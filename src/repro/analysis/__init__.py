@@ -1,7 +1,7 @@
 """Experiment harness: run workloads under configurations, regenerate the
 paper's tables."""
 
-from repro.analysis.charts import render_comparison_chart, render_ladder_chart
+from repro.analysis.charts import render_ladder_chart
 from repro.analysis.comparison import SystemTraits, render_table5, table5_matrix
 from repro.analysis.sweep import SweepPoint, render_sweep, run_sweep
 from repro.analysis.trace import Tracer
@@ -19,6 +19,6 @@ __all__ = [
     "make_workload", "evaluation_machine", "render_table1", "render_table4",
     "render_table5", "render_micro", "render_overhead_summary",
     "SystemTraits", "table5_matrix", "Tracer",
-    "render_ladder_chart", "render_comparison_chart",
+    "render_ladder_chart",
     "SweepPoint", "run_sweep", "render_sweep",
 ]

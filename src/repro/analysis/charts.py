@@ -42,17 +42,3 @@ def render_ladder_chart(metrics: list[RunMetrics],
                      f"|{'F' * flush_part}{'P' * purge_part}")
     lines.append("      (F = flushes, P = purges)")
     return "\n".join(lines)
-
-
-def render_comparison_chart(labels: list[str], values: list[float],
-                            title: str, unit: str = "") -> str:
-    """Generic labeled horizontal bar chart."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must pair up")
-    lines = [title]
-    maximum = max(values) if values else 0
-    width = max((len(label) for label in labels), default=0)
-    for label, value in zip(labels, values):
-        lines.append(f"  {label:<{width}} {value:>10.1f}{unit} "
-                     f"|{_bar(value, maximum)}")
-    return "\n".join(lines)

@@ -106,10 +106,6 @@ class Tracer(Observer):
                 counts[f"{event.kind}:{reason}"] += 1
         return dict(counts)
 
-    def frames_touched(self) -> set[int]:
-        return {e.detail["frame"] for e in self.events
-                if "frame" in e.detail}
-
 
 @dataclass(frozen=True)
 class TraceDiff:

@@ -487,6 +487,7 @@ def _cmd_farm(args) -> None:
     import json
 
     from repro.farm import JobSpec, ResultCache, code_fingerprint
+    from repro.farm.runners import check_spec
 
     if args.action == "stats":
         print(json.dumps(ResultCache(args.cache_dir)
@@ -510,7 +511,7 @@ def _cmd_farm(args) -> None:
         for number, line in enumerate(handle, 1):
             if line.strip():
                 try:
-                    specs.append(JobSpec.from_json(line))
+                    specs.append(check_spec(JobSpec.from_json(line)))
                 except ConfigurationError as exc:
                     raise ConfigurationError(
                         f"{args.specs}:{number}: {exc}") from None

@@ -101,10 +101,6 @@ class ArcCoverage:
     def covered(self) -> set[Arc]:
         return set(self.counts)
 
-    @property
-    def total(self) -> int:
-        return len(ALL_ARCS)
-
     def uncovered(self) -> list[Arc]:
         return sorted(ALL_ARCS - self.covered,
                       key=lambda a: (a[0].value, a[1].value, a[2]))

@@ -148,10 +148,6 @@ class ShadowMemory:
 
     # ---- misc --------------------------------------------------------------------
 
-    def expected_word(self, paddr: int) -> int:
-        """The program-order current value of a physical word."""
-        return int(self._shadow[paddr // WORD_SIZE])
-
     def expected_page(self, pa_page_base: int) -> np.ndarray:
         """The program-order current contents of a whole frame (a copy).
 

@@ -162,15 +162,6 @@ class PhysPageState:
             return self.ppage % self.imapped.width
         return vpage % self.imapped.width
 
-    def reset(self) -> None:
-        """Forget all consistency state (used by eager policies after they
-        have cleaned the cache, and when a frame is reused from scratch)."""
-        self.mapped.clear_all()
-        self.stale.clear_all()
-        self.imapped.clear_all()
-        self.istale.clear_all()
-        self.cache_dirty = False
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         states = "".join(str(self.decode(c))
                          for c in range(self.num_cache_pages))

@@ -92,18 +92,6 @@ class JobSpec:
                         conform=conform or None, geometry=geometry)
 
     @classmethod
-    def replay(cls, trace_path: str) -> "JobSpec":
-        """One trace replay with equivalence verification.
-
-        The artifact's SHA-256 digest is part of the spec: a path alone
-        is not content, so recompiling a trace in place changes the key
-        and invalidates any cached replay of the old bytes.
-        """
-        with open(trace_path, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
-        return cls.make("replay", trace=trace_path, digest=digest)
-
-    @classmethod
     def chaos(cls, seed: int, preset: str = "mixed", steps: int = 200,
               n_cpus: int | None = None,
               policy: str | None = None) -> "JobSpec":
@@ -116,13 +104,13 @@ class JobSpec:
                         policy=policy)
 
     @classmethod
-    def smp(cls, n_cpus: int, aligned: bool, workload: str = "ring",
-            records: int = 120, data_pages: int = 2,
+    def smp(cls, n_cpus: int, aligned: bool, records: int = 120,
+            data_pages: int = 2,
             phys_pages: int | None = None) -> "JobSpec":
         """One point of the SMP scaling curve (Section 3.3)."""
         return cls.make("smp", n_cpus=n_cpus, aligned=aligned,
-                        workload=workload, records=records,
-                        data_pages=data_pages, phys_pages=phys_pages)
+                        records=records, data_pages=data_pages,
+                        phys_pages=phys_pages)
 
     @classmethod
     def explore(cls, seed: int, sequences: int,

@@ -22,21 +22,15 @@ Kinds:
     a ``failstop`` payload, and a diverging shadow records
     ``conform.ok: false`` (each a deterministic result of the spec)
     rather than failing the job.
-``replay``
-    One trace replay with equivalence verification (trace path + content
-    digest); payload is the replay verdict, clock, op count and event
-    hash.  Replays
-    are pure functions of the artifact bytes, so the farm's cache makes
-    re-verifying an unchanged trace free.
 ``chaos``
     One detected-or-harmless chaos run (seed, preset, steps, optional
     ``n_cpus`` for a coherent cluster with per-CPU lockstep shadows);
     payload is the verified :class:`ChaosReport` dict.
 ``smp``
     One point of the Section 3.3 SMP scaling curve: the multi-CPU ring
-    (or Unix-server) workload at ``n_cpus`` with ``aligned`` or
-    unaligned sharing; payload is the result dict (cycles per record,
-    consistency faults, coherence traffic).
+    workload at ``n_cpus`` with ``aligned`` or unaligned sharing;
+    payload is the result dict (cycles per record, consistency faults,
+    coherence traffic).
 ``serve``
     One user cohort of the ``serve`` macro-workload: ``users`` simulated
     users hammering the Unix server's buffer-cache and IPC paths on a
@@ -57,6 +51,7 @@ Kinds:
 
 from __future__ import annotations
 
+import inspect
 import os
 import time
 
@@ -71,6 +66,24 @@ def runner(kind: str):
         RUNNERS[kind] = fn
         return fn
     return register
+
+
+def check_spec(spec: JobSpec) -> JobSpec:
+    """``spec`` itself when the farm can run it: its kind has a runner
+    and it has only parameters that kind's :class:`JobSpec` constructor
+    takes.  Anything else raises :class:`ConfigurationError`, so a spec
+    naming a kind or a parameter the farm does not have is rejected
+    before it runs, rather than run as something else."""
+    if spec.kind not in RUNNERS:
+        raise ConfigurationError(f"unknown job kind {spec.kind!r}; known: "
+                                 f"{', '.join(sorted(RUNNERS))}")
+    taken = inspect.signature(getattr(JobSpec, spec.kind)).parameters
+    if not any(p.kind is p.VAR_KEYWORD for p in taken.values()):
+        for key, _ in spec.params:
+            if key not in taken:
+                raise ConfigurationError(
+                    f"job kind {spec.kind!r} takes no parameter {key!r}")
+    return spec
 
 
 def run_spec(spec: JobSpec) -> dict:
@@ -144,24 +157,6 @@ def _run_workload_job(spec: JobSpec) -> dict:
     return payload
 
 
-@runner("replay")
-def _run_replay_job(spec: JobSpec) -> dict:
-    from repro.trace import load_trace, replay_trace
-
-    trace = load_trace(spec["trace"])
-    result = replay_trace(trace)
-    return {
-        "equivalent": result.equivalent,
-        "mismatches": list(result.mismatches),
-        "clock": result.clock,
-        "n_ops": result.n_ops,
-        "n_events": result.n_events,
-        "events_sha256": result.events_sha256,
-        "workload": trace.meta.get("workload"),
-        "policy": trace.meta.get("policy"),
-    }
-
-
 @runner("chaos")
 def _run_chaos_job(spec: JobSpec) -> dict:
     from repro.faults.harness import run_chaos
@@ -179,22 +174,15 @@ def _run_chaos_job(spec: JobSpec) -> dict:
 def _run_smp_job(spec: JobSpec) -> dict:
     from repro.faults.harness import chaos_machine
     from repro.kernel.kernel import Kernel
-    from repro.workloads.smp import run_smp_ring, run_smp_unix_server
+    from repro.workloads.smp import run_smp_ring
 
     kernel = Kernel(config=chaos_machine(n_cpus=spec["n_cpus"],
                                          phys_pages=spec.get("phys_pages")
                                          or 192),
                     buffer_cache_pages=24)
-    workload = spec.get("workload", "ring")
-    if workload == "ring":
-        result = run_smp_ring(kernel,
-                              records_per_pair=spec.get("records", 120),
-                              data_pages=spec.get("data_pages", 2),
-                              aligned=bool(spec.get("aligned", True)))
-    elif workload == "server":
-        result = run_smp_unix_server(kernel)
-    else:
-        raise ConfigurationError(f"unknown smp workload {workload!r}")
+    result = run_smp_ring(kernel, records_per_pair=spec.get("records", 120),
+                          data_pages=spec.get("data_pages", 2),
+                          aligned=bool(spec.get("aligned", True)))
     return {"result": result.to_dict()}
 
 

@@ -305,28 +305,6 @@ class FaultInjector:
         self.bus = kernel.machine.bus
         return self
 
-    def attach(self, *, pmap=None, disk=None, dma=None, tlb=None,
-               kernel=None) -> "FaultInjector":
-        """Wire the injector into individual components (for rigs that
-        assemble a machine without a full kernel)."""
-        if pmap is not None:
-            pmap.injector = self
-        if disk is not None:
-            disk.injector = self
-        if dma is not None:
-            dma.injector = self
-        if tlb is not None:
-            tlb.injector = self
-        if kernel is not None:
-            kernel.fault_injector = self
-            self.bus = kernel.machine.bus
-        elif self.bus is None:
-            for component in (dma, tlb):
-                if component is not None and getattr(component, "bus", None):
-                    self.bus = component.bus
-                    break
-        return self
-
     # ---- scoping -----------------------------------------------------------
 
     def disable(self) -> None:

@@ -962,27 +962,6 @@ class Cache:
         want = self._page_tags(pa_page_base)
         return int((self._tags[:, sets] == want).sum())
 
-    def dirty_lines(self, cache_page: int, pa_page_base: int) -> int:
-        sets = self._page_sets(cache_page)
-        want = self._page_tags(pa_page_base)
-        return int(((self._tags[:, sets] == want)
-                    & self._dirty[:, sets]).sum())
-
-    def dirty_cache_pages(self, pa_page_base: int) -> list[int]:
-        """Cache pages currently holding dirty lines of the physical page."""
-        return [cp for cp in range(self.geo.num_cache_pages)
-                if self.dirty_lines(cp, pa_page_base)]
-
-    def line_value(self, cache_page: int, pa_page_base: int,
-                   line: int) -> np.ndarray | None:
-        """The cached contents of one line, or None if not resident."""
-        sets = self._page_sets(cache_page)
-        want = self._page_tags(pa_page_base)
-        for way in range(self.geo.associativity):
-            if self._tags[way, sets][line] == want[line]:
-                return self._data[way, sets][line].copy()
-        return None
-
     def invalidate_all(self) -> None:
         """Power-up purge of the whole cache (Section 3.2: initially all
         lines are Empty; 'the cache can be purged to ensure this')."""

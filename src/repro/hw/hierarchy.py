@@ -96,9 +96,6 @@ class VictimCache:
         for tag in [t for t in self._lines if first_tag <= t <= last_tag]:
             del self._lines[tag]
 
-    def resident_tags(self) -> list[int]:
-        return list(self._lines)
-
 
 class L2Cache:
     """A unified, physically indexed, set-associative cache of clean lines.
@@ -162,9 +159,6 @@ class L2Cache:
         mask = (self._tags >= first_tag) & (self._tags <= last_tag)
         self._tags[mask] = _INVALID
         self._lru[mask] = 0
-
-    def resident_tags(self) -> list[int]:
-        return sorted(int(t) for t in self._tags[self._tags != _INVALID])
 
 
 class CacheHierarchy:
@@ -279,13 +273,3 @@ class CacheHierarchy:
         first = paddr // self.line_size
         last = (paddr + max(n_words, 1) * WORD_SIZE - 1) // self.line_size
         self.note_memory_write_range(first, last)
-
-    # ---- inspection --------------------------------------------------------
-
-    def resident_tags(self) -> dict[str, list[int]]:
-        out: dict[str, list[int]] = {}
-        if self.victim is not None:
-            out["victim"] = sorted(self.victim.resident_tags())
-        if self.l2 is not None:
-            out["l2"] = self.l2.resident_tags()
-        return out

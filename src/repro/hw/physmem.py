@@ -51,12 +51,6 @@ class PhysicalMemory:
             raise AddressError(f"physical page {ppage} out of range")
         return ppage * self.page_size
 
-    def page_of(self, paddr: int) -> int:
-        """Physical page frame number containing byte address ``paddr``."""
-        if not 0 <= paddr < self.size:
-            raise AddressError(f"physical address {paddr:#x} out of range")
-        return paddr // self.page_size
-
     # ---- word access -------------------------------------------------------
 
     def read_word(self, paddr: int) -> int:
@@ -111,11 +105,3 @@ class PhysicalMemory:
 
     def zero_page(self, ppage: int) -> None:
         self._words[self._page_word_range(ppage)] = 0
-
-    # ---- views for the oracle ----------------------------------------------
-
-    def page_view(self, ppage: int) -> np.ndarray:
-        """A read-only view of a page's words (no copy)."""
-        view = self._words[self._page_word_range(ppage)]
-        view.flags.writeable = False
-        return view

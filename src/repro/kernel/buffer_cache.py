@@ -161,6 +161,3 @@ class BufferCache:
         if not entry.dirty:
             entry.dirty = True
         self._write_queue.append(((file_id, page), self._op_count))
-
-    def resident_blocks(self) -> int:
-        return len(self._entries)

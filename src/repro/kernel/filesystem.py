@@ -64,9 +64,6 @@ class FileSystem:
         self.kernel.disk.discard(meta.file_id)
         del self._files[name]
 
-    def listdir(self, prefix: str) -> list[str]:
-        return sorted(n for n in self._files if n.startswith(prefix))
-
     # ---- block access -----------------------------------------------------------------
 
     def read_page_frame(self, name: str, page: int) -> int:
@@ -77,16 +74,3 @@ class FileSystem:
         frame = self.kernel.buffer_cache.read_block(meta.file_id, page)
         self.kernel.buffer_cache.tick()
         return frame
-
-    def write_page_from_frame(self, name: str, page: int,
-                              src_ppage: int) -> None:
-        """Store one page of data (from a frame) into the file."""
-        meta = self.lookup(name)
-        self.kernel.buffer_cache.write_block_from_frame(
-            meta.file_id, page, src_ppage)
-        if page >= meta.size_pages:
-            meta.size_pages = page + 1
-        self.kernel.buffer_cache.tick()
-
-    def file_count(self) -> int:
-        return len(self._files)

@@ -124,14 +124,6 @@ class UserProcess:
     def compute(self, units: int = 1) -> None:
         self.kernel.machine.consume(units * COMPUTE_UNIT_CYCLES)
 
-    def touch_memory(self, npages: int, writes_per_page: int = 4) -> int:
-        """Allocate and dirty private working memory; returns the vpage."""
-        start = self.task.allocate_anon(npages)
-        for i in range(npages):
-            tokens = [next(_token_counter) for _ in range(writes_per_page)]
-            self.task.write_block(start + i, 0, tokens)
-        return start
-
     # ---- process operations --------------------------------------------------------------
 
     def spawn(self, program: Program,

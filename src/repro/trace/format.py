@@ -292,9 +292,10 @@ def load_trace(path: str) -> Trace:
 
     A file that is not a trace, one cut short, one whose header is
     garbled or whose array region or sidecar fails the header's sha256,
-    and one whose start images do not fit the machine its header's
-    config describes raise :class:`TraceFormatError`; a file that cannot
-    be opened raises :class:`InputFileError`.
+    one whose start images do not fit the machine its header's config
+    describes, and one whose cost model, clocks or counters images are
+    not ones :func:`save_trace` writes raise :class:`TraceFormatError`;
+    a file that cannot be opened raises :class:`InputFileError`.
     """
     with open_input(path, "rb") as f:
         blob = f.read()
@@ -320,7 +321,8 @@ def load_trace(path: str) -> Trace:
             f"sha256 (the file is damaged or cut short)")
     try:
         return _decode(path, header, blob, nl + 1)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError,
+            ValueError) as exc:
         # The payload is intact, so the header itself was altered.
         raise TraceFormatError(f"{path}: header is malformed ({exc!r})") \
             from None
@@ -352,6 +354,23 @@ def _decode(path: str, header: dict, blob: bytes, offset: int) -> Trace:
             from None
 
     _check_image_shapes(path, header["config"], arrays)
+    start, end = header["start"], header["end"]
+    # Replay builds its machine from these fields, which the sha256 does
+    # not cover: decode them here, so that a doctored one fails to load.
+    CostModel(**header["config"]["cost"])
+    for where, part, names in (("start", start, ("clock", "tick_d",
+                                                 "tick_i")),
+                               ("end", end, ("clock", "events"))):
+        for name in names:
+            if type(part[name]) is not int:
+                raise TypeError(f"{where} {name} {part[name]!r} is not "
+                                f"an integer")
+        odd = set(part["counters"]) ^ set(COUNTER_SCALARS
+                                          + COUNTER_DICT_FIELDS)
+        if odd:
+            raise ValueError(f"{where} counters fields {sorted(odd)} are "
+                             f"not the counters codec's")
+        decode_counters(part["counters"])
 
     def image(prefix: str, tick: int) -> CacheImage:
         return CacheImage(tags=arrays[f"{prefix}_tags"].copy(),
@@ -360,7 +379,6 @@ def _decode(path: str, header: dict, blob: bytes, offset: int) -> Trace:
                           lru=arrays[f"{prefix}_lru"].copy(),
                           tick=tick)
 
-    start, end = header["start"], header["end"]
     return Trace(
         meta=header["meta"], config=header["config"],
         ops=arrays["ops"], values=arrays["values"], sidecar=sidecar,

@@ -8,13 +8,11 @@ from repro.workloads.kernel_build import KernelBuild
 from repro.workloads.latex_bench import LatexBench
 from repro.workloads.microbench import AliasLoopResult, run_alias_write_loop
 from repro.workloads.random_ops import AliasStressor, RandomOps, StressStats
-from repro.workloads.smp import (SmpRingResult, SmpServerResult,
-                                 run_smp_ring, run_smp_unix_server)
+from repro.workloads.smp import SmpRingResult, run_smp_ring
 
 __all__ = [
     "Workload", "PaperNumbers", "AfsBench", "LatexBench", "KernelBuild",
     "AliasStressor", "RandomOps", "StressStats", "AliasLoopResult",
     "run_alias_write_loop",
-    "SmpRingResult", "SmpServerResult", "run_smp_ring",
-    "run_smp_unix_server",
+    "SmpRingResult", "run_smp_ring",
 ]

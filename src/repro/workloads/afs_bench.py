@@ -78,9 +78,3 @@ class AfsBench(Workload):
             child.close(ofd)
             child.exit()
         shell.compute(self._c(8))
-
-
-def run(kernel: Kernel, scale: float = 1.0) -> AfsBench:
-    workload = AfsBench(scale)
-    workload.run(kernel)
-    return workload

@@ -35,20 +35,6 @@ class Workload(abc.ABC):
         self.setup(kernel)
         self.execute(kernel)
 
-    def record(self, kernel: Kernel, trace_events: bool = False):
-        """Set up on ``kernel`` and compile the execute phase to a trace.
-
-        Returns a :class:`repro.trace.format.Trace` whose recorded window
-        is exactly the measured window of :func:`run_workload`, so the
-        trace's end-minus-start counters equal an interpreted run's
-        metrics.  Imported lazily: the workload layer stays importable
-        without the trace package.
-        """
-        from repro.trace.record import record_run
-
-        self.setup(kernel)
-        return record_run(self, kernel, trace_events=trace_events)
-
 
 @dataclass(frozen=True)
 class PaperNumbers:

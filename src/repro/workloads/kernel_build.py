@@ -78,9 +78,3 @@ class KernelBuild(Workload):
         ld.write_file_pages(kfd, max(4, self.n_sources // 8))
         ld.close(kfd)
         ld.exit()
-
-
-def run(kernel: Kernel, scale: float = 1.0) -> KernelBuild:
-    workload = KernelBuild(scale)
-    workload.run(kernel)
-    return workload

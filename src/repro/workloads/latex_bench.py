@@ -68,9 +68,3 @@ class LatexBench(Workload):
         proc.write_file_page(fd, 0)
         proc.close(fd)
         proc.exit()
-
-
-def run(kernel: Kernel, scale: float = 1.0) -> LatexBench:
-    workload = LatexBench(scale)
-    workload.run(kernel)
-    return workload

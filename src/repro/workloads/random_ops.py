@@ -189,13 +189,6 @@ class AliasStressor:
         return self.stats
 
 
-def run(kernel: Kernel, steps: int = 500, seed: int = 0,
-        n_tasks: int = 3, n_pages: int = 4) -> StressStats:
-    """Convenience entry point: build a stressor and run it."""
-    return AliasStressor(kernel, n_tasks=n_tasks, n_pages=n_pages,
-                         seed=seed).run(steps)
-
-
 class RandomOps(Workload):
     """The stressor as a :class:`Workload`, for the trace round-trip tests.
 

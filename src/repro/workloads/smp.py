@@ -12,18 +12,13 @@ CPU.  These workloads make the claim measurable:
   :class:`~repro.kernel.scheduler.Scheduler`.  Aligned rings ride the
   snoop protocol; unaligned rings ping-pong through software
   consistency faults on every CPU.
-* :func:`run_smp_unix_server` — the Section 4.2 Unix server on CPU 0
-  serving file syscalls from one client per remaining CPU, so every
-  request/reply crosses the coherence fabric between the client's cache
-  and the server's.  Channel alignment follows the kernel's policy
-  (``align_server_pages``), exactly as on the uniprocessor.
 * :func:`measure` / :func:`render` / :func:`check` — the 1..8-CPU
   aligned-vs-unaligned ring curve (``repro smp``, ``BENCH_smp.json``)
   and its gates.
 
 The simulator charges every CPU to one shared clock (accesses are
-serialized), so these results measure per-record/per-request *cost* —
-coherence traffic, faults, flushes, cycles — not parallel throughput.
+serialized), so these results measure per-record *cost* — coherence
+traffic, faults, flushes, cycles — not parallel throughput.
 """
 
 from __future__ import annotations
@@ -59,28 +54,6 @@ class SmpRingResult:
     def to_dict(self) -> dict:
         data = asdict(self)
         data["cycles_per_record"] = self.cycles_per_record
-        return data
-
-
-@dataclass(frozen=True)
-class SmpServerResult:
-    """Measurements from one multi-CPU Unix-server run."""
-
-    n_cpus: int
-    clients: int
-    requests: int
-    cycles: int
-    consistency_faults: int
-    coherence_invalidations: int
-    coherence_writebacks: int
-
-    @property
-    def cycles_per_request(self) -> float:
-        return self.cycles / self.requests if self.requests else 0.0
-
-    def to_dict(self) -> dict:
-        data = asdict(self)
-        data["cycles_per_request"] = self.cycles_per_request
         return data
 
 
@@ -180,78 +153,6 @@ def run_smp_ring(kernel: Kernel, records_per_pair: int = 120,
     for ring in rings:
         ring.producer.exit()
         ring.consumer.exit()
-    return result
-
-
-# ---- the Unix server under multi-CPU load ----------------------------------
-
-
-def _client(proc: UserProcess, name: str, pages: int, rounds: int,
-            counter: list):
-    proc.create(name)
-    fd = proc.open(name)
-    counter[0] += 2
-    yield
-    for _ in range(rounds):
-        for page in range(pages):
-            proc.write_file_page(fd, page)
-            counter[0] += 1
-            yield
-        for page in range(pages):
-            proc.read_file_page(fd, page)
-            counter[0] += 1
-            yield
-    proc.close(fd)
-    counter[0] += 1
-
-
-def run_smp_unix_server(kernel: Kernel, pages_per_client: int = 3,
-                        rounds: int = 2) -> SmpServerResult:
-    """One file-syscall client per non-server CPU, served by the Unix
-    server on CPU 0 (asid 1 binds there by construction).
-
-    Every syscall moves request and reply pages between the client's
-    cache and the server's, through whatever channel alignment the
-    kernel's policy picked — the cross-CPU version of the Section 4.2
-    measurement.  On one CPU the single client shares CPU 0 with the
-    server (the degenerate baseline).
-    """
-    n = kernel.machine.config.n_cpus
-    scheduler = Scheduler(kernel)
-    client_cpus = list(range(1, n)) or [0]
-    requests = [0]
-    procs = []
-    for cpu in client_cpus:
-        proc = UserProcess(kernel, f"smp-client{cpu}",
-                           task=kernel.create_task(f"smp-client{cpu}",
-                                                   cpu=cpu))
-        scheduler.spawn(f"smp-client{cpu}",
-                        _client(proc, f"/smp/c{cpu}", pages_per_client,
-                                rounds, requests),
-                        cpu=cpu)
-        procs.append(proc)
-
-    counters = kernel.machine.counters
-    start_cycles = kernel.machine.clock.cycles
-    start_faults = counters.faults[FaultKind.CONSISTENCY]
-    start_inval = counters.coherence_invalidations
-    start_wb = counters.coherence_writebacks
-
-    scheduler.run()
-
-    result = SmpServerResult(
-        n_cpus=n,
-        clients=len(client_cpus),
-        requests=requests[0],
-        cycles=kernel.machine.clock.cycles - start_cycles,
-        consistency_faults=(counters.faults[FaultKind.CONSISTENCY]
-                            - start_faults),
-        coherence_invalidations=(counters.coherence_invalidations
-                                 - start_inval),
-        coherence_writebacks=counters.coherence_writebacks - start_wb,
-    )
-    for proc in procs:
-        proc.exit()
     return result
 
 

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis.charts import (render_comparison_chart,
-                                   render_ladder_chart)
+from repro.analysis.charts import render_ladder_chart
 from repro.analysis.experiments import run_table4
 
 
@@ -38,22 +37,3 @@ class TestLadderChart:
 
     def test_empty_input(self):
         assert render_ladder_chart([]) == "(no data)"
-
-
-class TestComparisonChart:
-    def test_bars_scale_with_values(self):
-        chart = render_comparison_chart(["a", "b"], [10.0, 40.0], "t")
-        line_a, line_b = chart.splitlines()[1:]
-        assert line_b.count("#") == 4 * line_a.count("#")
-
-    def test_unit_rendered(self):
-        chart = render_comparison_chart(["x"], [1.0], "t", unit="ms")
-        assert "ms" in chart
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            render_comparison_chart(["a"], [1.0, 2.0], "t")
-
-    def test_zero_values(self):
-        chart = render_comparison_chart(["a"], [0.0], "t")
-        assert "#" not in chart

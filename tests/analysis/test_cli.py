@@ -338,6 +338,14 @@ class TestBadInput:
                           "and 'params', got 'params'"),
         ("not json", "not a JSON job spec"),
         ("[1,2]", "a job spec must be a JSON object, not list"),
+        # Kinds and parameters the farm does not have are rejected before
+        # any job runs, not run as something else.
+        ('{"kind":"replay","params":{"trace":"a.trace"}}',
+         "unknown job kind 'replay'; known: chaos, exhaustive, explore, "
+         "selftest, serve, smp, workload"),
+        ('{"kind":"smp","params":{"n_cpus":2,"aligned":true,'
+         '"workload":"server"}}',
+         "job kind 'smp' takes no parameter 'workload'"),
     ])
     def test_farm_run_of_a_malformed_spec_line(self, capsys, tmp_path, line,
                                                message):

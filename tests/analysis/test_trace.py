@@ -8,6 +8,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import UserProcess
 from repro.obs import load_jsonl, write_jsonl
 from repro.vm.policy import CONFIG_B, CONFIG_F
+from tests.kernel.process_helpers import touch_memory
 
 
 def make_kernel(policy=CONFIG_F):
@@ -43,7 +44,7 @@ class TestRecording:
         kernel = make_kernel()
         with Tracer(kernel) as tracer:
             proc = UserProcess(kernel, "p")
-            proc.touch_memory(2)
+            touch_memory(proc, 2)
         seqs = [e.seq for e in tracer.events]
         cycles = [e.cycles for e in tracer.events]
         assert seqs == sorted(seqs)
@@ -84,12 +85,12 @@ class TestNonInterference:
         tracer = Tracer(kernel).attach()
         tracer.detach()
         proc = UserProcess(kernel, "p")
-        proc.touch_memory(1)
+        touch_memory(proc, 1)
         assert tracer.events == [] or all(
             e.cycles <= tracer.events[-1].cycles for e in tracer.events)
         # nothing recorded after detach
         count = len(tracer.events)
-        proc.touch_memory(1)
+        touch_memory(proc, 1)
         assert len(tracer.events) == count
 
     def test_attach_is_idempotent(self):
@@ -104,7 +105,7 @@ class TestPersistence:
         kernel = make_kernel(CONFIG_B)
         with Tracer(kernel) as tracer:
             proc = UserProcess(kernel, "p")
-            proc.touch_memory(2)
+            touch_memory(proc, 2)
         path = tmp_path / "trace.jsonl"
         written = write_jsonl(tracer.events, path)
         loaded = load_jsonl(path)
@@ -119,4 +120,5 @@ class TestPersistence:
             proc.task.write(vpage, 0, 1)
             frame = kernel.pmap.page_table(proc.task.asid).lookup(vpage).ppage
             kernel.disk.write_block(5, 0, frame)
-        assert frame in tracer.frames_touched()
+        assert frame in {e.detail["frame"] for e in tracer.events
+                         if "frame" in e.detail}

@@ -65,7 +65,7 @@ class TestPageTracking:
         values = np.full(WPP, 7, dtype=np.uint64)
         oracle.note_page_write(0, values)
         oracle.check_cpu_read(12, 7)
-        assert oracle.expected_word(12) == 7
+        assert oracle.expected_page(0)[12 // 4] == 7
 
 
 class TestDmaTracking:
@@ -229,4 +229,4 @@ class TestExpectedPage:
         oracle = make_oracle()
         page = oracle.expected_page(0)
         page[:] = 123
-        assert oracle.expected_word(0) == 0
+        assert oracle.expected_page(0)[0] == 0

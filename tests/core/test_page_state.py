@@ -120,25 +120,3 @@ class TestMappings:
         state = PhysPageState(0, num_cache_pages=8, num_icache_pages=4)
         assert state.icache_page_of(7) == 3
         assert state.cache_page_of(7) == 7
-
-
-class TestReset:
-    def test_reset_clears_everything(self):
-        state = make_state()
-        state.mapped[1] = True
-        state.stale[2] = True
-        state.imapped[0] = True
-        state.cache_dirty = True
-        state.reset()
-        assert not state.mapped.any()
-        assert not state.stale.any()
-        assert not state.imapped.any()
-        assert not state.cache_dirty
-
-    def test_reset_keeps_mappings_and_history(self):
-        state = make_state()
-        state.add_mapping(1, 100)
-        state.last_cache_page = 4
-        state.reset()
-        assert len(state.mappings) == 1
-        assert state.last_cache_page == 4

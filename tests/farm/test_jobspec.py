@@ -7,6 +7,8 @@ parameters, the schema, or the code fingerprint.
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.farm import JobSpec
+from repro.farm.runners import RUNNERS, check_spec
 
 scalars = (st.none() | st.booleans() | st.integers(-2**31, 2**31)
            | st.floats(allow_nan=False, allow_infinity=False)
@@ -177,3 +180,21 @@ class TestKeys:
         b = JobSpec.make("beta", seed=1)
         assert a.key(self.FP) != b.key(self.FP)
         assert a.key(self.FP) != a.key("0" * 64)
+
+
+class TestKinds:
+    def test_the_docs_kinds_table_lists_exactly_the_runners(self):
+        doc = (Path(__file__).resolve().parents[2] / "docs" / "farm.md")
+        table = doc.read_text().split("| kind | parameters | payload |")[1]
+        rows = re.findall(r"^\| `(\w+)` \|", table.split("\n\n")[0], re.M)
+        assert sorted(rows) == sorted(RUNNERS)
+
+    @pytest.mark.parametrize("kind", sorted(RUNNERS))
+    def test_every_runner_kind_has_a_constructor(self, kind):
+        # check_spec reads a kind's parameters off JobSpec.<kind>.
+        assert check_spec(JobSpec.make(kind)) == JobSpec.make(kind)
+
+    def test_a_parameter_the_constructor_does_not_take_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="no parameter 'sede'"):
+            check_spec(JobSpec.make("chaos", sede=1))
+        assert check_spec(JobSpec.selftest(mode="ok", anything=1))

@@ -13,6 +13,7 @@ from repro.hw.hierarchy import CacheHierarchy
 from repro.hw.params import CacheGeometry, CostModel, L2Geometry
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.stats import Clock, Counters, Reason
+from tests.hw.cache_helpers import dirty_cache_pages, line_value
 
 PAGE = 4096
 
@@ -426,8 +427,8 @@ class TestWriteThrough:
         cache, mem, clock, counters = make_cache(write_through=True)
         cache.write(0, 0, 11)
         cache.write_page(PAGE, PAGE, np.ones(1024, dtype=np.uint64))
-        assert cache.dirty_cache_pages(0) == []
-        assert cache.dirty_cache_pages(PAGE) == []
+        assert dirty_cache_pages(cache, 0) == []
+        assert dirty_cache_pages(cache, PAGE) == []
 
     def test_page_write_through(self):
         cache, mem, clock, counters = make_cache(write_through=True)
@@ -505,13 +506,13 @@ class TestInspection:
         cache, mem, clock, counters = make_cache()
         cache.write(0, 0, 1)
         cache.write(2 * PAGE, PAGE, 1)
-        assert cache.dirty_cache_pages(0) == [0]
-        assert cache.dirty_cache_pages(PAGE) == [2]
+        assert dirty_cache_pages(cache, 0) == [0]
+        assert dirty_cache_pages(cache, PAGE) == [2]
 
     def test_line_value(self):
         cache, mem, clock, counters = make_cache()
         cache.write(0, 0, 77)
-        line = cache.line_value(0, 0, 0)
+        line = line_value(cache, 0, 0, 0)
         assert line is not None
         assert line[0] == 77
-        assert cache.line_value(1, 0, 0) is None
+        assert line_value(cache, 1, 0, 0) is None

@@ -18,6 +18,7 @@ from repro.hw.hierarchy import CacheHierarchy, L2Cache, VictimCache
 from repro.hw.params import CacheGeometry, CostModel, L2Geometry
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.stats import Clock, Counters, Reason
+from tests.hw.cache_helpers import hierarchy_tags, l2_tags, victim_tags
 
 PAGE = 4096
 LINE = 32
@@ -66,9 +67,9 @@ class TestVictimCache:
         vc.capture(1, line(1))
         vc.capture(2, line(2))
         vc.capture(3, line(3))                    # evicts 1, the oldest
-        assert vc.resident_tags() == [2, 3]
+        assert victim_tags(vc) == [2, 3]
         vc.capture(4, line(4))                    # evicts 2
-        assert vc.resident_tags() == [3, 4]
+        assert victim_tags(vc) == [3, 4]
 
     def test_recapture_refreshes_data_but_not_queue_position(self):
         vc = VictimCache(2, WPL)
@@ -79,7 +80,7 @@ class TestVictimCache:
         vc.capture(1, line(1))
         vc.capture(3, line(3))                    # 2 is oldest now? no: 2
         # queue after the take+capture is [2, 1]; capturing 3 evicts 2.
-        assert sorted(vc.resident_tags()) == [1, 3]
+        assert sorted(victim_tags(vc)) == [1, 3]
 
     def test_zero_lines_is_inert(self):
         vc = VictimCache(0, WPL)
@@ -91,7 +92,7 @@ class TestVictimCache:
         for tag in (5, 6, 9):
             vc.capture(tag, line(tag))
         vc.invalidate_range(5, 6)
-        assert vc.resident_tags() == [9]
+        assert victim_tags(vc) == [9]
 
 
 class TestL2Cache:
@@ -120,7 +121,7 @@ class TestL2Cache:
         l2 = L2Cache(self.GEO, WPL)
         l2.insert(3, line(1))
         l2.insert(3, line(2))
-        assert l2.resident_tags() == [3]
+        assert l2_tags(l2) == [3]
         assert l2.lookup(3)[0] == 2
 
     def test_invalidate_range(self):
@@ -128,7 +129,7 @@ class TestL2Cache:
         for tag in (1, 2, 300):
             l2.insert(tag, line(tag))
         l2.invalidate_range(1, 2)
-        assert l2.resident_tags() == [300]
+        assert l2_tags(l2) == [300]
 
 
 class TestFetchLineCharging:
@@ -161,11 +162,11 @@ class TestFetchLineCharging:
         h, _, _, counters = make_hierarchy(victim_lines=2)
         h.capture(1, line(1))
         assert counters.victim_captures == 1
-        assert h.resident_tags() == {"victim": [1]}
+        assert hierarchy_tags(h) == {"victim": [1]}
         l2 = L2Geometry(size=4 * 1024, line_size=LINE, associativity=2)
         h2, _, _, _ = make_hierarchy(l2=l2)
         h2.capture(1, line(1))
-        assert h2.resident_tags() == {"l2": [1]}
+        assert hierarchy_tags(h2) == {"l2": [1]}
 
     def test_note_memory_write_bumps_epoch_and_drops_copies(self):
         l2 = L2Geometry(size=4 * 1024, line_size=LINE, associativity=2)
@@ -176,7 +177,7 @@ class TestFetchLineCharging:
         h.note_memory_write(3)
         h.note_memory_write(4)
         assert h.epoch_of(3) == 1
-        assert h.resident_tags() == {"victim": [], "l2": []}
+        assert hierarchy_tags(h) == {"victim": [], "l2": []}
 
     def test_invalidate_page_and_span_cover_the_right_lines(self):
         h, _, _, _ = make_hierarchy(victim_lines=8)
@@ -228,7 +229,7 @@ class TestCacheIntegration:
         assert mem.read_word(0) == 99
         # Now evict the stale clean copy at color 0: must not be captured.
         cache.read(cache.geo.way_span, cache.geo.way_span)
-        resident = h.resident_tags()["victim"]
+        resident = hierarchy_tags(h)["victim"]
         for tag in resident:
             taken = h.victim._lines[tag]
             assert taken[0] == np.uint64(mem.read_line(
@@ -248,7 +249,7 @@ class TestCacheIntegration:
                            write_back=False) == "dirty"
         assert mem.read_word(0) == 0              # the write-back was lost
         cache.read(cache.geo.way_span, cache.geo.way_span)  # evict tag 0
-        assert h.resident_tags()["victim"] == []  # corrupt line not kept
+        assert hierarchy_tags(h)["victim"] == []  # corrupt line not kept
 
     def test_write_through_store_restamps_and_drops_lower_copies(self):
         cache, h, mem, clock, counters = make_cache(victim_lines=4,
@@ -256,16 +257,16 @@ class TestCacheIntegration:
         cache.read(0, 0)
         span = cache.geo.way_span
         cache.read(span, span)                    # evict tag 0 -> victim
-        assert h.resident_tags()["victim"] == [0]
+        assert hierarchy_tags(h)["victim"] == [0]
         cache.write(4, 4, 5)                      # wt store to line 0
         # The write-allocate fill took line 0 out of the victim cache
         # (capturing the clean line it displaced); the store then went
         # straight to memory, and no stale copy of line 0 remains below.
-        assert 0 not in h.resident_tags()["victim"]
+        assert 0 not in hierarchy_tags(h)["victim"]
         assert mem.read_word(4) == 5
         # The resident victim line still equals memory (clean-copy
         # invariant held across the write-through store).
-        for tag in h.resident_tags()["victim"]:
+        for tag in hierarchy_tags(h)["victim"]:
             assert np.array_equal(h.victim._lines[tag],
                                   mem.read_line(tag * LINE, WPL))
 
@@ -304,7 +305,7 @@ class TestDegenerateHierarchyBitIdentity:
                           name="dcache", hierarchy=hierarchy)
             observed = self._drive(cache, mem)
             results.append((observed, clock.cycles, counters.snapshot(),
-                            mem.page_view(0).copy()))
+                            mem.read_page(0)))
         bare, degenerate = results
         assert bare[0] == degenerate[0]
         assert bare[1] == degenerate[1]

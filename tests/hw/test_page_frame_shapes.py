@@ -25,6 +25,7 @@ from repro.hw.params import CacheGeometry, CostModel, L2Geometry
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.stats import Clock, Counters, Reason
 from repro.obs.events import EventBus
+from tests.hw.cache_helpers import hierarchy_tags
 
 PAGE = 4096
 LINE = 32
@@ -226,8 +227,8 @@ def assert_same(live, ref):
     if live.hierarchy is not None:
         np.testing.assert_array_equal(live.hierarchy._epochs,
                                       ref.hierarchy._epochs)
-        assert (live.hierarchy.resident_tags()
-                == ref.hierarchy.resident_tags())
+        assert (hierarchy_tags(live.hierarchy)
+                == hierarchy_tags(ref.hierarchy))
         np.testing.assert_array_equal(live._fill_epoch, ref._fill_epoch)
 
 

@@ -28,6 +28,7 @@ from repro.hw.params import WORD_SIZE, CacheGeometry, CostModel, L2Geometry
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.stats import Clock, Counters
 from repro.trace.format import encode_counters
+from tests.hw.cache_helpers import hierarchy_tags
 
 PAGE = 4096
 LINE = 32
@@ -228,7 +229,7 @@ def state(cache):
            encode_counters(cache.counters)]
     if cache.hierarchy is not None:
         out += [cache.hierarchy._epochs.tolist(),
-                cache.hierarchy.resident_tags(), cache._fill_epoch.tolist()]
+                hierarchy_tags(cache.hierarchy), cache._fill_epoch.tolist()]
     return out
 
 

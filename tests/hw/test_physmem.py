@@ -67,14 +67,7 @@ class TestPageAccess:
         with pytest.raises(AddressError):
             mem.read_page(8)
 
-    def test_page_view_is_read_only(self, mem):
-        view = mem.page_view(0)
-        with pytest.raises(ValueError):
-            view[0] = 1
-
     def test_page_helpers(self, mem):
         assert mem.page_base(2) == 8192
-        assert mem.page_of(8192) == 2
-        assert mem.page_of(8191) == 1
         with pytest.raises(AddressError):
             mem.page_base(9)

@@ -6,6 +6,7 @@ from repro.hw.cache import Cache
 from repro.hw.params import CacheGeometry, CostModel
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.stats import Clock, Counters
+from tests.hw.cache_helpers import dirty_lines
 
 
 def make_cache(assoc=1):
@@ -40,7 +41,7 @@ class TestSnoop:
         assert cache.snoop(set_idx, 0, invalidate=False) == "dirty"
         assert mem.read_word(0) == 42
         # left clean (shared) in place
-        assert cache.dirty_lines(0, 0) == 0
+        assert dirty_lines(cache, 0, 0) == 0
         assert cache.resident_lines(0, 0) == 1
 
     def test_dirty_invalidate_writes_back_then_drops(self):

@@ -89,7 +89,7 @@ class TestCorruptionInvalidatesMicroCache:
     def _armed(self, tlb, max_fires=1):
         plan = FaultPlan(seed=0, rules=(
             FaultRule("tlb.entry.corrupt", rate=1.0, max_fires=max_fires),))
-        FaultInjector(plan, tlb.clock).attach(tlb=tlb)
+        tlb.injector = FaultInjector(plan, tlb.clock)
         return tlb
 
     def test_corruption_clears_micro_cache(self, tlb):

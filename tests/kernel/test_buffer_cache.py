@@ -82,7 +82,7 @@ class TestEviction:
         kernel.buffer_cache.read_block(fid, 0)
         for page in range(12):
             kernel.buffer_cache.read_block(fid2, page)
-        assert kernel.buffer_cache.resident_blocks() <= 8
+        assert len(kernel.buffer_cache._entries) <= 8
         # the oldest block was evicted; re-reading hits the disk again
         writes_before = kernel.machine.counters.dma_writes
         kernel.buffer_cache.read_block(fid, 0)
@@ -105,4 +105,4 @@ class TestEviction:
         kernel.buffer_cache.read_block(fid, 0)
         kernel.buffer_cache.invalidate_file(fid)
         assert len(kernel.free_list) == free_before
-        assert kernel.buffer_cache.resident_blocks() == 0
+        assert not kernel.buffer_cache._entries

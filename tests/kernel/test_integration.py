@@ -14,6 +14,7 @@ from repro.kernel.disk import synthetic_block
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import UserProcess, fresh_tokens
 from repro.vm.policy import CONFIG_A, CONFIG_F, CONFIG_GLOBAL
+from tests.kernel.process_helpers import touch_memory
 
 
 def make_kernel(policy=CONFIG_F, phys_pages=320):
@@ -61,7 +62,7 @@ class TestMultiProcessFileSharing:
             proc.exit()
         kernel.shutdown()
         assert kernel.machine.oracle.clean
-        assert kernel.fs.file_count() == 1 + 12
+        assert len(kernel.fs._files) == 1 + 12
 
     def test_overwriting_a_file_page_repeatedly(self):
         kernel = make_kernel()
@@ -131,7 +132,7 @@ class TestResourceAccounting:
             proc.read_file_page(fd, 0)
             proc.read_file_page(fd, 1)
             proc.close(fd)
-            proc.touch_memory(3)
+            touch_memory(proc, 3)
             proc.exit()
             free_now = len(kernel.free_list)
             if baseline is None:

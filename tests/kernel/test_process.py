@@ -7,6 +7,7 @@ from repro.hw.params import MachineConfig
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import UserProcess, fresh_tokens
 from repro.vm.policy import CONFIG_F
+from tests.kernel.process_helpers import touch_memory
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ class TestHelpers:
 
     def test_touch_memory_dirties_pages(self, kernel):
         proc = UserProcess(kernel, "p")
-        vpage = proc.touch_memory(2, writes_per_page=3)
+        vpage = touch_memory(proc, 2, writes_per_page=3)
         assert proc.task.read(vpage, 0) != 0
         assert proc.task.read(vpage + 1, 2) != 0
 

@@ -18,6 +18,7 @@ from repro.obs import CycleProfiler, ProfileReport, load_jsonl
 from repro.obs.profiler import instrument_kernel
 from repro.trace.record import TraceRecorder
 from repro.vm.policy import NEW_SYSTEM
+from tests.kernel.process_helpers import touch_memory
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "latex-paper.jsonl"
 
@@ -86,7 +87,7 @@ def test_detach_out_of_order_raises_and_leaves_both_working():
 
     with pytest.raises(RuntimeError, match="Kernel.handle_fault"):
         tracer.detach()
-    proc.touch_memory(2)
+    touch_memory(proc, 2)
     faults = profiler.profiler.root.children["kernel.fault"].count
     assert faults > 0
     assert len(tracer.filter("fault")) == faults
@@ -94,7 +95,7 @@ def test_detach_out_of_order_raises_and_leaves_both_working():
     profiler.detach()
     tracer.detach()
     count = len(tracer.events)
-    proc.touch_memory(2)
+    touch_memory(proc, 2)
     assert len(tracer.events) == count
     assert "handle_fault" not in vars(kernel)
     assert kernel.machine.fault_handler == kernel.handle_fault

@@ -34,7 +34,7 @@ class Rig:
             plan = FaultPlan(seed=0, rules=tuple(FaultRule(p)
                                                  for p in drop_points))
             self.injector = FaultInjector(plan, self.machine.clock)
-            self.injector.attach(pmap=self.pmap)
+            self.pmap.injector = self.injector
 
     def _handle(self, info):
         self.pmap.consistency_fault(info.asid, info.vaddr // PAGE,

@@ -22,6 +22,7 @@ from repro.hw.hierarchy import CacheHierarchy
 from repro.hw.params import CacheGeometry, CostModel, L2Geometry
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.stats import Clock, Counters
+from tests.hw.cache_helpers import hierarchy_tags
 
 PAGE = 4096
 LINE = 32
@@ -135,7 +136,7 @@ class TestHierarchyMatchesFlatOracle:
         # each line resident below the L1 equals current physical memory.
         cache, hierarchy, mem = build(name)
         drive_against_oracle(cache, hierarchy, mem, op_list)
-        resident = hierarchy.resident_tags()
+        resident = hierarchy_tags(hierarchy)
         for tag in resident.get("victim", []):
             assert np.array_equal(hierarchy.victim._lines[tag],
                                   mem.read_line(tag * LINE, LINE // 4))
@@ -196,6 +197,6 @@ class TestDegenerateConfigurationIsTheSeedSimulator:
         assert drive(flat, op_list, geo) == drive(degenerate, op_list, geo)
         flat.flush_page_frame(0, 0)
         degenerate.flush_page_frame(0, 0)
-        assert np.array_equal(flat_mem.page_view(0), deg_mem.page_view(0))
+        assert np.array_equal(flat_mem.read_page(0), deg_mem.read_page(0))
         assert flat_clock.cycles == deg_clock.cycles
         assert flat_counters.snapshot() == deg_counters.snapshot()

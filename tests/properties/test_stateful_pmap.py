@@ -19,6 +19,7 @@ from repro.hw.params import small_machine
 from repro.prot import AccessKind, Prot
 from repro.vm.pmap import Pmap
 from repro.vm.policy import CONFIG_F
+from tests.hw.cache_helpers import dirty_cache_pages
 
 PAGE = 4096
 FRAMES = (3, 4, 5)        # physical pages under test
@@ -104,7 +105,7 @@ class PmapMachine(RuleBasedStateMachine):
     def at_most_one_dirty_cache_page_per_frame(self):
         for ppage in FRAMES:
             pa = ppage * PAGE
-            assert len(self.machine.dcache.dirty_cache_pages(pa)) <= 1
+            assert len(dirty_cache_pages(self.machine.dcache, pa)) <= 1
 
 
 PmapMachine.TestCase.settings = settings(

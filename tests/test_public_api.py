@@ -37,6 +37,16 @@ class TestPublicSurface:
         assert kernel.elapsed_seconds > 0
         assert "page_flushes" in kernel.machine.counters.snapshot()
 
+    def test_package_quickstart_runs_verbatim(self, capsys):
+        # The Quickstart block of the package docstring, as printed.
+        import textwrap
+
+        import repro
+        snippet = textwrap.dedent(repro.__doc__.split("Quickstart::\n")[1])
+        exec(compile(snippet, "repro-quickstart", "exec"), {})
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["A", "F"]
+
     def test_version(self):
         import repro
         assert repro.__version__

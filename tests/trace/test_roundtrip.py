@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.experiments import evaluation_machine, make_workload
+from repro.cli import main
 from repro.hw.params import WORD_SIZE
 from repro.hw.physmem import PhysicalMemory
 from repro.kernel.kernel import Kernel
@@ -27,6 +28,7 @@ from repro.trace import compile_workload, load_trace, replay_trace, save_trace
 from repro.trace.format import (MAGIC, OP_D_READ_RUN, OP_D_WRITE_RUN,
                                 TraceFormatError, decode_counters)
 from repro.trace.interp import _restore_memory
+from repro.trace.record import record_run
 from repro.workloads import RandomOps
 from repro.workloads.base import Workload
 
@@ -45,6 +47,12 @@ def assert_roundtrip(trace):
         assert result.n_events == trace.n_events
         assert result.events_sha256 == trace.end_events_sha256
     return result
+
+
+def record(workload, kernel):
+    """Set ``workload`` up on ``kernel`` and record its execute phase."""
+    workload.setup(kernel)
+    return record_run(workload, kernel)
 
 
 def assert_same_machine_state(result, machine):
@@ -118,7 +126,7 @@ class TestPaperWorkloads:
 
         recorded = Kernel(policy=policy, config=evaluation_machine(),
                           buffer_cache_pages=48)
-        trace = make_workload("latex-paper", SCALE).record(recorded)
+        trace = record(make_workload("latex-paper", SCALE), recorded)
         assert trace.end_clock - trace.start_clock == cycles
         assert recorded.machine.clock.cycles == plain.machine.clock.cycles
         assert recorded.machine.counters == plain.machine.counters
@@ -141,7 +149,7 @@ class TestPaperWorkloads:
         first = make_workload("afs-bench", SCALE)
         first.setup(kernel)
         first.execute(kernel)
-        trace = make_workload("latex-paper", SCALE).record(kernel)
+        trace = record(make_workload("latex-paper", SCALE), kernel)
 
         machine = kernel.machine
         words = machine.memory.words_per_page
@@ -186,7 +194,7 @@ class TestRandomOpsWithFaults:
 
 class TestStreamingRuns:
     def test_block_sweep_roundtrips(self):
-        trace = BlockSweep().record(Kernel())
+        trace = record(BlockSweep(), Kernel())
         runs = trace.ops[np.isin(trace.ops["op"],
                                  (OP_D_READ_RUN, OP_D_WRITE_RUN))]
         # Whole-page runs: each spans many lines, so replay takes the
@@ -312,10 +320,41 @@ class TestMalformedArtifacts:
         no longer fits the start images still passes it; the shape check
         rejects it before replay would copy an image into the wrong
         shape."""
+        def doctor(header):
+            header["config"][field] = edit(header["config"])
+
         path = tmp_path / "doctored.trace"
-        path.write_bytes(doctored_header(blob, field, edit))
+        path.write_bytes(doctored_header(blob, doctor))
         with pytest.raises(TraceFormatError, match=f"the {image} image"):
             load_trace(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h["config"]["cost"].update(extra=1),
+         "unexpected keyword argument 'extra'"),
+        (lambda h: h["start"]["counters"].update(bogus=1),
+         r"start counters fields \['bogus'\]"),
+        (lambda h: h["start"]["counters"]["page_flushes"].update(
+            {"dcache|no-such-reason": 1}), "'no-such-reason' is not a valid"),
+        (lambda h: h["end"]["counters"]["faults"].update(
+            {"no-such-kind": 1}), "'no-such-kind' is not a valid"),
+        (lambda h: h["start"].update(tick_d="0"), "start tick_d '0' is not"),
+        (lambda h: h["start"].update(tick_i=0.5), "start tick_i 0.5 is not"),
+        (lambda h: h["start"].update(clock=[0]), r"start clock \[0\] is not"),
+    ], ids=("cost-extra-key", "counters-unknown-scalar",
+            "counters-unknown-reason", "counters-unknown-fault-kind",
+            "tick_d-string", "tick_i-float", "clock-list"))
+    def test_a_doctored_header_field_is_a_format_error(
+            self, blob, tmp_path, capsys, edit, message):
+        """Replay builds its machine from these header fields, which the
+        sha256 does not cover: each doctored one is rejected at load, and
+        ``trace replay`` reports it as one error line, status 2."""
+        path = tmp_path / "doctored.trace"
+        path.write_bytes(doctored_header(blob, edit))
+        with pytest.raises(TraceFormatError, match=message):
+            load_trace(path)
+        assert main(["trace", "replay", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("repro: error: ")
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -357,12 +396,12 @@ class TestMalformedArtifacts:
         return path
 
 
-def doctored_header(blob: bytes, field: str, edit) -> bytes:
-    """``blob`` with ``config[field]`` in its header replaced by
-    ``edit(config)``; the payload and its sha256 stay intact."""
+def doctored_header(blob: bytes, edit) -> bytes:
+    """``blob`` with its header changed in place by ``edit(header)``;
+    the payload and its sha256 stay intact."""
     nl = blob.index(b"\n", len(MAGIC))
     header = json.loads(blob[len(MAGIC):nl])
-    header["config"][field] = edit(header["config"])
+    edit(header)
     return (MAGIC + json.dumps(header, sort_keys=True,
                                separators=(",", ":")).encode("utf-8")
             + blob[nl:])

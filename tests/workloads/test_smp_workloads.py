@@ -1,12 +1,12 @@
-"""The Section 3.3 multi-CPU workloads: correctness, determinism, and
-the aligned-vs-unaligned claim."""
+"""The Section 3.3 multi-CPU ring workload: correctness, determinism,
+and the aligned-vs-unaligned claim."""
 
 import pytest
 
 from repro.hw.params import small_machine
 from repro.hw.stats import FaultKind
 from repro.kernel.kernel import Kernel
-from repro.workloads.smp import run_smp_ring, run_smp_unix_server
+from repro.workloads.smp import run_smp_ring
 
 
 def make_kernel(n_cpus, **overrides):
@@ -65,23 +65,3 @@ class TestSmpRing:
         assert result.pairs == 1
         assert result.coherence_invalidations == 0
 
-
-class TestSmpUnixServer:
-    def test_requests_served_across_cpus(self):
-        result = run_smp_unix_server(make_kernel(4))
-        assert result.clients == 3
-        # create+open, rounds * (writes + reads) per page, close
-        per_client = 2 + 2 * (3 + 3) + 1
-        assert result.requests == 3 * per_client
-        assert result.coherence_invalidations > 0
-
-    def test_degenerate_single_cpu(self):
-        result = run_smp_unix_server(make_kernel(1))
-        assert result.clients == 1
-        assert result.coherence_invalidations == 0
-
-    def test_deterministic(self):
-        def run():
-            return run_smp_unix_server(make_kernel(3)).to_dict()
-
-        assert run() == run()
