@@ -72,9 +72,6 @@ class VictimCache:
         self.words_per_line = words_per_line
         self._lines: OrderedDict[int, np.ndarray] = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._lines)
-
     def capture(self, tag: int, data: np.ndarray) -> None:
         if self.n_lines == 0:
             return

@@ -144,9 +144,3 @@ class Tlb:
         self._map.clear()
         self._last_key = None
         self._last_entry = None
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._map

@@ -167,9 +167,6 @@ class EventBus:
         """Retained event counts by kind."""
         return dict(Counter(e.kind for e in self._ring))
 
-    def __len__(self) -> int:
-        return len(self._ring)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "enabled" if self.enabled else "disabled"
         return (f"EventBus({state}, retained={len(self._ring)}, "

@@ -38,6 +38,11 @@ Compiling the same workload twice in separate processes yields
 byte-identical files (``numpy.savez`` would not: zip members carry
 timestamps).  The header carries the sha256 of everything after it, so
 a damaged array region or sidecar is rejected on load.
+
+The start memory image is sparse: the numbers of the pages holding a
+nonzero word, ascending, and those pages' words, one row each.  Every
+other page starts zero.  A stored row is never all zero, so one machine
+state has exactly one encoding.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from repro.errors import ConfigurationError, ReproError, open_input
 from repro.hw.params import WORD_SIZE, CacheGeometry, CostModel
 from repro.hw.stats import SCALAR_FIELDS, Counters, FaultKind, Reason
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 MAGIC = b"RTRACE1\n"
 
 # ---- opcodes ---------------------------------------------------------------
@@ -224,7 +229,8 @@ class Trace:
     ops: np.ndarray              # OP_DTYPE
     values: np.ndarray           # uint64 word stream consumed by write ops
     sidecar: list                # JSON-able entries referenced by ``aux``
-    start_memory: np.ndarray     # uint64 physical memory words
+    start_pages: np.ndarray      # int64 ascending numbers of nonzero pages
+    start_rows: np.ndarray       # uint64 their words, one row per page
     start_dcache: CacheImage
     start_icache: CacheImage
     start_clock: int
@@ -246,7 +252,8 @@ def _cache_arrays(prefix: str, image: CacheImage) -> list[tuple[str, np.ndarray]
 def save_trace(path: str, trace: Trace) -> None:
     """Serialize deterministically: same trace -> same bytes, always."""
     arrays = ([("ops", trace.ops), ("values", trace.values),
-               ("memory", trace.start_memory)]
+               ("memory_pages", trace.start_pages),
+               ("memory_rows", trace.start_rows)]
               + _cache_arrays("dcache", trace.start_dcache)
               + _cache_arrays("icache", trace.start_icache))
     sidecar_bytes = json.dumps(trace.sidecar, sort_keys=True,
@@ -279,7 +286,8 @@ def save_trace(path: str, trace: Trace) -> None:
 
 
 _ARRAY_DTYPES = {
-    "ops": OP_DTYPE, "values": np.uint64, "memory": np.uint64,
+    "ops": OP_DTYPE, "values": np.uint64,
+    "memory_pages": np.int64, "memory_rows": np.uint64,
     "dcache_tags": np.int64, "dcache_dirty": np.uint8,
     "dcache_data": np.uint64, "dcache_lru": np.int64,
     "icache_tags": np.int64, "icache_dirty": np.uint8,
@@ -292,9 +300,11 @@ def load_trace(path: str) -> Trace:
 
     A file that is not a trace, one cut short, one whose header is
     garbled or whose array region or sidecar fails the header's sha256,
-    one whose start images do not fit the machine its header's config
-    describes, and one whose cost model, clocks or counters images are
-    not ones :func:`save_trace` writes raise :class:`TraceFormatError`;
+    one whose start images or op stream do not fit the machine its
+    header's config describes, one whose sparse memory image is not its
+    one canonical encoding (see the module docstring), and one whose
+    cost model, clocks or counters images are not ones
+    :func:`save_trace` writes raise :class:`TraceFormatError`;
     a file that cannot be opened raises :class:`InputFileError`.
     """
     with open_input(path, "rb") as f:
@@ -353,7 +363,10 @@ def _decode(path: str, header: dict, blob: bytes, offset: int) -> Trace:
         raise TraceFormatError(f"{path}: sidecar is not JSON ({exc})") \
             from None
 
-    _check_image_shapes(path, header["config"], arrays)
+    config = header["config"]
+    _check_image_shapes(path, config, arrays)
+    _check_memory_image(path, config, arrays)
+    _check_addresses(path, config, arrays)
     start, end = header["start"], header["end"]
     # Replay builds its machine from these fields, which the sha256 does
     # not cover: decode them here, so that a doctored one fails to load.
@@ -382,7 +395,7 @@ def _decode(path: str, header: dict, blob: bytes, offset: int) -> Trace:
     return Trace(
         meta=header["meta"], config=header["config"],
         ops=arrays["ops"], values=arrays["values"], sidecar=sidecar,
-        start_memory=arrays["memory"],
+        start_pages=arrays["memory_pages"], start_rows=arrays["memory_rows"],
         start_dcache=image("dcache", start["tick_d"]),
         start_icache=image("icache", start["tick_i"]),
         start_clock=start["clock"], start_counters=start["counters"],
@@ -395,10 +408,15 @@ def _check_image_shapes(path: str, config: dict, arrays: dict) -> None:
     """The start images must fit the machine the header's config builds:
     replay copies each into an array of that machine's shape."""
     pages, page_size = config["phys_pages"], config["page_size"]
-    if type(pages) is not int or type(page_size) is not int:
+    if (type(pages) is not int or type(page_size) is not int
+            or pages <= 0 or page_size <= 0):
         raise TraceFormatError(f"{path}: config phys_pages {pages!r} and "
-                               f"page_size {page_size!r} must be integers")
-    expected = {"memory": (pages * (page_size // WORD_SIZE),)}
+                               f"page_size {page_size!r} must be positive "
+                               f"integers")
+    numbers = arrays["memory_pages"]
+    stored = numbers.shape[0] if numbers.ndim else 0
+    expected = {"memory_pages": (stored,),
+                "memory_rows": (stored, page_size // WORD_SIZE)}
     for prefix in ("dcache", "icache"):
         try:
             geo = CacheGeometry(**config[prefix])
@@ -415,3 +433,64 @@ def _check_image_shapes(path: str, config: dict, arrays: dict) -> None:
                 f"{path}: the {name} image has shape "
                 f"{list(arrays[name].shape)}, but the header's config "
                 f"needs {list(shape)}")
+
+
+def _check_memory_image(path: str, config: dict, arrays: dict) -> None:
+    """The sparse start image must be the one encoding of a memory the
+    header's config builds: page numbers strictly ascending inside it,
+    and no stored row all zero (a zero page is one the image leaves
+    out)."""
+    pages = config["phys_pages"]
+    numbers, rows = arrays["memory_pages"], arrays["memory_rows"]
+    if (np.diff(numbers) <= 0).any():
+        raise TraceFormatError(
+            f"{path}: the memory image's page numbers are not strictly "
+            f"increasing")
+    if len(numbers) and not 0 <= numbers[0] <= numbers[-1] < pages:
+        raise TraceFormatError(
+            f"{path}: the memory image names pages {int(numbers[0])}.."
+            f"{int(numbers[-1])}, but the header's config has {pages}")
+    zero = rows.max(axis=1, initial=0) == 0
+    if zero.any():
+        raise TraceFormatError(
+            f"{path}: the memory image stores page "
+            f"{int(numbers[zero.argmax()])} although it is all zero")
+
+
+#: opcodes whose ``aux`` is a physical run of ``len`` words, and those
+#: whose ``aux`` is the base of a physical page (``OP_MEM_WRITE`` names
+#: its run in ``va``).
+_PHYS_RUN_OPS = (OP_D_READ_RUN, OP_D_WRITE_RUN, OP_I_READ_RUN,
+                 OP_I_WRITE_RUN)
+_PHYS_PAGE_OPS = (OP_D_READ_PAGE, OP_D_WRITE_PAGE, OP_D_ZERO_PAGE, OP_D_FLUSH,
+             OP_D_PURGE, OP_I_READ_PAGE, OP_I_WRITE_PAGE, OP_I_ZERO_PAGE,
+             OP_I_FLUSH, OP_I_PURGE)
+
+
+def _check_addresses(path: str, config: dict, arrays: dict) -> None:
+    """Every physical address the op stream and the cache images name
+    must lie inside the memory the header's config builds: the sha256
+    covers them, but not the config."""
+    size = config["phys_pages"] * config["page_size"]
+    ops = arrays["ops"]
+    op = ops["op"]
+    mem = op == OP_MEM_WRITE
+    page = np.isin(op, _PHYS_PAGE_OPS)
+    named = mem | page | np.isin(op, _PHYS_RUN_OPS)
+    start = np.where(mem, ops["va"], ops["aux"])
+    end = start + np.where(page, config["page_size"], ops["len"] * WORD_SIZE)
+    outside = named & ((start < 0) | (end > size))
+    if outside.any():
+        at = int(outside.argmax())
+        raise TraceFormatError(
+            f"{path}: op {at} names physical bytes {int(start[at]):#x}.."
+            f"{int(end[at]):#x}, outside the {size}-byte memory of the "
+            f"header's config")
+    for prefix in ("dcache", "icache"):
+        tags = arrays[f"{prefix}_tags"]
+        lines = size // config[prefix]["line_size"]
+        # An invalid line's tag is -1.
+        if tags.size and not -1 <= tags.min() <= tags.max() < lines:
+            raise TraceFormatError(
+                f"{path}: the {prefix} image tags lines outside the "
+                f"{lines}-line memory of the header's config")

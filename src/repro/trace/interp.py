@@ -505,18 +505,16 @@ def _run(rows, values, sidecar, dcache: Cache, icache: Cache,
     return vpos
 
 
-def _restore_memory(memory: PhysicalMemory, image: np.ndarray) -> None:
-    """Copy in the pages of ``image`` that hold a nonzero word.
+def _restore_memory(memory: PhysicalMemory, pages: np.ndarray,
+                    rows: np.ndarray) -> None:
+    """Copy a trace's nonzero start pages into a fresh (all-zero) memory.
 
-    A fresh memory is already zero, so a zero page needs no copy, and a
-    page that no op touches is then never written (nor, on the host,
-    ever mapped).  One scan of the image finds the nonzero pages (a
-    word is unsigned, so a page is nonzero iff its maximum is); one
-    fancy-index assignment copies them.
+    The trace carries only the pages that held a nonzero word at capture,
+    so a page no op touches is never written (nor, on the host, ever
+    mapped), and no scan runs here.
     """
-    pages = image.reshape(memory.num_pages, memory.words_per_page)
-    nonzero = pages.max(axis=1).nonzero()[0]
-    memory._words.reshape(pages.shape)[nonzero] = pages[nonzero]
+    words = memory._words.reshape(memory.num_pages, memory.words_per_page)
+    words[pages] = rows
 
 
 def _restore_image(cache: Cache, image) -> None:
@@ -544,7 +542,7 @@ def replay_trace(trace: Trace) -> ReplayResult:
     counters = Counters()
     apply_counters_delta(counters, trace.start_counters)
     memory = PhysicalMemory(config["phys_pages"], config["page_size"])
-    _restore_memory(memory, trace.start_memory)
+    _restore_memory(memory, trace.start_pages, trace.start_rows)
     dcache = Cache(geo_d, memory, cost, clock, counters, name="dcache")
     icache = Cache(geo_i, memory, cost, clock, counters, name="icache",
                    is_icache=True)

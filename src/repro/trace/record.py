@@ -97,6 +97,18 @@ def _delta_key(delta: dict) -> frozenset:
                      for name, v in delta.items())
 
 
+def capture_memory_image(memory) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse image of ``memory``: the numbers of its pages that hold
+    a nonzero word, ascending, and those pages' words, one row each.
+
+    A word is unsigned, so a page is nonzero iff its maximum is.  This
+    scan runs once, at capture; replay only copies the rows back.
+    """
+    pages = memory._words.reshape(memory.num_pages, memory.words_per_page)
+    numbers = pages.max(axis=1).nonzero()[0].astype(np.int64, copy=False)
+    return numbers, pages[numbers]
+
+
 def capture_cache_image(cache) -> CacheImage:
     return CacheImage(tags=cache._tags.copy(), dirty=cache._dirty.copy(),
                       data=cache._data.copy(), lru=cache._lru.copy(),
@@ -325,7 +337,7 @@ def record_run(workload, kernel, trace_events: bool = False,
         machine.bus.enable()
         machine.bus.subscribe(events.append)
 
-    start_memory = machine.memory._words.copy()
+    start_pages, start_rows = capture_memory_image(machine.memory)
     start_dcache = capture_cache_image(machine.dcache)
     start_icache = capture_cache_image(machine.icache)
     start_clock = machine.clock.cycles
@@ -367,7 +379,8 @@ def record_run(workload, kernel, trace_events: bool = False,
                 "phys_pages": config.phys_pages,
                 "page_size": config.page_size},
         ops=ops, values=values, sidecar=sidecar,
-        start_memory=start_memory, start_dcache=start_dcache,
+        start_pages=start_pages, start_rows=start_rows,
+        start_dcache=start_dcache,
         start_icache=start_icache, start_clock=start_clock,
         start_counters=start_counters,
         end_clock=machine.clock.cycles,

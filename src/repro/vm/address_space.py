@@ -120,6 +120,3 @@ class AddressSpace:
 
     def __contains__(self, vpage: int) -> bool:
         return vpage in self._pages
-
-    def __len__(self) -> int:
-        return len(self._pages)

@@ -78,11 +78,5 @@ class PageTable:
             raise KernelError(
                 f"asid {self.asid}: vpage {vpage} has no translation") from None
 
-    def entries(self) -> dict[int, PageTableEntry]:
-        return dict(self._entries)
-
     def __contains__(self, vpage: int) -> bool:
         return vpage in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)

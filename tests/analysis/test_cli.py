@@ -239,8 +239,8 @@ class TestBadInput:
     def test_trace_replay_rejects_a_header_that_misfits_its_images(
             self, capsys, tmp_path):
         # Halving phys_pages leaves the sha256-covered payload intact, so
-        # only the shape check stands between it and a numpy broadcast
-        # error inside replay.
+        # only the address check stands between it and an index error
+        # inside replay.
         artifact = tmp_path / "a.trace"
         assert main(["trace", "compile", "latex-paper", "--scale", "0.1",
                      "--out", str(artifact)]) == 0
@@ -251,7 +251,7 @@ class TestBadInput:
         header["config"]["phys_pages"] //= 2
         artifact.write_bytes(MAGIC + json.dumps(header).encode() + blob[nl:])
         assert main(["trace", "replay", str(artifact)]) == 2
-        lines = self.one_line_error(capsys, "the memory image has shape")
+        lines = self.one_line_error(capsys, "outside the")
         assert lines == [lines[-1]]
         assert lines[0].startswith("repro: error: ")
 

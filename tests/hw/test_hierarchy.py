@@ -85,7 +85,7 @@ class TestVictimCache:
     def test_zero_lines_is_inert(self):
         vc = VictimCache(0, WPL)
         vc.capture(1, line(1))
-        assert len(vc) == 0 and vc.take(1) is None
+        assert victim_tags(vc) == [] and vc.take(1) is None
 
     def test_invalidate_range(self):
         vc = VictimCache(4, WPL)

@@ -145,7 +145,7 @@ class TestBlockLengths:
         machine.write_block(1, 10 * PAGE, [])
         assert got.dtype == np.uint64 and got.shape == (0,)
         assert (machine.clock.cycles, machine.counters.snapshot()) == before
-        assert calls == [] and os_.faults == [] and len(machine.tlb) == 0
+        assert calls == [] and os_.faults == [] and len(machine.tlb._map) == 0
 
     def test_negative_length_block_is_an_address_error(self, rig):
         machine, os_ = rig

@@ -39,14 +39,14 @@ class TestReplacement:
     def test_fifo_eviction_at_capacity(self, tlb):
         for vpage in range(5):
             tlb.insert(1, vpage, vpage, Prot.READ)
-        assert len(tlb) == 4
+        assert len(tlb._map) == 4
         assert tlb.lookup(1, 0) is None       # oldest evicted
         assert tlb.lookup(1, 4) is not None
 
     def test_reinsert_updates_in_place(self, tlb):
         tlb.insert(1, 10, 5, Prot.READ)
         tlb.insert(1, 10, 5, Prot.READ_WRITE)
-        assert len(tlb) == 1
+        assert len(tlb._map) == 1
         assert tlb.lookup(1, 10).prot is Prot.READ_WRITE
 
 
@@ -72,12 +72,12 @@ class TestInvalidation:
         tlb.insert(1, 10, 5, Prot.READ)
         tlb.insert(2, 11, 6, Prot.READ)
         tlb.invalidate_all()
-        assert len(tlb) == 0
+        assert len(tlb._map) == 0
 
     def test_contains(self, tlb):
         tlb.insert(1, 10, 5, Prot.READ)
-        assert (1, 10) in tlb
-        assert (1, 11) not in tlb
+        assert (1, 10) in tlb._map
+        assert (1, 11) not in tlb._map
 
 
 class TestCorruptionInvalidatesMicroCache:

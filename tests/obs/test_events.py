@@ -22,7 +22,7 @@ class TestLifecycle:
     def test_disabled_by_default(self, bus):
         assert not bus.enabled
         assert bus.publish("flush", cache="dcache") is None
-        assert len(bus) == 0
+        assert len(bus._ring) == 0
         assert bus.published == 0
 
     def test_enable_disable(self, bus):
@@ -30,7 +30,7 @@ class TestLifecycle:
         assert bus.publish("flush") is not None
         bus.disable()
         assert bus.publish("flush") is None
-        assert len(bus) == 1
+        assert len(bus._ring) == 1
 
     def test_enable_returns_self(self, bus):
         assert bus.enable() is bus
@@ -69,7 +69,7 @@ class TestRing:
         bus.enable()
         for i in range(10):
             bus.publish("flush", i=i)
-        assert len(bus) == 4
+        assert len(bus._ring) == 4
         assert bus.published == 10
         assert [e.detail["i"] for e in bus.events()] == [6, 7, 8, 9]
         # sequence numbers keep counting across evictions
@@ -80,13 +80,13 @@ class TestRing:
         bus.enable(capacity=8)
         for i in range(5):
             bus.publish("flush", i=i)
-        assert len(bus) == 5
+        assert len(bus._ring) == 5
 
     def test_clear(self, bus):
         bus.enable()
         bus.publish("flush")
         bus.clear()
-        assert len(bus) == 0
+        assert len(bus._ring) == 0
         assert bus.published == 1
 
 
@@ -100,7 +100,7 @@ class TestSubscription:
             bus.publish("flush", i=i)
         # the ring kept 2, the subscriber saw all 6
         assert len(seen) == 6
-        assert len(bus) == 2
+        assert len(bus._ring) == 2
 
     def test_unsubscribe(self, bus):
         bus.enable()

@@ -11,6 +11,7 @@ by luck), and over a pure streaming workload whose long multi-line runs
 take the interpreter's ``read_run``/``write_run`` call path.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.trace import compile_workload, load_trace, replay_trace, save_trace
 from repro.trace.format import (MAGIC, OP_D_READ_RUN, OP_D_WRITE_RUN,
                                 TraceFormatError, decode_counters)
 from repro.trace.interp import _restore_memory
-from repro.trace.record import record_run
+from repro.trace.record import capture_memory_image, record_run
 from repro.workloads import RandomOps
 from repro.workloads.base import Workload
 
@@ -53,6 +54,39 @@ def record(workload, kernel):
     """Set ``workload`` up on ``kernel`` and record its execute phase."""
     workload.setup(kernel)
     return record_run(workload, kernel)
+
+
+def dense_start_image(trace):
+    """The trace's sparse start memory expanded to one
+    ``(phys_pages, words_per_page)`` array."""
+    config = trace.config
+    pages = np.zeros((config["phys_pages"], config["page_size"] // WORD_SIZE),
+                     dtype=np.uint64)
+    pages[trace.start_pages] = trace.start_rows
+    return pages
+
+
+def record_on_a_used_kernel(first, second):
+    """Run ``first`` to its end, then record ``second`` on the same
+    kernel, so the recorded window starts from memory with nonzero pages.
+    Returns the trace, the kernel, and memory as it was when the window
+    opened."""
+    kernel = Kernel(policy=get_policy("F"), config=evaluation_machine(),
+                    buffer_cache_pages=48)
+    first.setup(kernel)
+    first.execute(kernel)
+    second.setup(kernel)
+    before = kernel.machine.memory._words.copy()
+    return record_run(second, kernel), kernel, before
+
+
+@pytest.fixture(scope="module")
+def used_kernel_trace():
+    """A RandomOps trace whose start memory holds nonzero pages."""
+    trace, _, _ = record_on_a_used_kernel(
+        make_workload("afs-bench", 0.1), RandomOps(scale=0.1, seed=3))
+    assert len(trace.start_pages)
+    return trace
 
 
 def assert_same_machine_state(result, machine):
@@ -98,6 +132,11 @@ class TestPaperWorkloads:
     def test_compile_replay_roundtrips(self, name, policy_name):
         trace = compile_workload(make_workload(name, SCALE),
                                  get_policy(policy_name))
+        # A paper program starts on a freshly booted machine, whose
+        # memory is all zero: its trace stores no start page at all.
+        words = trace.config["page_size"] // WORD_SIZE
+        assert trace.start_pages.shape == (0,)
+        assert trace.start_rows.shape == (0, words)
         assert_roundtrip(trace)
 
     def test_events_roundtrip_bit_identical(self):
@@ -144,17 +183,16 @@ class TestPaperWorkloads:
         second program on a kernel that already ran one: its start image
         holds nonzero pages, some that the run overwrites and some that
         end as they started, and replay must restore both kinds."""
-        kernel = Kernel(policy=get_policy("F"), config=evaluation_machine(),
-                        buffer_cache_pages=48)
-        first = make_workload("afs-bench", SCALE)
-        first.setup(kernel)
-        first.execute(kernel)
-        trace = record(make_workload("latex-paper", SCALE), kernel)
+        trace, kernel, before = record_on_a_used_kernel(
+            make_workload("afs-bench", SCALE),
+            make_workload("latex-paper", SCALE))
 
         machine = kernel.machine
         words = machine.memory.words_per_page
-        start = trace.start_memory.reshape(-1, words)
+        start = dense_start_image(trace)
+        assert np.array_equal(start.ravel(), before)
         nonzero = start.any(axis=1)
+        assert np.array_equal(nonzero.nonzero()[0], trace.start_pages)
         moved = (start != machine.memory._words.reshape(-1, words)).any(axis=1)
         assert (nonzero & moved).any()
         assert (nonzero & ~moved).any()
@@ -164,13 +202,16 @@ class TestPaperWorkloads:
 
 def test_restore_copies_every_page_with_a_nonzero_word():
     memory = PhysicalMemory(8, 4096)
-    image = np.zeros_like(memory._words)
-    pages = image.reshape(8, -1)
+    pages = memory._words.reshape(8, -1)
     pages[1, -1] = 1 << 63           # one word, at the end of its page
     pages[4] = np.arange(1, pages.shape[1] + 1)
     pages[7, 0] = 1
-    _restore_memory(memory, image)
-    assert np.array_equal(memory._words, image)
+    numbers, rows = capture_memory_image(memory)
+    assert numbers.tolist() == [1, 4, 7]
+    assert numbers.dtype == np.int64 and rows.dtype == np.uint64
+    fresh = PhysicalMemory(8, 4096)
+    _restore_memory(fresh, numbers, rows)
+    assert np.array_equal(fresh._words, memory._words)
 
 
 class TestRandomOpsWithFaults:
@@ -252,16 +293,42 @@ class TestArtifactDeterminism:
         assert first.read_bytes() == second.read_bytes()
         assert_roundtrip(load_trace(second))
 
+    def test_save_load_keeps_the_sparse_memory_image(self, tmp_path,
+                                                      used_kernel_trace):
+        trace = used_kernel_trace
+        path = tmp_path / "t.trace"
+        save_trace(path, trace)
+        loaded = load_trace(path)
+        assert loaded.start_pages.dtype == np.int64
+        assert loaded.start_rows.dtype == np.uint64
+        assert np.array_equal(loaded.start_pages, trace.start_pages)
+        assert np.array_equal(loaded.start_rows, trace.start_rows)
+        assert_roundtrip(loaded)
+
+    def test_a_saved_trace_is_smaller_than_its_machines_memory(self,
+                                                              tmp_path):
+        """The file carries only the nonzero start pages, not a dense
+        copy of memory (8 MiB of words on a 1,024-page machine)."""
+        config = evaluation_machine(phys_pages=1024)
+        trace = compile_workload(make_workload("latex-paper", 0.1),
+                                 get_policy("F"), config=config)
+        path = tmp_path / "t.trace"
+        save_trace(path, trace)
+        memory_bytes = PhysicalMemory(1024, config.page_size)._words.nbytes
+        assert memory_bytes == 8 << 20
+        assert path.stat().st_size < memory_bytes
+
 
 class TestMalformedArtifacts:
     """A damaged artifact raises :class:`TraceFormatError`, never a raw
     JSON, numpy or index error."""
 
     @pytest.fixture(scope="class")
-    def blob(self, tmp_path_factory):
+    def blob(self, tmp_path_factory, used_kernel_trace):
+        """An artifact whose start memory stores nonzero pages, so the
+        damage reaches the sparse image's arrays too."""
         path = tmp_path_factory.mktemp("trace") / "t.trace"
-        save_trace(path, compile_workload(RandomOps(scale=0.1, seed=3),
-                                          get_policy("F")))
+        save_trace(path, used_kernel_trace)
         return path.read_bytes()
 
     @staticmethod
@@ -305,27 +372,89 @@ class TestMalformedArtifacts:
             with pytest.raises(TraceFormatError, match="sha256"):
                 load_trace(path)
 
-    @pytest.mark.parametrize("field,edit,image", [
-        ("phys_pages", lambda config: config["phys_pages"] // 2, "memory"),
+    @pytest.mark.parametrize("field,edit,message", [
+        ("phys_pages", lambda config: config["phys_pages"] // 2,
+         "the memory image names pages"),
         ("dcache", lambda config: dict(config["dcache"],
                                        size=config["dcache"]["size"] // 2),
-         "dcache_tags"),
+         "the dcache_tags image"),
         ("icache", lambda config: dict(
             config["icache"], line_size=config["icache"]["line_size"] * 2),
-         "icache_tags"),
-    ], ids=("phys_pages-halved", "dcache-size-halved", "icache-line-doubled"))
+         "the icache_tags image"),
+        ("page_size", lambda config: config["page_size"] // 2,
+         "the memory_rows image"),
+    ], ids=("phys_pages-halved", "dcache-size-halved", "icache-line-doubled",
+            "page_size-halved"))
     def test_a_config_that_does_not_fit_the_images_is_rejected(
-            self, blob, tmp_path, field, edit, image):
+            self, blob, tmp_path, field, edit, message):
         """The sha256 covers only the payload, so a header whose config
-        no longer fits the start images still passes it; the shape check
-        rejects it before replay would copy an image into the wrong
-        shape."""
+        no longer fits the start images still passes it; the shape and
+        range checks reject it before replay would copy an image into the
+        wrong shape."""
         def doctor(header):
             header["config"][field] = edit(header["config"])
 
         path = tmp_path / "doctored.trace"
         path.write_bytes(doctored_header(blob, doctor))
-        with pytest.raises(TraceFormatError, match=f"the {image} image"):
+        with pytest.raises(TraceFormatError, match=message):
+            load_trace(path)
+
+    def test_an_op_outside_the_configs_memory_is_rejected(self, tmp_path):
+        """A paper-style trace stores no memory page, so only its op
+        stream ties it to the size of memory: shrinking ``phys_pages``
+        below the frames its ops name is rejected at load."""
+        trace = compile_workload(RandomOps(scale=0.1, seed=3),
+                                 get_policy("F"))
+        assert not len(trace.start_pages)
+        path = tmp_path / "t.trace"
+        save_trace(path, trace)
+
+        def doctor(header):
+            header["config"]["phys_pages"] //= 2
+
+        path.write_bytes(doctored_header(path.read_bytes(), doctor))
+        with pytest.raises(TraceFormatError,
+                           match=r"op \d+ names physical bytes .* outside"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: dict(start_pages=t.start_pages[::-1].copy(),
+                        start_rows=t.start_rows[::-1].copy()),
+         "not strictly increasing"),
+        (lambda t: dict(start_pages=np.repeat(t.start_pages[:1], 2),
+                        start_rows=np.repeat(t.start_rows[:1], 2, axis=0)),
+         "not strictly increasing"),
+        (lambda t: dict(start_pages=np.concatenate(
+            [[-1], t.start_pages[1:]])), r"names pages -1\.\."),
+        (lambda t: dict(start_pages=np.concatenate(
+            [t.start_pages[:-1], [t.config["phys_pages"]]])),
+         r"names pages \d+\.\.320, but the header's config has 320"),
+        (lambda t: dict(start_rows=t.start_rows[:, :-1].copy()),
+         r"the memory_rows image has shape \[\d+, 1023\]"),
+        (lambda t: dict(start_rows=t.start_rows[:-1].copy()),
+         "the memory_rows image has shape"),
+        (lambda t: dict(start_pages=t.start_pages.reshape(-1, 1).copy()),
+         "the memory_pages image has shape"),
+        (lambda t: dict(start_rows=np.where(
+            (np.arange(len(t.start_pages)) == 2)[:, None], np.uint64(0),
+            t.start_rows)), "stores page .* although it is all zero"),
+        (lambda t: dict(start_dcache=dataclasses.replace(
+            t.start_dcache, tags=np.full_like(t.start_dcache.tags,
+                                              memory_lines(t, "dcache")))),
+         "the dcache image tags lines outside"),
+    ], ids=("pages-descending", "page-repeated", "page-negative",
+            "page-past-memory", "rows-short", "row-missing",
+            "pages-two-dimensional", "row-all-zero", "tag-past-memory"))
+    def test_a_noncanonical_memory_image_is_rejected(
+            self, used_kernel_trace, tmp_path, edit, message):
+        """A file written with a re-computed sha256 passes the integrity
+        check, so the loader checks the sparse image itself: page numbers
+        ascending inside memory, one row of the page's size each, no row
+        all zero (so one machine state has exactly one encoding)."""
+        trace = used_kernel_trace
+        path = tmp_path / "crafted.trace"
+        save_trace(path, dataclasses.replace(trace, **edit(trace)))
+        with pytest.raises(TraceFormatError, match=message):
             load_trace(path)
 
     @pytest.mark.parametrize("edit,message", [
@@ -340,9 +469,14 @@ class TestMalformedArtifacts:
         (lambda h: h["start"].update(tick_d="0"), "start tick_d '0' is not"),
         (lambda h: h["start"].update(tick_i=0.5), "start tick_i 0.5 is not"),
         (lambda h: h["start"].update(clock=[0]), r"start clock \[0\] is not"),
+        (lambda h: h.update(format=2),
+         r"trace format 2 unsupported \(this build reads 3\)"),
+        (lambda h: h["config"].update(phys_pages=0),
+         "must be positive integers"),
     ], ids=("cost-extra-key", "counters-unknown-scalar",
             "counters-unknown-reason", "counters-unknown-fault-kind",
-            "tick_d-string", "tick_i-float", "clock-list"))
+            "tick_d-string", "tick_i-float", "clock-list", "format-2",
+            "phys_pages-zero"))
     def test_a_doctored_header_field_is_a_format_error(
             self, blob, tmp_path, capsys, edit, message):
         """Replay builds its machine from these header fields, which the
@@ -384,6 +518,8 @@ class TestMalformedArtifacts:
         original = load_trace(self.original(blob, tmp_path_factory))
         assert np.array_equal(trace.ops, original.ops)
         assert np.array_equal(trace.values, original.values)
+        assert np.array_equal(trace.start_pages, original.start_pages)
+        assert np.array_equal(trace.start_rows, original.start_rows)
         assert trace.sidecar == original.sidecar
         again = path.with_name("again.trace")
         save_trace(again, trace)
@@ -394,6 +530,13 @@ class TestMalformedArtifacts:
         path = tmp_path_factory.mktemp("orig") / "t.trace"
         path.write_bytes(blob)
         return path
+
+
+def memory_lines(trace, cache: str) -> int:
+    """How many of ``cache``'s lines the trace's memory holds."""
+    config = trace.config
+    return (config["phys_pages"] * config["page_size"]
+            // config[cache]["line_size"])
 
 
 def doctored_header(blob: bytes, edit) -> bytes:

@@ -47,9 +47,3 @@ class TestPageTable:
         with pytest.raises(KernelError):
             PageTable(asid=1).remove(10)
 
-    def test_entries_snapshot_is_a_copy(self):
-        table = PageTable(asid=1)
-        table.enter(10, 3, Prot.READ)
-        snapshot = table.entries()
-        snapshot.clear()
-        assert len(table) == 1

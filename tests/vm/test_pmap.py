@@ -61,7 +61,7 @@ class TestBasicMapping:
         rig.machine.read(1, 10 * PAGE)
         assert rig.pmap.remove(1, 10) == 3
         assert rig.pmap.translate(1, 10) is None
-        assert (1, 10) not in rig.machine.tlb
+        assert (1, 10) not in rig.machine.tlb._map
 
     def test_protect_narrows_vm_rights(self, rig):
         rig.enter(1, 10, 3, AccessKind.WRITE)
