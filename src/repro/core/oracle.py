@@ -25,9 +25,23 @@ import numpy as np
 from repro.errors import StaleDataError
 from repro.hw.params import WORD_SIZE
 
-#: runs shorter than this are checked word by word with plain ints
+#: runs shorter than this are compared as lists of plain ints
 #: (:meth:`ShadowMemory.check_run_read`).
 SCALAR_RUN_WORDS = 8
+
+
+_WORD = np.dtype(np.uint64)
+
+
+def _same_words(expected: np.ndarray, values: np.ndarray) -> bool:
+    """True when ``values`` is a uint64 array of ``expected``'s shape
+    holding the same words: one byte compare (about 0.4 us on a
+    1,024-word page, against about 2.6 us for ``flatnonzero(a != b)``).
+    Any other dtype or shape answers False, and the caller's elementwise
+    compare decides: an int64 -1 has the bytes of uint64 2**64 - 1 but
+    is not that value."""
+    return (values.dtype == _WORD and values.shape == expected.shape
+            and values.tobytes() == expected.tobytes())
 
 
 @dataclass(frozen=True)
@@ -101,6 +115,8 @@ class ShadowMemory:
         self.checks += 1
         start = pa_page_base // WORD_SIZE
         expected = self._shadow[start:start + self.words_per_page]
+        if _same_words(expected, values):
+            return
         bad = np.flatnonzero(expected != values)
         if len(bad):
             i = int(bad[0])
@@ -110,17 +126,22 @@ class ShadowMemory:
     def check_run_read(self, paddr: int, values: np.ndarray) -> None:
         """Compare a run; report its first stale word.
 
-        Runs shorter than :data:`SCALAR_RUN_WORDS` compare word by word
-        with ``ndarray.item`` (plain ints, no temporary arrays): the
-        request/reply exchanges of the Unix server are 2-4 word runs, and
-        for those a numpy compare costs more than it compares.  Both
-        branches report the same violation.
+        Runs shorter than :data:`SCALAR_RUN_WORDS` compare as two lists
+        of plain ints (no temporary arrays): the request/reply exchanges
+        of the Unix server are 2-4 word runs, and for those a numpy
+        compare costs more than it compares.  Only a run that differs is
+        walked word by word with ``ndarray.item`` to find its first stale
+        word.  A longer run takes :func:`_same_words` first and the numpy
+        compare only when that fails.  Every branch reports the same
+        violation.
         """
         self.checks += 1
         start = paddr // WORD_SIZE
         n = len(values)
         if n < SCALAR_RUN_WORDS:
             shadow = self._shadow
+            if shadow[start:start + n].tolist() == values.tolist():
+                return
             for i in range(n):
                 expected = shadow.item(start + i)
                 actual = values.item(i)
@@ -130,6 +151,8 @@ class ShadowMemory:
                     return
             return
         expected = self._shadow[start:start + n]
+        if _same_words(expected, values):
+            return
         bad = np.flatnonzero(expected != values)
         if len(bad):
             i = int(bad[0])
@@ -140,6 +163,8 @@ class ShadowMemory:
         self.checks += 1
         start = ppage * self.words_per_page
         expected = self._shadow[start:start + self.words_per_page]
+        if _same_words(expected, values):
+            return
         bad = np.flatnonzero(expected != values)
         if len(bad):
             i = int(bad[0])

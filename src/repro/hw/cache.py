@@ -91,7 +91,7 @@ def fill_lines(tags, dirty, data, mem_lines, sets: slice,
         return 0, 0
     n_wb = 0
     dyv = dirty[sets]
-    if dyv.any():
+    if np.count_nonzero(dyv):
         n_wb = write_back_victims(tv, dyv, data[sets], mem_lines, misses)
         dyv[misses] = False
     if n_miss == len(want):
@@ -108,12 +108,16 @@ def store_lines(tags, dirty, data, mem_lines, sets: slice, want: np.ndarray,
     """Overwrite the whole lines ``want`` with ``lines`` (one row per
     line) and mark them dirty: no fill, since every word is replaced.
     Dirty victims are written back first, looked for only when some set
-    of the slice is dirty.  Returns the victims written back."""
+    of the slice is dirty and some line of it misses (a store over the
+    page's own dirty lines, the common case, has none).  Returns the
+    victims written back."""
     tv = tags[sets]
     dyv = dirty[sets]
     n_wb = 0
-    if dyv.any():
-        n_wb = write_back_victims(tv, dyv, data[sets], mem_lines, tv != want)
+    if np.count_nonzero(dyv):
+        misses = tv != want
+        if np.count_nonzero(misses):
+            n_wb = write_back_victims(tv, dyv, data[sets], mem_lines, misses)
     tv[:] = want
     data[sets] = lines
     dyv[:] = True
@@ -198,6 +202,15 @@ class Cache:
         if geometry.page_size != memory.page_size:
             raise ConfigurationError("cache and memory disagree on page size")
         self.geo = geometry
+        # The geometry scalars every access reads, as plain attributes:
+        # one attribute load each instead of two.
+        self.line_size = geometry.line_size
+        self.page_size = geometry.page_size
+        self.num_sets = geometry.num_sets
+        self.words_per_line = geometry.words_per_line
+        self.associativity = geometry.associativity
+        self.write_through = geometry.write_through
+        self.physically_indexed = geometry.physically_indexed
         self.memory = memory
         self.cost = cost
         self.clock = clock
@@ -248,7 +261,7 @@ class Cache:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._mem_lines = self.memory._words.reshape(
-            -1, self.geo.words_per_line)
+            -1, self.words_per_line)
 
     # ---- index helpers -----------------------------------------------------
 
@@ -259,16 +272,15 @@ class Cache:
 
         The set comes from the virtual address, or from the physical one
         on a physically indexed cache."""
-        geo = self.geo
         # Low bits decide both checks, so each is one bitwise op.
         if (vaddr | paddr) % WORD_SIZE:
             raise AddressError("cache word access must be word aligned")
-        if (vaddr ^ paddr) % geo.page_size:
+        if (vaddr ^ paddr) % self.page_size:
             raise AddressError(
                 "virtual and physical addresses must share the page offset")
-        line_size = geo.line_size
-        addr = paddr if geo.physically_indexed else vaddr
-        return ((addr // line_size) % geo.num_sets, paddr // line_size,
+        line_size = self.line_size
+        addr = paddr if self.physically_indexed else vaddr
+        return ((addr // line_size) % self.num_sets, paddr // line_size,
                 (paddr % line_size) // WORD_SIZE)
 
     def _check_line(self, tag: int) -> None:
@@ -277,11 +289,11 @@ class Cache:
         lines of memory are ever resident)."""
         if not 0 <= tag < len(self._mem_lines):
             raise AddressError(f"physical address "
-                               f"{tag * self.geo.line_size:#x} out of range")
+                               f"{tag * self.line_size:#x} out of range")
 
     def _find_way(self, set_idx: int, tag: int) -> int | None:
         tags = self._tags
-        for way in range(self.geo.associativity):
+        for way in range(self.associativity):
             if tags.item(way, set_idx) == tag:
                 return way
         return None
@@ -310,7 +322,7 @@ class Cache:
 
     def _write_back_line(self, way: int, set_idx: int) -> None:
         tag = int(self._tags[way, set_idx])
-        self.memory.write_line(tag * self.geo.line_size,
+        self.memory.write_line(tag * self.line_size,
                                self._data[way, set_idx])
         self.counters.write_backs += 1
         self.clock.advance(self.cost.write_back)
@@ -339,7 +351,7 @@ class Cache:
         self._tags[way, set_idx] = tag
         if self.hierarchy is None:
             self._data[way, set_idx] = self.memory.read_line(
-                tag * self.geo.line_size, self.geo.words_per_line)
+                tag * self.line_size, self.words_per_line)
             self.clock.advance(self.cost.line_fill)
         else:
             # The hierarchy charges the clock itself (victim/L2/memory
@@ -367,7 +379,7 @@ class Cache:
         bumps the line's epoch once and re-stamps it (the epoch only has
         to differ from stale fill stamps, not count stores).
         """
-        ways = self.geo.associativity
+        ways = self.associativity
         if ways == 1:
             way = 0 if self._tags.item(0, set_idx) == tag else None
         else:
@@ -394,7 +406,7 @@ class Cache:
         self._tick += k
         self._lru[way, set_idx] = self._tick
         if write:
-            if not self.geo.write_through:
+            if not self.write_through:
                 self._dirty[way, set_idx] = True
             else:
                 self.clock.cycles += k * self.cost.write_back
@@ -422,7 +434,7 @@ class Cache:
         set_idx, tag, word = self._decode(vaddr, paddr)
         way = self._claim_line(set_idx, tag, 1, True)
         self._data[way, set_idx, word] = value
-        if self.geo.write_through:
+        if self.write_through:
             self.memory.write_word(paddr, value)
 
     def _store_line(self, set_idx: int, tag: int, word: int,
@@ -433,7 +445,7 @@ class Cache:
         k = len(chunk)
         way = self._claim_line(set_idx, tag, k, True)
         self._data[way, set_idx, word:word + k] = chunk
-        if self.geo.write_through:
+        if self.write_through:
             self.memory.write_words(paddr, chunk)
 
     # ---- contiguous word runs (the batched access engine) --------------------
@@ -454,14 +466,14 @@ class Cache:
         the page's :meth:`_page_tags`, which also rejects a page outside
         physical memory.  Both checks come before any change.
         """
-        geo = self.geo
-        if vaddr // geo.page_size != \
-                (vaddr + (n_words - 1) * WORD_SIZE) // geo.page_size:
+        page_size = self.page_size
+        if vaddr // page_size != \
+                (vaddr + (n_words - 1) * WORD_SIZE) // page_size:
             raise AddressError("a cache run must stay within one page")
-        wpl = geo.words_per_line
+        wpl = self.words_per_line
         n_lines = (word + n_words - 1) // wpl + 1
-        i0 = tag % geo.lines_per_page
-        want = self._page_tags(paddr - paddr % geo.page_size)[i0:i0 + n_lines]
+        i0 = tag % self.geo.lines_per_page
+        want = self._page_tags(paddr - paddr % page_size)[i0:i0 + n_lines]
         offsets = np.arange(wpl - word, n_lines * wpl - word + 1, wpl,
                             dtype=np.int64)
         offsets[-1] = n_words
@@ -545,10 +557,10 @@ class Cache:
             _check_run_length(n_words)
             return np.empty(0, dtype=np.uint64)
         set_idx, tag, word = self._decode(vaddr, paddr)
-        if word + n_words <= self.geo.words_per_line:
+        if word + n_words <= self.words_per_line:
             way = self._claim_line(set_idx, tag, n_words, False)
             return self._data[way, set_idx, word:word + n_words].copy()
-        if self.geo.associativity > 1:
+        if self.associativity > 1:
             return self._read_lines(vaddr, paddr, n_words, set_idx, tag,
                                     word)
         sets, want, offsets = self._run_shape(vaddr, paddr, n_words,
@@ -576,10 +588,10 @@ class Cache:
             return
         set_idx, tag, word = self._decode(vaddr, paddr)
         values = np.asarray(values, dtype=np.uint64)
-        if word + n_words <= self.geo.words_per_line:
+        if word + n_words <= self.words_per_line:
             self._store_line(set_idx, tag, word, values, paddr)
             return
-        if self.geo.associativity > 1:
+        if self.associativity > 1:
             self._write_lines(vaddr, paddr, values, set_idx, tag, word)
             return
         sets, want, offsets = self._run_shape(vaddr, paddr, n_words,
@@ -589,7 +601,7 @@ class Cache:
         self._data[0, sets].reshape(-1)[word:word + n_words] = values
         self.counters.write_hits += n_words - n_miss
         self.counters.write_misses += n_miss
-        if self.geo.write_through:
+        if self.write_through:
             self.memory.write_words(paddr, values)
             cycles += n_words * self.cost.write_back
             if self.hierarchy is not None:
@@ -625,12 +637,12 @@ class Cache:
         """
         tags = self._page_tags_cache.get(pa_page_base)
         if tags is None:
-            if pa_page_base % self.geo.page_size:
+            if pa_page_base % self.page_size:
                 raise AddressError("physical page base must be page aligned")
             if not 0 <= pa_page_base < self.memory.size:
                 raise AddressError(f"physical page base {pa_page_base:#x} "
                                    "out of range")
-            first = pa_page_base // self.geo.line_size
+            first = pa_page_base // self.line_size
             tags = np.arange(first, first + self.geo.lines_per_page,
                              dtype=np.int64)
             tags.flags.writeable = False
@@ -639,7 +651,7 @@ class Cache:
 
     def cache_page_of(self, vaddr: int, paddr: int | None = None) -> int:
         """Cache page an address maps to under this cache's indexing mode."""
-        if self.geo.physically_indexed:
+        if self.physically_indexed:
             if paddr is None:
                 raise AddressError("physically indexed cache needs the paddr")
             return self.geo.cache_page(paddr)
@@ -659,7 +671,7 @@ class Cache:
         """
         sets = self._page_sets(cache_page)
         want = self._page_tags(pa_page_base)
-        if self.geo.associativity == 1 and self.hierarchy is None:
+        if self.associativity == 1 and self.hierarchy is None:
             hits, n_dirty = flush_lines(self._tags[0], self._dirty[0],
                                         self._data[0], self._mem_lines,
                                         sets, want)
@@ -678,7 +690,7 @@ class Cache:
         self.counters.record_flush(self.name, reason, cycles)
         if self.bus is not None and self.bus.enabled:
             self.bus.publish("flush", cache=self.name, cache_page=cache_page,
-                             frame=pa_page_base // self.geo.page_size,
+                             frame=pa_page_base // self.page_size,
                              reason=str(reason), resident=hits,
                              cost_cycles=cycles)
         return hits
@@ -697,7 +709,7 @@ class Cache:
             # the vectorized write-back is order-independent.
             ways, lines = np.nonzero(dirty_match)
             self.memory.write_lines(want[lines], self._data[:, sets][ways, lines],
-                                    self.geo.words_per_line)
+                                    self.words_per_line)
             if self.hierarchy is not None:
                 for tag in want[lines]:
                     self.hierarchy.note_memory_write(int(tag))
@@ -715,7 +727,7 @@ class Cache:
         """
         sets = self._page_sets(cache_page)
         want = self._page_tags(pa_page_base)
-        if self.geo.associativity == 1:
+        if self.associativity == 1:
             hits = purge_lines(self._tags[0], self._dirty[0], sets, want)
         else:
             match = self._tags[:, sets] == want
@@ -734,7 +746,7 @@ class Cache:
         self.counters.record_purge(self.name, reason, cycles)
         if self.bus is not None and self.bus.enabled:
             self.bus.publish("purge", cache=self.name, cache_page=cache_page,
-                             frame=pa_page_base // self.geo.page_size,
+                             frame=pa_page_base // self.page_size,
                              reason=str(reason), resident=hits,
                              cost_cycles=cycles)
         return hits
@@ -754,7 +766,7 @@ class Cache:
         line (:meth:`_read_lines`), so there every word counts.
         """
         self._check_page_pair(va_page_base, pa_page_base)
-        if self.geo.associativity > 1:
+        if self.associativity > 1:
             return self._read_lines(va_page_base, pa_page_base,
                                     self.geo.words_per_page,
                                     *self._decode(va_page_base, pa_page_base))
@@ -762,7 +774,7 @@ class Cache:
         sets = self._page_sets(self.cache_page_of(va_page_base, pa_page_base))
         n_miss = self._claim_lines(sets, want)
         n_hit = self.geo.lines_per_page - n_miss
-        self.clock.advance(n_hit * self.geo.words_per_line
+        self.clock.advance(n_hit * self.words_per_line
                            * self.cost.cache_hit)
         self.counters.read_hits += n_hit
         self.counters.read_misses += n_miss
@@ -785,7 +797,7 @@ class Cache:
         self._check_page_pair(va_page_base, pa_page_base)
         if len(values) != self.geo.words_per_page:
             raise AddressError("write_page requires exactly one page of words")
-        if self.geo.associativity > 1:
+        if self.associativity > 1:
             self._write_lines(va_page_base, pa_page_base,
                               np.asarray(values, dtype=np.uint64),
                               *self._decode(va_page_base, pa_page_base))
@@ -793,7 +805,7 @@ class Cache:
         want = self._page_tags(pa_page_base)
         sets = self._page_sets(self.cache_page_of(va_page_base, pa_page_base))
         lines = np.asarray(values, dtype=np.uint64).reshape(
-            self.geo.lines_per_page, self.geo.words_per_line)
+            self.geo.lines_per_page, self.words_per_line)
         if self.hierarchy is None:
             n_wb = store_lines(self._tags[0], self._dirty[0], self._data[0],
                                self._mem_lines, sets, want, lines)
@@ -811,13 +823,13 @@ class Cache:
             self._data[0, sets] = lines
             self._dirty[0, sets] = True
         n_words = self.geo.words_per_page
-        if self.geo.write_through:
+        if self.write_through:
             self._dirty[0, sets] = False
-            self.memory.write_page(pa_page_base // self.geo.page_size,
+            self.memory.write_page(pa_page_base // self.page_size,
                                    lines.reshape(-1))
             if self.hierarchy is not None:
                 self.hierarchy.invalidate_page(
-                    pa_page_base // self.geo.page_size)
+                    pa_page_base // self.page_size)
                 self._fill_epoch[0, sets] = self.hierarchy.epochs_of(want)
             self.clock.advance(n_words * (self.cost.cache_hit
                                           + self.cost.write_back))
@@ -847,7 +859,7 @@ class Cache:
             self._fill(0, s, int(want[i]))
 
     def _check_page_pair(self, va_base: int, pa_base: int) -> None:
-        if va_base % self.geo.page_size or pa_base % self.geo.page_size:
+        if va_base % self.page_size or pa_base % self.page_size:
             raise AddressError("page operations require page-aligned addresses")
 
     # ---- coherence snooping (the Section 3.3 multiprocessor extension) -------
@@ -894,7 +906,7 @@ class Cache:
             _check_run_length(n_words)
             return 0, 0
         decoded = self._decode(vaddr, paddr)
-        if self.geo.associativity > 1:
+        if self.associativity > 1:
             found = dirty = 0
             for set_idx, tag, *_ in self._run_lines(vaddr, paddr, n_words,
                                                     *decoded):
@@ -923,9 +935,8 @@ class Cache:
         if n_words < 1:
             _check_run_length(n_words)
             return 0, 0
-        geo = self.geo
         decoded = self._decode(vaddr, paddr)
-        if geo.associativity > 1 or self.hierarchy is not None:
+        if self.associativity > 1 or self.hierarchy is not None:
             found = [self.snoop(set_idx, tag, invalidate,
                                 write_back=write_back)
                      for set_idx, tag, *_ in self._run_lines(
@@ -946,7 +957,7 @@ class Cache:
                 # want is a strictly increasing arange, so no duplicate
                 # tags: the vectorized scatter is order-safe here.
                 self.memory.write_lines(want[idxs], self._data[0, sets][idxs],
-                                        geo.words_per_line)
+                                        self.words_per_line)
                 self.counters.write_backs += n_dirty
                 self.clock.advance(n_dirty * self.cost.write_back)
             dirty_view[dirty_mask] = False

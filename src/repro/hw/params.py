@@ -14,7 +14,7 @@ quirks the paper reports are encoded in :class:`CostModel`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from repro.errors import ConfigurationError
@@ -199,6 +199,22 @@ class CostModel:
                                         # k waits k times this
     tlb_parity_recovery: int = 50       # detect a corrupted TLB entry via
                                         # parity, invalidate, re-walk
+
+    def __post_init__(self) -> None:
+        # Every cost is charged to the shared clock, and the hottest
+        # charges add to ``Clock.cycles`` directly, past the checks of
+        # ``Clock.advance``: reject here what that check would.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"cost {f.name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ConfigurationError(
+                    f"cost {f.name} must be non-negative, got {value}")
+        if self.clock_hz <= 0:
+            raise ConfigurationError(
+                f"cost clock_hz must be positive, got {self.clock_hz}")
 
     def seconds(self, cycles: int) -> float:
         """Convert a cycle count into seconds of 50 MHz machine time."""

@@ -89,6 +89,8 @@ class Tlb:
                     self.bus.publish("tlb-parity-recovery", asid=asid,
                                      vpage=vpage)
                 return None
+        # Both hit paths add to the clock directly: a CostModel's fields
+        # are non-negative ints, checked when it is built.
         if key == self._last_key:
             self.counters.tlb_hits += 1
             self.clock.cycles += self.cost.tlb_hit
@@ -96,7 +98,7 @@ class Tlb:
         entry = self._map.get(key)
         if entry is not None:
             self.counters.tlb_hits += 1
-            self.clock.advance(self.cost.tlb_hit)
+            self.clock.cycles += self.cost.tlb_hit
             self._last_key = key
             self._last_entry = entry
         else:

@@ -370,7 +370,10 @@ def _decode(path: str, header: dict, blob: bytes, offset: int) -> Trace:
     start, end = header["start"], header["end"]
     # Replay builds its machine from these fields, which the sha256 does
     # not cover: decode them here, so that a doctored one fails to load.
-    CostModel(**header["config"]["cost"])
+    try:
+        CostModel(**header["config"]["cost"])
+    except ConfigurationError as exc:
+        raise TraceFormatError(f"{path}: config cost: {exc}") from None
     for where, part, names in (("start", start, ("clock", "tick_d",
                                                  "tick_i")),
                                ("end", end, ("clock", "events"))):

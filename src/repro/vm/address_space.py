@@ -80,11 +80,16 @@ class AddressSpace:
         if self._shared_allocator is not None:
             return self._shared_allocator(npages)
         start = self._cursor
+        step = 1
         if color is not None:
-            offset = (color - start) % self.num_cache_pages
-            start += offset
-        while not self._range_free(start, npages):
-            start += self.num_cache_pages if color is not None else 1
+            step = self.num_cache_pages
+            start += (color - start) % step
+        pages = self._pages
+        # A candidate's first page decides most probes with one dict
+        # test; only a multi-page request looks at the rest of its range.
+        while start in pages or (npages > 1 and not self._range_free(
+                start + 1, npages - 1)):
+            start += step
             if start + npages > self._max_vpage:
                 raise KernelError(f"asid {self.asid}: address space exhausted")
         return start

@@ -230,3 +230,94 @@ class TestExpectedPage:
         page = oracle.expected_page(0)
         page[:] = 123
         assert oracle.expected_page(0)[0] == 0
+
+
+def first_stale(kind: str, paddr: int, expected: np.ndarray, values):
+    """The reference violation: an elementwise scan for the first word
+    whose value differs, as every check reported it before it had an
+    equal-bytes exit.  None for a clean read."""
+    for i, (want, got) in enumerate(zip(expected.tolist(), values.tolist())):
+        if want != got:
+            return Violation(kind, paddr + 4 * i, want, got)
+    return None
+
+
+class TestEqualExits:
+    """Each check exits early on an equal read; a stale word anywhere
+    must still be reported exactly as the elementwise scan reports it,
+    in both modes."""
+
+    # name -> (check, kind, physical address of the first word, words)
+    CHECKS = {
+        "page": (lambda o, v: o.check_page_read(PAGE, v), "cpu-read",
+                 PAGE, WPP),
+        "short-run": (lambda o, v: o.check_run_read(PAGE + 12, v),
+                      "cpu-read", PAGE + 12, 5),
+        "long-run": (lambda o, v: o.check_run_read(PAGE + 12, v),
+                     "cpu-read", PAGE + 12, 100),
+        "dma": (lambda o, v: o.check_dma_read(1, v), "dma-read", PAGE, WPP),
+    }
+
+    @staticmethod
+    def armed(record_only: bool):
+        """An oracle whose page 1 holds full-width words, each with its
+        top bit set (so a word's int64 view is negative)."""
+        oracle = make_oracle(record_only=record_only)
+        words = np.random.default_rng(7).integers(
+            1 << 63, 1 << 64, WPP, dtype=np.uint64, endpoint=False)
+        oracle.note_page_write(PAGE, words)
+        return oracle
+
+    def run(self, name, values, record_only):
+        check, kind, paddr, n = self.CHECKS[name]
+        oracle = self.armed(record_only)
+        start = (paddr - PAGE) // 4
+        expected = oracle.expected_page(PAGE)[start:start + n]
+        raised = None
+        try:
+            check(oracle, values)
+        except StaleDataError as error:
+            raised = Violation(kind, error.paddr, error.expected,
+                               error.actual)
+        assert oracle.checks == 1
+        return oracle.violations, raised, first_stale(kind, paddr, expected,
+                                                      values)
+
+    def words(self, name):
+        _, _, paddr, n = self.CHECKS[name]
+        start = (paddr - PAGE) // 4
+        return self.armed(True).expected_page(PAGE)[start:start + n]
+
+    @pytest.mark.parametrize("record_only", [False, True])
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_an_equal_read_is_clean(self, name, record_only):
+        violations, raised, reference = self.run(name, self.words(name),
+                                                 record_only)
+        assert reference is None and violations == [] and raised is None
+
+    @pytest.mark.parametrize("record_only", [False, True])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_a_stale_word_is_reported_as_by_the_scan(self, name, where,
+                                                     record_only):
+        values = self.words(name)
+        i = {"first": 0, "middle": len(values) // 2,
+             "last": len(values) - 1}[where]
+        values[i] ^= np.uint64(1)
+        violations, raised, reference = self.run(name, values, record_only)
+        assert reference is not None
+        assert reference.paddr == self.CHECKS[name][2] + 4 * i
+        assert violations == [reference]
+        assert raised == (None if record_only else reference)
+
+    @pytest.mark.parametrize("record_only", [False, True])
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_int64_values_take_the_elementwise_path(self, name, record_only):
+        """An int64 view holds the shadow's very bytes, but each word's
+        value is negative: the byte compare must not answer for it."""
+        values = self.words(name).view(np.int64)
+        violations, raised, reference = self.run(name, values, record_only)
+        assert reference is not None and reference.actual < 0
+        assert reference.paddr == self.CHECKS[name][2]
+        assert violations == [reference]
+        assert raised == (None if record_only else reference)

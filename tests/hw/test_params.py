@@ -70,6 +70,25 @@ class TestCostModel:
         cost = CostModel()
         assert cost.seconds(50_000_000) == pytest.approx(1.0)
 
+    def test_zero_costs_are_accepted(self):
+        assert CostModel(purge_line_hit=0, purge_line_miss=0).purge_line_hit == 0
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("cache_hit", -1, "cache_hit must be non-negative"),
+        ("cache_hit", 1.5, "cache_hit must be an integer"),
+        ("line_fill", "20", "line_fill must be an integer"),
+        ("flush_line_hit", True, "flush_line_hit must be an integer"),
+        ("tlb_hit", None, "tlb_hit must be an integer"),
+        ("clock_hz", 0, "clock_hz must be positive"),
+        ("clock_hz", -50, "clock_hz must be non-negative"),
+    ])
+    def test_a_bad_field_is_a_configuration_error(self, field, value,
+                                                  message):
+        """The clock adds some costs directly, past ``Clock.advance``'s
+        checks, so every field is checked when the model is built."""
+        with pytest.raises(ConfigurationError, match=message):
+            CostModel(**{field: value})
+
 
 class TestMachineConfig:
     def test_default_has_split_caches(self):

@@ -473,10 +473,19 @@ class TestMalformedArtifacts:
          r"trace format 2 unsupported \(this build reads 3\)"),
         (lambda h: h["config"].update(phys_pages=0),
          "must be positive integers"),
+        (lambda h: h["config"]["cost"].update(cache_hit=-1),
+         "config cost: cost cache_hit must be non-negative, got -1"),
+        (lambda h: h["config"]["cost"].update(cache_hit=1.5),
+         "config cost: cost cache_hit must be an integer, got 1.5"),
+        (lambda h: h["config"]["cost"].update(line_fill="20"),
+         "config cost: cost line_fill must be an integer, got '20'"),
+        (lambda h: h["config"]["cost"].update(flush_line_hit=True),
+         "config cost: cost flush_line_hit must be an integer, got True"),
     ], ids=("cost-extra-key", "counters-unknown-scalar",
             "counters-unknown-reason", "counters-unknown-fault-kind",
             "tick_d-string", "tick_i-float", "clock-list", "format-2",
-            "phys_pages-zero"))
+            "phys_pages-zero", "cost-negative", "cost-float",
+            "cost-string", "cost-bool"))
     def test_a_doctored_header_field_is_a_format_error(
             self, blob, tmp_path, capsys, edit, message):
         """Replay builds its machine from these header fields, which the

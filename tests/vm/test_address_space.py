@@ -1,6 +1,8 @@
 """Tests for address spaces and the two VA-selection strategies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import KernelError
 from repro.prot import Prot
@@ -73,6 +75,66 @@ class TestColoredAllocation:
             space.map_page(space.allocate_vpages(), descriptor())
         with pytest.raises(KernelError):
             space.allocate_vpages()
+
+
+def reference_allocate(mapped: set, cursor: int, ncp: int, max_vpage: int,
+                       npages: int, color: int | None) -> int:
+    """First fit by the plain scan: the lowest candidate from ``cursor``
+    (stepping by ``ncp`` from the first page of ``color`` when one is
+    asked) whose whole range is unmapped."""
+    start, step = cursor, 1
+    if color is not None:
+        start, step = start + (color - start) % ncp, ncp
+    while any(start + i in mapped for i in range(npages)):
+        start += step
+        if start + npages > max_vpage:
+            raise KernelError("exhausted")
+    return start
+
+
+class TestAllocatorAgainstReference:
+    FIRST, MAX = 16, 32
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("allocate"), st.integers(1, 3),
+                  st.one_of(st.none(), st.integers(0, NCP - 1))),
+        st.tuples(st.just("unmap"), st.integers(0, 63))), max_size=40))
+    def test_allocate_matches_the_first_fit_scan(self, steps):
+        """Any map/unmap history: each allocation returns the reference
+        scan's page, or both run out of address space."""
+        space = AddressSpace(1, NCP, first_vpage=self.FIRST,
+                             max_vpage=self.MAX)
+        mapped: set[int] = set()
+        for step in steps:
+            if step[0] == "unmap":
+                if mapped:
+                    vpage = sorted(mapped)[step[1] % len(mapped)]
+                    space.unmap_page(vpage)
+                    mapped.discard(vpage)
+                continue
+            _, npages, color = step
+            try:
+                want = reference_allocate(mapped, self.FIRST, NCP, self.MAX,
+                                          npages, color)
+            except KernelError:
+                with pytest.raises(KernelError, match="exhausted"):
+                    space.allocate_vpages(npages, color=color)
+                continue
+            assert space.allocate_vpages(npages, color=color) == want
+            for vpage in range(want, want + npages):
+                space.map_page(vpage, descriptor())
+                mapped.add(vpage)
+
+    @pytest.mark.parametrize("npages,color", [(1, None), (1, 2), (3, None),
+                                              (2, 5)])
+    def test_a_full_space_is_exhausted_at_max_vpage(self, npages, color):
+        space = AddressSpace(1, NCP, first_vpage=self.FIRST,
+                             max_vpage=self.MAX)
+        for vpage in range(self.FIRST, self.MAX):
+            space.map_page(vpage, descriptor())
+        with pytest.raises(KernelError, match="address space exhausted"):
+            space.allocate_vpages(npages, color=color)
 
 
 class TestMappingBookkeeping:
