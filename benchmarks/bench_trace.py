@@ -1,18 +1,19 @@
 """Trace replay throughput: the compiled op-stream interpreter vs the
 live block path, at the paper-scale settings of bench_full_scale.
 
-Each (workload, policy) pair is compiled to a trace once (timed:
-recording runs the same boot, setup and execute with the recorder
-attached, so compile over direct is the recording overhead).  Then
-``ROUNDS`` rounds each run the pair once through the normal kernel (the
-block path the tables are produced on, boot included) and replay its
-trace once (building the replay machine included), the two sides
-interleaved and the side that goes first alternating from round to
-round, so a slow phase of the host lands on both.  Each side counts as
-the median of its ``ROUNDS`` runs; the aggregate speedup is the sum of
-the pairs' direct medians over the sum of their replay medians.  Every
-run of each side is kept in ``BENCH_trace.json`` with the spread of the
-per-round totals, so a reading can be judged against its noise.
+Each (workload, policy) pair runs ``ROUNDS`` rounds.  A round compiles
+the pair to a trace (recording runs the same boot, setup and execute
+with the recorder attached), runs it once through the normal kernel
+(the block path the tables are produced on, boot included) and replays
+the latest trace once (building the replay machine included).  The
+three sides are interleaved, and their order reverses from round to
+round, so a slow phase of the host lands on all of them.  Each side
+counts as the median of its ``ROUNDS`` runs; the aggregate speedup is
+the sum of the pairs' direct medians over the sum of their replay
+medians, and the recording overhead the sum of their compile medians
+over the same direct sum.  Every run of each side is kept in
+``BENCH_trace.json`` with the spread of the per-round totals, so a
+reading can be judged against its noise.
 The replay must verify the equivalence contract — bit-identical clock
 and full-fidelity counters against what the recorder captured — or the
 measurement is void: a fast wrong replay is worthless.
@@ -59,8 +60,10 @@ PHYS_PAGES = 1024
 BUFFER_CACHE_PAGES = 128
 NAMES = ("afs-bench", "kernel-build")
 POLICIES = ("A", "F")
-#: interleaved direct/replay rounds per pair; each side's median counts.
+#: interleaved compile/direct/replay rounds per pair; each side's median
+#: counts.
 ROUNDS = 5
+SIDES = ("compile", "direct", "replay")
 
 #: the gate: aggregate replay speedup over the block path.
 MIN_SPEEDUP = 5.0
@@ -75,68 +78,63 @@ def _spread(totals: list[float]) -> dict:
 def measure() -> dict:
     config = evaluation_machine(phys_pages=PHYS_PAGES)
     pairs = []
-    total_compile = 0.0
-    round_direct = [0.0] * ROUNDS
-    round_replay = [0.0] * ROUNDS
+    round_totals = {side: [0.0] * ROUNDS for side in SIDES}
     all_equivalent = True
     for name in NAMES:
         for policy_name in POLICIES:
             policy = get_policy(policy_name)
-            t0 = time.perf_counter()
-            trace = compile_workload(
-                make_workload(name, FULL_SCALE), policy, config=config,
-                buffer_cache_pages=BUFFER_CACHE_PAGES)
-            compiled = time.perf_counter() - t0
-
-            runs: dict = {"direct": [], "replay": []}
+            runs: dict = {side: [] for side in SIDES}
             for r in range(ROUNDS):
-                for side in (("direct", "replay") if r % 2 == 0
-                             else ("replay", "direct")):
+                # Round 0 compiles first, so every replay has a trace.
+                for side in SIDES if r % 2 == 0 else SIDES[::-1]:
                     t0 = time.perf_counter()
-                    if side == "direct":
+                    if side == "compile":
+                        trace = compile_workload(
+                            make_workload(name, FULL_SCALE), policy,
+                            config=config,
+                            buffer_cache_pages=BUFFER_CACHE_PAGES)
+                    elif side == "direct":
                         run_workload(make_workload(name, FULL_SCALE), policy,
                                      config=config,
                                      buffer_cache_pages=BUFFER_CACHE_PAGES)
                     else:
                         result = replay_trace(trace)
-                    runs[side].append(time.perf_counter() - t0)
+                    elapsed = time.perf_counter() - t0
+                    runs[side].append(elapsed)
+                    round_totals[side][r] += elapsed
                 all_equivalent = all_equivalent and result.equivalent
-            for r in range(ROUNDS):
-                round_direct[r] += runs["direct"][r]
-                round_replay[r] += runs["replay"][r]
-            direct_s = statistics.median(runs["direct"])
-            replay_s = statistics.median(runs["replay"])
-            total_compile += compiled
+            median = {side: statistics.median(runs[side]) for side in SIDES}
             pairs.append({
                 "workload": name,
                 "policy": policy_name,
                 "n_ops": result.n_ops,
-                "direct_seconds": round(direct_s, 6),
+                "direct_seconds": round(median["direct"], 6),
                 "direct_runs": [round(t, 6) for t in runs["direct"]],
-                "compile_seconds": round(compiled, 6),
-                "replay_seconds": round(replay_s, 6),
+                "compile_seconds": round(median["compile"], 6),
+                "compile_runs": [round(t, 6) for t in runs["compile"]],
+                "replay_seconds": round(median["replay"], 6),
                 "replay_runs": [round(t, 6) for t in runs["replay"]],
-                "speedup": round(direct_s / replay_s, 2),
+                "speedup": round(median["direct"] / median["replay"], 2),
                 "equivalent": result.equivalent,
                 "mismatches": list(result.mismatches),
             })
-    total_direct = sum(p["direct_seconds"] for p in pairs)
-    total_replay = sum(p["replay_seconds"] for p in pairs)
+    total = {side: sum(p[f"{side}_seconds"] for p in pairs) for side in SIDES}
     return {
         "scale": FULL_SCALE,
         "phys_pages": PHYS_PAGES,
         "buffer_cache_pages": BUFFER_CACHE_PAGES,
         "rounds": ROUNDS,
         "pairs": pairs,
-        "direct_seconds": round(total_direct, 6),
-        "compile_seconds": round(total_compile, 6),
-        # compile over direct, both from boot to the end of execute
-        "recording_overhead": round(total_compile / total_direct, 2),
-        "replay_seconds": round(total_replay, 6),
+        "direct_seconds": round(total["direct"], 6),
+        "compile_seconds": round(total["compile"], 6),
+        # compile over direct medians, both from boot to the end of execute
+        "recording_overhead": round(total["compile"] / total["direct"], 2),
+        "replay_seconds": round(total["replay"], 6),
         # each side's per-round totals over all pairs
-        "direct_spread": _spread(round_direct),
-        "replay_spread": _spread(round_replay),
-        "speedup": round(total_direct / total_replay, 2),
+        "compile_spread": _spread(round_totals["compile"]),
+        "direct_spread": _spread(round_totals["direct"]),
+        "replay_spread": _spread(round_totals["replay"]),
+        "speedup": round(total["direct"] / total["replay"], 2),
         "equivalent": all_equivalent,
     }
 
@@ -162,7 +160,7 @@ def render(result: dict) -> str:
                  f"{result['replay_seconds']:.3f}s replay = "
                  f"{result['speedup']}x, equivalent: "
                  f"{str(result['equivalent']).lower()}")
-    for side in ("direct", "replay"):
+    for side in SIDES:
         spread = result[f"{side}_spread"]
         lines.append(f"{side} per-round totals: median "
                      f"{spread['median']:.3f}s, range {spread['min']:.3f}"

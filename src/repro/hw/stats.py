@@ -97,7 +97,10 @@ class Counters:
     """Mutable event counters with cycle attribution.
 
     One instance is shared by the machine, its caches, the DMA engine and
-    the kernel so that a single object describes a whole run.
+    the kernel so that a single object describes a whole run.  During a
+    live run, :meth:`record_flush`, :meth:`record_purge` and
+    :meth:`record_fault` are the only writers of the six ``Counter``
+    fields; the trace recorder relies on this and checks it.
     """
 
     # cache traffic

@@ -69,9 +69,11 @@ class Observer:
     """Attach/detach lifecycle over one :class:`Patches`.
 
     A subclass installs its wrappers in ``_install(patches)``; it is
-    attached exactly while it holds the patches.  ``attach`` is
-    idempotent, and ``detach`` raises :class:`RuntimeError` (changing
-    nothing) while a newer observer still wraps one of its attributes.
+    attached exactly while it holds the patches.  An ``_install`` that
+    raises part-way has what it installed restored before the error
+    propagates.  ``attach`` is idempotent, and ``detach`` raises
+    :class:`RuntimeError` (changing nothing) while a newer observer
+    still wraps one of its attributes.
     """
 
     _patches: Patches | None = None
@@ -83,7 +85,12 @@ class Observer:
         """Install the observation wrappers (idempotent)."""
         if self._patches is None:
             patches = Patches()
-            self._install(patches)
+            try:
+                self._install(patches)
+            except BaseException:
+                # A part-way install leaves nothing behind.
+                patches.restore()
+                raise
             self._patches = patches
         return self
 

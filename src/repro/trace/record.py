@@ -14,7 +14,16 @@ Everything else the system does to the shared clock and counters between
 recorded ops — TLB accounting, fault handling, DMA setup charges,
 compute time, injection recovery — is reconciled by SYNC deltas emitted
 lazily before the next op.  This is what makes the compiler total: it
-needs no model of the kernel, only of drift.
+needs no model of the kernel, only of drift.  Drift is learnt where it
+happens.  The clock and the 17 encoded scalars are marked after each op
+and compared before the next.  The six ``Counter`` fields (flushes,
+purges and faults by cache, reason and kind) are never compared: their
+only writers, ``Counters.record_flush``/``record_purge``/
+``record_fault``, are wrapped too, and a call between ops (a fault)
+adds to the pending SYNC delta while a call inside an op belongs to
+that op.  :func:`record_run` checks at the end of the window that the
+fields equal their start plus every call the wrappers saw, and refuses
+a window that wrote them any other way.
 
 Composed with the conformance monitor, the recorder attaches first
 (innermost) and the monitor second, so the monitor's judgments run
@@ -28,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+from collections import Counter
 
 import numpy as np
 
@@ -35,7 +45,7 @@ from repro.analysis.experiments import (EVALUATION_BUFFER_CACHE_PAGES,
                                         FailStop, boot, evaluation_machine)
 from repro.errors import ConfigurationError
 from repro.hw.machine import Machine
-from repro.hw.stats import Reason
+from repro.hw.stats import Counters, Reason
 from repro.obs.patch import Observer, Patches
 from repro.policy import resolve
 from repro.trace.format import (
@@ -59,35 +69,15 @@ _MEMORY_METHODS = ("write_word", "write_words", "write_page")
 
 _scalars = operator.attrgetter(*COUNTER_SCALARS)
 _unencoded = operator.attrgetter(*UNENCODED_SCALARS)
-_dicts = operator.attrgetter(*COUNTER_DICT_FIELDS)
+_KEY_OF = dict(zip(COUNTER_DICT_FIELDS, COUNTER_KEY_ENCODERS))
+#: the only writers of the six Counter fields during a live run: each
+#: method's two fields, the count and the cycles under one key.
+_TALLY_METHODS = (("record_flush", "page_flushes", "flush_cycles"),
+                  ("record_purge", "page_purges", "purge_cycles"),
+                  ("record_fault", "faults", "fault_cycles"))
 # dict's own equality, not Counter's (which counts a zero entry as
-# absent): a mark equals the live Counter only if no key was added.
+# absent): the guard refuses a key added or dropped behind the wrappers.
 _dict_eq = dict.__eq__
-
-
-def _dict_delta(before: dict, after: dict, key_of) -> dict:
-    """The encoded, sparse ``after - before`` of one Counter field."""
-    sub = {}
-    added = 0
-    for key, n in after.items():
-        then = before.get(key)
-        if then is None:
-            added += 1
-            then = 0
-        if n != then:
-            sub[key_of(key)] = n - then
-    if len(before) > len(after) - added:     # some key left the Counter
-        for key, n in before.items():
-            if n and key not in after:
-                sub[key_of(key)] = -n
-    return sub
-
-
-def _remark(marks: tuple, dicts: tuple) -> tuple:
-    """The new dict marks: a copy of each Counter that moved, the old
-    copy of each that did not."""
-    return tuple(then if _dict_eq(then, now) else dict(now)
-                 for then, now in zip(marks, dicts))
 
 
 def _delta_key(delta: dict) -> frozenset:
@@ -127,16 +117,20 @@ class TraceRecorder(Observer):
         self._values: list = []          # ints and uint64 arrays, in op order
         self._sidecar: list = []
         self._sidecar_index: dict = {}   # canonical key -> sidecar index
+        self._sync_index: dict = {}      # raw drift key -> sidecar index
+        self._pending: dict = {}         # (field, encoded key) -> amount
         self._mark()
 
     # ---- drift reconciliation ------------------------------------------------
     #
-    # The mark is the clock plus a raw snapshot of the counters: the
-    # scalars as one tuple and shallow copies of the six Counter fields,
-    # keyed as Counters keys them.  "Nothing moved" is one exact equality
-    # against the mark; only when something moved is the encoded delta
-    # built, from the changed keys alone.  It equals
-    # ``diff_counters(encode_counters(mark), encode_counters(now))``.
+    # The scalar mark is the clock plus the 17 encoded scalars as one
+    # tuple; "nothing moved" is an exact equality against it.  The six
+    # Counter fields are not marked: their writers (``Counters.record_*``)
+    # are wrapped, and a call at depth 0 adds its encoded amounts to
+    # ``_pending``.  A SYNC's sidecar slot is found by the raw scalar
+    # difference plus the pending amounts; the encoded delta and its
+    # canonical key are built once per distinct raw key.  The delta
+    # equals ``diff_counters(encode_counters(mark), encode_counters(now))``.
 
     def _sidecar_ref(self, entry, key) -> int:
         """Intern a sidecar entry under ``key``; equal keys share a slot."""
@@ -147,53 +141,51 @@ class TraceRecorder(Observer):
             self._sidecar_index[key] = idx
         return idx
 
+    def _sync_ref(self, diff: tuple, pending: dict) -> int:
+        """The sidecar slot of a SYNC delta (-1 if it encodes to nothing)."""
+        raw = (diff, frozenset(pending.items()) if pending else None)
+        idx = self._sync_index.get(raw)
+        if idx is None:
+            delta = {name: d for name, d in zip(COUNTER_SCALARS, diff) if d}
+            for (name, key), n in pending.items():
+                if n:
+                    delta.setdefault(name, {})[key] = n
+            idx = self._sidecar_ref(delta, _delta_key(delta)) if delta else -1
+            self._sync_index[raw] = idx
+        return idx
+
     def _pre_op(self) -> None:
         """Emit a SYNC for any clock/counter drift since the last op."""
         clock_now = self.clock.cycles
         scalars = _scalars(self.counters)
-        dicts = _dicts(self.counters)
-        marks = self._dicts_mark
-        dicts_still = all(map(_dict_eq, marks, dicts))
-        if (dicts_still and clock_now == self._clock_mark
+        pending = self._pending
+        if (not pending and clock_now == self._clock_mark
                 and scalars == self._scalars_mark):
             return
-        delta = {}
-        if scalars != self._scalars_mark:
-            for name, now, then in zip(COUNTER_SCALARS, scalars,
-                                       self._scalars_mark):
-                if now != then:
-                    delta[name] = now - then
-        if not dicts_still:
-            for name, then, now, key_of in zip(COUNTER_DICT_FIELDS, marks,
-                                               dicts, COUNTER_KEY_ENCODERS):
-                if not _dict_eq(then, now):
-                    sub = _dict_delta(then, now, key_of)
-                    if sub:
-                        delta[name] = sub
-            self._dicts_mark = _remark(marks, dicts)
-        self._scalars_mark = scalars
-        # Zero-valued Counter entries move the raw dicts but encode to
-        # nothing: with the clock still, there is no drift to emit.
-        if delta or clock_now != self._clock_mark:
-            aux = (self._sidecar_ref(delta, _delta_key(delta)) if delta
-                   else -1)
+        aux = -1
+        if pending or scalars != self._scalars_mark:
+            aux = self._sync_ref(tuple(map(operator.sub, scalars,
+                                           self._scalars_mark)), pending)
+            pending.clear()
+            self._scalars_mark = scalars
+        # Amounts that cancel encode to nothing: with the clock still,
+        # there is no drift to emit.
+        if aux >= 0 or clock_now != self._clock_mark:
             self._ops.append((OP_SYNC, 0, clock_now - self._clock_mark, 0,
                               aux))
             self._clock_mark = clock_now
 
     def _mark(self) -> None:
+        """Mark the clock and scalars: before attach and after each op."""
         self._clock_mark = self.clock.cycles
         self._scalars_mark = _scalars(self.counters)
-        self._dicts_mark = tuple(map(dict, _dicts(self.counters)))
 
-    def _post_op(self) -> None:
-        self._clock_mark = self.clock.cycles
-        self._scalars_mark = _scalars(self.counters)
-        dicts = _dicts(self.counters)
-        marks = self._dicts_mark
-        # Management ops alone move the Counter fields; copy only then.
-        if not all(map(_dict_eq, marks, dicts)):
-            self._dicts_mark = _remark(marks, dicts)
+    def untallied_fields(self) -> list[str]:
+        """The Counter fields that differ from their image at attach plus
+        every ``record_*`` call the wrappers saw: written some other way."""
+        return [name for name in COUNTER_DICT_FIELDS
+                if not _dict_eq(getattr(self.counters, name),
+                                getattr(self._tallied, name))]
 
     # ---- wrapping -------------------------------------------------------------
 
@@ -209,7 +201,7 @@ class TraceRecorder(Observer):
                     return orig(*args, **kwargs)
                 finally:
                     self._depth -= 1
-                    self._post_op()
+                    self._mark()
             return wrapper
 
         patches.wrap(obj, name, make)
@@ -248,9 +240,45 @@ class TraceRecorder(Observer):
         for name in _CACHE_METHODS:
             self._wrap(patches, cache, name, emitters[name])
 
+    def _wrap_tally(self, patches: Patches, method: str, count_field: str,
+                    cycles_field: str) -> None:
+        """Wrap one writer of the Counter fields.  Every call is repeated
+        on ``_tallied`` for the end-of-window guard.  A call at depth 0
+        (a fault between ops) also adds its encoded amounts to the
+        pending SYNC; one inside a recorded op belongs to the op, and
+        replay reproduces it."""
+        key_of = _KEY_OF[count_field]
+        shadow = getattr(self._tallied, method)
+        pending = self._pending
+
+        def make(orig):
+            def wrapper(*args):          # (cache, reason, cycles) or
+                orig(*args)              # (kind, cycles)
+                shadow(*args)
+                if not self._depth:
+                    cycles = args[-1]
+                    key = key_of(args[0] if len(args) == 2 else args[:2])
+                    count = (count_field, key)
+                    pending[count] = pending.get(count, 0) + 1
+                    if cycles:
+                        spent = (cycles_field, key)
+                        pending[spent] = pending.get(spent, 0) + cycles
+            return wrapper
+
+        patches.wrap(self.counters, method, make)
+
     def _install(self, patches: Patches) -> None:
         machine = self.machine
         self._mark()
+        self._pending.clear()
+        # The guard's reference: the Counter fields at attach (a copy
+        # keeps zero entries), then every call the wrappers see.
+        self._tallied = Counters()
+        for name in COUNTER_DICT_FIELDS:
+            setattr(self._tallied, name,
+                    Counter(getattr(machine.counters, name)))
+        for method, count_field, cycles_field in _TALLY_METHODS:
+            self._wrap_tally(patches, method, count_field, cycles_field)
         self._wrap_cache(patches, machine.dcache, {
             "run_r": OP_D_READ_RUN, "run_w": OP_D_WRITE_RUN,
             "page_r": OP_D_READ_PAGE, "page_w": OP_D_WRITE_PAGE,
@@ -287,7 +315,7 @@ class TraceRecorder(Observer):
         Publishes from inside a recorded cache operation (flush/purge
         events) are skipped — the replayed operation republishes them
         itself, at the same clock and sequence position.  Publication
-        moves neither clock nor counters, so no post-op remark is needed.
+        moves neither clock nor counters, so no new mark is needed.
         """
         if self._depth:
             return
@@ -328,7 +356,9 @@ def record_run(workload, kernel, trace_events: bool = False,
     An unattached :class:`ConformanceMonitor` may be passed in; it is
     attached outside the recorder (see the module docstring on ordering).
     A window that moves a counter the codec does not encode
-    (:data:`~repro.trace.format.UNENCODED_SCALARS`) raises
+    (:data:`~repro.trace.format.UNENCODED_SCALARS`), or that changes one
+    of the six ``Counter`` fields other than through ``Counters.record_*``
+    (which the recorder wraps to place that change), raises
     :class:`TraceFormatError`: replay could not reproduce it.
     """
     machine = kernel.machine
@@ -345,9 +375,9 @@ def record_run(workload, kernel, trace_events: bool = False,
     start_unencoded = _unencoded(machine.counters)
 
     recorder = TraceRecorder(machine).attach()
-    if monitor is not None:
-        monitor.attach()
     try:
+        if monitor is not None:
+            monitor.attach()
         workload.execute(kernel)
     finally:
         if monitor is not None:
@@ -363,6 +393,12 @@ def record_run(workload, kernel, trace_events: bool = False,
         raise TraceFormatError(
             f"{workload.name}: {', '.join(moved)} moved during the "
             f"recorded window; the trace format does not encode them")
+    untallied = recorder.untallied_fields()
+    if untallied:
+        raise TraceFormatError(
+            f"{workload.name}: {', '.join(untallied)} changed during the "
+            f"recorded window other than through Counters.record_*; the "
+            f"recorder could not place the change in the op stream")
     ops, values, sidecar = recorder.finish()
 
     jsonl = sha = None

@@ -16,7 +16,8 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import UserProcess
 from repro.obs import CycleProfiler, ProfileReport, load_jsonl
 from repro.obs.profiler import instrument_kernel
-from repro.trace.record import TraceRecorder
+from repro.obs.patch import Observer
+from repro.trace.record import TraceRecorder, record_run
 from repro.vm.policy import NEW_SYSTEM
 from tests.kernel.process_helpers import touch_memory
 
@@ -52,7 +53,8 @@ def plumbing(kernel):
     machine = kernel.machine
     objects = [kernel, kernel.pmap, kernel.pmap.engine, machine,
                machine.dma, machine.dcache, machine.icache, machine.memory,
-               kernel.disk, kernel.buffer_cache, kernel.pageout]
+               machine.counters, kernel.disk, kernel.buffer_cache,
+               kernel.pageout]
     if machine.config.n_cpus > 1:
         objects.extend(machine.dcaches)
     return objects
@@ -72,6 +74,46 @@ def test_detach_leaves_no_instance_attributes(name):
             f"{type(obj).__name__} gained {sorted(now.keys() - was.keys())}")
         for key, value in was.items():
             assert now[key] is value, f"{type(obj).__name__}.{key}"
+    assert kernel.machine.bus.tap is None
+
+
+def _instance_attributes(kernel):
+    return [sorted(vars(obj)) for obj in plumbing(kernel)]
+
+
+class _FailsPartWay(Observer):
+    """Wraps one method of the data cache, then fails to install."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def _install(self, patches):
+        patches.wrap(self.kernel.machine.dcache, "read_run",
+                     lambda orig: orig)
+        raise RuntimeError("install failed part-way")
+
+
+def test_an_install_that_raises_part_way_leaves_nothing_behind():
+    kernel = Kernel(config=small_machine(phys_pages=192),
+                    buffer_cache_pages=24)
+    before = _instance_attributes(kernel)
+    observer = _FailsPartWay(kernel)
+    with pytest.raises(RuntimeError, match="part-way"):
+        observer.attach()
+    assert "read_run" not in vars(kernel.machine.dcache)
+    assert _instance_attributes(kernel) == before
+    observer.detach()                   # never attached: a no-op
+
+
+def test_a_monitor_that_fails_to_attach_leaves_no_recorder_behind():
+    kernel = Kernel(policy=NEW_SYSTEM, config=small_machine(phys_pages=192),
+                    buffer_cache_pages=24)
+    workload = make_workload("latex-paper", 0.1)
+    workload.setup(kernel)
+    before = _instance_attributes(kernel)
+    with pytest.raises(RuntimeError, match="part-way"):
+        record_run(workload, kernel, monitor=_FailsPartWay(kernel))
+    assert _instance_attributes(kernel) == before
     assert kernel.machine.bus.tap is None
 
 

@@ -1,18 +1,20 @@
 """The recorder's drift check against the counters codec.
 
-:class:`TraceRecorder` marks raw counter state at each op boundary and
-builds an encoded delta only from what moved.  These tests hold it to
-the codec it replaces on the per-op path: its delta must be exactly
-``diff_counters(encode_counters(before), encode_counters(after))``, its
-interning key must agree with the canonical JSON spelling, and whole
-compiles must produce the same ops, values and sidecar as a reference
-recorder that encodes every counter at every op.
+:class:`TraceRecorder` marks the clock and scalars at each op boundary
+and learns the six ``Counter`` fields' drift from the wrapped
+``Counters.record_*`` calls.  These tests hold it to the codec it
+replaces on the per-op path: a call between ops must make a SYNC delta
+exactly ``diff_counters(encode_counters(before), encode_counters(after))``,
+a call inside an op none, its interning key must agree with the canonical
+JSON spelling, whole compiles must produce the same ops, values and
+sidecar as a reference recorder that encodes every counter at every op,
+and a window that writes a ``Counter`` field behind the wrappers is
+refused.
 """
 
 import contextlib
 import itertools
 import json
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,14 +24,15 @@ import repro.kernel.process as process_mod
 import repro.trace.record as record_mod
 from repro.analysis.experiments import (boot, evaluation_machine,
                                         make_workload)
-from repro.hw.params import apply_geometry
-from repro.hw.stats import SCALAR_FIELDS, Clock, Counters, FaultKind, Reason
+from repro.hw.machine import Machine
+from repro.hw.params import apply_geometry, small_machine
+from repro.hw.stats import SCALAR_FIELDS, Counters, FaultKind, Reason
 from repro.kernel.task import Task
 from repro.policy import get_policy
 from repro.trace import compile_workload, record_run, save_trace
 from repro.trace.format import (COUNTER_KIND_FIELDS, COUNTER_PAIR_FIELDS,
-                                COUNTER_SCALARS, OP_BUS, OP_SYNC,
-                                UNENCODED_SCALARS,
+                                COUNTER_SCALARS,
+                                OP_BUS, OP_SYNC, UNENCODED_SCALARS,
                                 TraceFormatError, diff_counters,
                                 encode_counters)
 from repro.trace.record import TraceRecorder, _delta_key
@@ -42,6 +45,7 @@ CACHES = ("dcache", "icache")
 
 pair_keys = st.tuples(st.sampled_from(CACHES), st.sampled_from(list(Reason)))
 amounts = st.integers(min_value=-3, max_value=6)      # zero: a zero entry
+#: any write: the state a window starts from
 mutations = st.one_of(
     st.tuples(st.just("scalar"), st.sampled_from(COUNTER_SCALARS), amounts),
     st.tuples(st.just("pair"), st.sampled_from(COUNTER_PAIR_FIELDS),
@@ -50,6 +54,15 @@ mutations = st.one_of(
               st.sampled_from(list(FaultKind)), amounts),
     st.tuples(st.just("drop"), st.sampled_from(COUNTER_PAIR_FIELDS
                                                + COUNTER_KIND_FIELDS)),
+)
+#: the writes a live run makes: scalars directly, the Counter fields
+#: only through ``Counters.record_*``
+tallies = st.one_of(
+    st.tuples(st.just("scalar"), st.sampled_from(COUNTER_SCALARS), amounts),
+    st.tuples(st.sampled_from(("record_flush", "record_purge")), pair_keys,
+              amounts),
+    st.tuples(st.just("record_fault"), st.sampled_from(list(FaultKind)),
+              amounts),
 )
 
 
@@ -62,14 +75,14 @@ def mutate(counters: Counters, mutation) -> None:
         counter = getattr(counters, mutation[1])
         if counter:
             del counter[next(iter(counter))]
+    elif kind == "record_fault":
+        counters.record_fault(mutation[1], mutation[2])
+    elif kind.startswith("record_"):
+        (cache, reason), cycles = mutation[1:]
+        getattr(counters, kind)(cache, reason, cycles)
     else:
         _, name, key, n = mutation
         getattr(counters, name)[key] += n
-
-
-def bare_recorder() -> TraceRecorder:
-    """A recorder over a clock and counters alone, never attached."""
-    return TraceRecorder(SimpleNamespace(clock=Clock(), counters=Counters()))
 
 
 def canonical(entry) -> str:
@@ -79,23 +92,29 @@ def canonical(entry) -> str:
 class TestDeltaIsTheCodecsDelta:
     @settings(max_examples=300, deadline=None)
     @given(start=st.lists(mutations, max_size=12),
-           window=st.lists(mutations, max_size=12),
-           cycles=st.integers(min_value=0, max_value=3))
+           window=st.lists(tallies, max_size=12),
+           cycles=st.integers(min_value=0, max_value=3),
+           depth=st.integers(min_value=0, max_value=2))
     def test_sync_entry_equals_diff_of_encodings(self, start, window,
-                                                 cycles):
-        recorder = bare_recorder()
-        counters = recorder.counters
+                                                 cycles, depth):
+        machine = Machine(small_machine())
+        counters = machine.counters
         for mutation in start:
             mutate(counters, mutation)
-        recorder._mark()
         before = encode_counters(counters)
-        for mutation in window:
-            mutate(counters, mutation)
-        recorder.clock.advance(cycles)
+        with TraceRecorder(machine) as recorder:
+            recorder._depth = depth       # depth >= 1: inside an op
+            for mutation in window:
+                mutate(counters, mutation)
+            machine.clock.advance(cycles)
+            recorder._depth = 0
+            if depth:                     # the op ends: its drift is its own
+                recorder._mark()
+            recorder._pre_op()
+            assert recorder.untallied_fields() == []
         expected = diff_counters(before, encode_counters(counters))
 
-        recorder._pre_op()
-        if not expected and not cycles:
+        if depth or (not expected and not cycles):
             assert recorder._ops == []
             return
         [(op, _, clock_delta, _, aux)] = recorder._ops
@@ -126,27 +145,38 @@ class TestDeltaIsTheCodecsDelta:
             == (canonical(a) == canonical(b))
 
     def test_equal_deltas_share_one_sidecar_slot(self):
-        recorder = bare_recorder()
-        recorder._mark()
-        for _ in range(3):
-            recorder.counters.record_fault(FaultKind.MAPPING, 7)
-            recorder.counters.tlb_misses += 1
+        machine = Machine(small_machine())
+        counters = machine.counters
+        with TraceRecorder(machine) as recorder:
+            for _ in range(3):
+                counters.record_fault(FaultKind.MAPPING, 7)
+                counters.tlb_misses += 1
+                recorder._pre_op()
+            counters.record_fault(FaultKind.CONSISTENCY, 7)
             recorder._pre_op()
-        recorder.counters.record_fault(FaultKind.CONSISTENCY, 7)
-        recorder._pre_op()
-        assert [row[4] for row in recorder._ops] == [0, 0, 0, 1]
+            # Two raw keys, one delta: cycles that cancel encode to
+            # nothing, so both intern to the third slot.
+            for spent in ((0, 0), (5, -5)):
+                for cycles in spent:
+                    counters.record_flush("dcache", Reason.PAGEOUT, cycles)
+                recorder._pre_op()
+        assert [row[4] for row in recorder._ops] == [0, 0, 0, 1, 2, 2]
         assert recorder._sidecar == [
             {"tlb_misses": 1, "faults": {"mapping": 1},
              "fault_cycles": {"mapping": 7}},
             {"faults": {"consistency": 1},
-             "fault_cycles": {"consistency": 7}}]
+             "fault_cycles": {"consistency": 7}},
+            {"page_flushes": {"dcache|pageout": 2}}]
+        assert len(recorder._sync_index) == 4
 
 
 # ---- whole compiles against the encode-per-op reference -----------------------
 
 class EncodingRecorder(TraceRecorder):
     """The reference: encode every counter at every op boundary, diff
-    the encodings on drift and intern deltas by their JSON spelling."""
+    the encodings on drift and intern deltas by their JSON spelling.
+    (It ignores the pending amounts of the ``record_*`` wrappers it
+    inherits; they feed only the end-of-window guard here.)"""
 
     def _mark(self) -> None:
         self._clock_mark = self.clock.cycles
@@ -162,9 +192,6 @@ class EncodingRecorder(TraceRecorder):
         self._ops.append((OP_SYNC, 0, clock_now - self._clock_mark, 0, aux))
         self._clock_mark = clock_now
         self._counters_mark = state_now
-
-    def _post_op(self) -> None:
-        self._mark()
 
 
 @contextlib.contextmanager
@@ -208,6 +235,10 @@ CASES = {
     "latex-paper/F": _paper("latex-paper", "F"),
     "afs-bench/A": _paper("afs-bench", "A"),
     "afs-bench/F": _paper("afs-bench", "F"),
+    "kernel-build/A": _paper("kernel-build", "A"),
+    "kernel-build/A/faults": _paper(
+        "kernel-build", "A",
+        inject="pmap.flush.duplicate:0.3,tlb.entry.corrupt:0.1", seed=3),
     "latex-paper/F/2way": _paper("latex-paper", "F", "2way"),
     "latex-paper/A/wt": _paper("latex-paper", "A", "wt"),
     "random-ops/faults": _random_ops(
@@ -268,3 +299,47 @@ def test_a_window_that_moves_an_unencoded_counter_is_refused():
     with pytest.raises(TraceFormatError, match="superpage_mappings"):
         record_run(workload, kernel)
 
+
+# ---- the Counter fields written behind the wrappers ---------------------------
+
+def _increment(counters):
+    counters.faults[FaultKind.MAPPING] += 1
+
+
+def _drop(counters):
+    del counters.faults[FaultKind.MAPPING]
+
+
+def _zero_entry(counters):
+    counters.flush_cycles[("dcache", Reason.PAGEOUT)] += 0
+
+
+class WritesBehindTheWrappers(Workload):
+    """Tallies one fault through ``record_fault``, then writes a Counter
+    field directly."""
+
+    name = "writes-behind"
+
+    def __init__(self, write):
+        self.write = write
+
+    def setup(self, kernel):
+        pass
+
+    def execute(self, kernel):
+        counters = kernel.machine.counters
+        counters.record_fault(FaultKind.MAPPING, 5)
+        self.write(counters)
+
+
+@pytest.mark.parametrize("write, field", [
+    (_increment, "faults"), (_drop, "faults"), (_zero_entry, "flush_cycles"),
+], ids=["increment", "dropped-key", "zero-entry"])
+def test_a_counter_field_written_behind_the_wrappers_is_refused(write,
+                                                               field):
+    """The message names exactly the field written: the tally the
+    wrappers saw is not blamed."""
+    kernel = boot(get_policy("F")).kernel
+    with pytest.raises(TraceFormatError,
+                       match=rf"^writes-behind: {field} changed"):
+        record_run(WritesBehindTheWrappers(write), kernel)
