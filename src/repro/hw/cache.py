@@ -47,17 +47,37 @@ def _check_run_length(n_words: int) -> None:
 #
 # The array work of the page operations on a direct-mapped cache with no
 # hierarchy below it, shared by :class:`Cache` and the trace interpreter.
-# Each works on way-0 views — 1-D ``tags`` and ``dirty``, 2-D ``data``
-# (set, word) — and on ``mem_lines``, physical memory viewed as whole
-# lines, over the set slice ``sets`` of one page (or run) whose wanted
-# line tags, in set order, are ``want``.  They move data and return
-# counts; the callers charge the clock and tally the counters.
+# Each works on the way-0 views of one page's (or long run's) set slice —
+# 1-D tags ``tv`` and dirty bits ``dyv``, 2-D data ``datv`` (line, word)
+# — whose wanted line tags, in set order, are ``want``, and on
+# ``mem_lines``, physical memory viewed as whole lines.  They move data
+# and return counts as Python ``int``; the callers charge the clock and
+# tally the counters.
+#
+# A replayed paper trace makes about 4,400 kernel calls a round, nearly
+# all on a whole 128-line page, and most of a call's cost is numpy's
+# per-call overhead, not array work.  So each shape is written with the
+# fewest and cheapest calls: indices from one ``nonzero`` serve as both
+# count and gather/scatter index (an integer index costs half a boolean
+# mask), whole slices are cleared or set with ``fill`` and copied with
+# ``[...] =`` (each cheaper than ``[:] =``), and a test for any nonzero
+# skips ``np.count_nonzero``'s dispatch wrapper.
+
+#: ``np.count_nonzero`` without its ``__array_function__`` dispatch, which
+#: is about half its cost a call.  It returns a numpy integer, so a count
+#: a kernel returns goes through ``int`` (or is taken with ``len``).
+_count_nonzero = np.count_nonzero._implementation
+
+#: Partial flushes with at most this many resident lines move them one
+#: by one; more take the vectorized gather and scatter, whose fixed cost
+#: is about that of five scalar line moves.
+_FEW_LINES = 4
 
 
 def write_back_victims(tv, dyv, datv, mem_lines, misses) -> int:
-    """Write back the valid dirty lines of one cache page's set slice
-    (views ``tv``, ``dyv``, ``datv``) selected by ``misses``; return how
-    many.  Their dirty bits are left to the caller.
+    """Write back the valid dirty lines of one set slice (views ``tv``,
+    ``dyv``, ``datv``) selected by ``misses``; return how many.  Their
+    dirty bits are left to the caller.
 
     The victims' tags are distinct, so one vectorized scatter is
     order-safe: a line fills only the set its page offset selects
@@ -65,45 +85,50 @@ def write_back_victims(tv, dyv, datv, mem_lines, misses) -> int:
     physical indexing alike), so within one cache page each physical
     line has exactly one possible set.  Doubly-dirty aliases of a line
     sit in different cache pages and are written back by different
-    operations, in program order.
+    operations, in program order.  When every line is a victim the
+    scatter takes the tags whole, with no gather.
     """
-    victims = misses & (tv != _INVALID) & dyv
-    n = int(np.count_nonzero(victims))
-    if n:
+    victims = (misses & dyv & (tv != _INVALID)).nonzero()[0]
+    n = len(victims)
+    if n == len(tv):
+        mem_lines[tv] = datv
+    elif n:
         mem_lines[tv[victims]] = datv[victims]
     return n
 
 
-def fill_lines(tags, dirty, data, mem_lines, sets: slice,
-               want: np.ndarray) -> tuple[int, int]:
+def fill_lines(tv, dyv, datv, mem_lines, want: np.ndarray) -> tuple[int, int]:
     """Make the lines ``want`` resident, clean where they were missing:
     write back the dirty victims, then fill the missing lines from
     memory.  Returns (lines filled, victims written back).
 
     An all-hit slice touches no array, victims are looked for only when
     some set of the slice is dirty, and a slice that misses on every
-    line fills with one contiguous copy (``want`` is a line range).
+    line fills with one contiguous copy (``want`` is a line range) and
+    clears its dirty bits whole.
     """
-    tv = tags[sets]
     misses = tv != want
-    n_miss = int(np.count_nonzero(misses))
+    n_miss = int(_count_nonzero(misses))
     if not n_miss:
         return 0, 0
     n_wb = 0
-    dyv = dirty[sets]
-    if np.count_nonzero(dyv):
-        n_wb = write_back_victims(tv, dyv, data[sets], mem_lines, misses)
-        dyv[misses] = False
     if n_miss == len(want):
+        if _count_nonzero(dyv):
+            n_wb = write_back_victims(tv, dyv, datv, mem_lines, misses)
+            dyv.fill(False)
         w0 = want.item(0)
-        data[sets] = mem_lines[w0:w0 + n_miss]
+        datv[...] = mem_lines[w0:w0 + n_miss]
     else:
-        data[sets][misses] = mem_lines[want[misses]]
-    tv[:] = want
+        miss = misses.nonzero()[0]
+        if _count_nonzero(dyv):
+            n_wb = write_back_victims(tv, dyv, datv, mem_lines, misses)
+            dyv[miss] = False
+        datv[miss] = mem_lines[want[miss]]
+    tv[...] = want
     return n_miss, n_wb
 
 
-def store_lines(tags, dirty, data, mem_lines, sets: slice, want: np.ndarray,
+def store_lines(tv, dyv, datv, mem_lines, want: np.ndarray,
                 lines: np.ndarray) -> int:
     """Overwrite the whole lines ``want`` with ``lines`` (one row per
     line) and mark them dirty: no fill, since every word is replaced.
@@ -111,72 +136,77 @@ def store_lines(tags, dirty, data, mem_lines, sets: slice, want: np.ndarray,
     of the slice is dirty and some line of it misses (a store over the
     page's own dirty lines, the common case, has none).  Returns the
     victims written back."""
-    tv = tags[sets]
-    dyv = dirty[sets]
     n_wb = 0
-    if np.count_nonzero(dyv):
+    if _count_nonzero(dyv):
         misses = tv != want
-        if np.count_nonzero(misses):
-            n_wb = write_back_victims(tv, dyv, data[sets], mem_lines, misses)
-    tv[:] = want
-    data[sets] = lines
-    dyv[:] = True
+        if _count_nonzero(misses):
+            n_wb = write_back_victims(tv, dyv, datv, mem_lines, misses)
+    tv[...] = want
+    datv[...] = lines
+    dyv.fill(True)
     return n_wb
 
 
-def flush_lines(tags, dirty, data, mem_lines, sets: slice,
-                want: np.ndarray) -> tuple[int, int]:
+def flush_lines(tv, dyv, datv, mem_lines, want: np.ndarray) -> tuple[int, int]:
     """Flush the resident lines of ``want``: write back the dirty ones,
     invalidate all.  Returns (resident lines, lines written back).
 
     ``want`` is a line range, so its ``i``-th line is memory line
     ``want[0] + i``.  Shaped by how much of the page is resident: none
     touches no array; the whole page clears its slices whole and, all
-    dirty, writes back as one contiguous copy; a few lines move one by
-    one.
+    dirty, writes back as one contiguous copy; up to :data:`_FEW_LINES`
+    lines move one by one; more move by one gather and scatter.
     """
-    tv = tags[sets]
-    match = tv == want
-    hits = int(np.count_nonzero(match))
+    hit = (tv == want).nonzero()[0]
+    hits = len(hit)
     if not hits:
         return 0, 0
     if hits == len(want):
-        dyv = dirty[sets]
-        n_dirty = int(np.count_nonzero(dyv))
-        if n_dirty == hits:
-            w0 = want.item(0)
-            mem_lines[w0:w0 + hits] = data[sets]
-        elif n_dirty:
-            mem_lines[want[dyv]] = data[sets][dyv]
+        n_dirty = int(_count_nonzero(dyv))
         if n_dirty:
-            dyv[:] = False
-        tv[:] = _INVALID
+            if n_dirty == hits:
+                w0 = want.item(0)
+                mem_lines[w0:w0 + hits] = datv
+            else:
+                dirt = dyv.nonzero()[0]
+                mem_lines[want[dirt]] = datv[dirt]
+            dyv.fill(False)
+        tv.fill(_INVALID)
         return hits, n_dirty
-    s0 = sets.start
-    w0 = want.item(0)
-    n_dirty = 0
-    for i in match.nonzero()[0].tolist():
-        s = s0 + i
-        if dirty.item(s):
-            mem_lines[w0 + i] = data[s]
-            dirty[s] = False
-            n_dirty += 1
-        tags[s] = _INVALID
+    if hits <= _FEW_LINES:
+        w0 = want.item(0)
+        n_dirty = 0
+        for i in hit.tolist():
+            if dyv.item(i):
+                mem_lines[w0 + i] = datv[i]
+                dyv[i] = False
+                n_dirty += 1
+            tv[i] = _INVALID
+        return hits, n_dirty
+    dirt = hit[dyv[hit]]
+    n_dirty = len(dirt)
+    if n_dirty:
+        mem_lines[want[dirt]] = datv[dirt]
+        dyv[dirt] = False
+    tv[hit] = _INVALID
     return hits, n_dirty
 
 
-def purge_lines(tags, dirty, sets: slice, want: np.ndarray) -> int:
+def purge_lines(tv, dyv, want: np.ndarray) -> int:
     """Invalidate, without write-back, the resident lines of ``want``;
-    return how many.  None resident touches no array; otherwise two
-    masked stores, which cost about the same for one line as for a
-    whole page (a scalar loop over the resident lines is several times
-    slower on the 126-line purges in the paper's traces)."""
-    tv = tags[sets]
-    match = tv == want
-    hits = int(np.count_nonzero(match))
-    if hits:
-        dirty[sets][match] = False
-        tv[match] = _INVALID
+    return how many.  None resident touches no array, the whole page
+    clears its slices whole, and otherwise two scatters over the
+    resident lines' indices, which cost about the same for one line as
+    for most of a page (a scalar loop over the resident lines is several
+    times slower on the 126-line purges in the paper's traces)."""
+    hit = (tv == want).nonzero()[0]
+    hits = len(hit)
+    if hits == len(want):
+        dyv.fill(False)
+        tv.fill(_INVALID)
+    elif hits:
+        dyv[hit] = False
+        tv[hit] = _INVALID
     return hits
 
 
@@ -524,8 +554,8 @@ class Cache:
             misses = self._tags[0, sets] != want
             self._service_lines(sets, want, misses)
             return int(np.count_nonzero(misses))
-        n_miss, n_wb = fill_lines(self._tags[0], self._dirty[0],
-                                  self._data[0], self._mem_lines, sets, want)
+        n_miss, n_wb = fill_lines(self._tags[0, sets], self._dirty[0, sets],
+                                  self._data[0, sets], self._mem_lines, want)
         self.counters.write_backs += n_wb
         self.clock.cycles += (n_miss * self.cost.line_fill
                               + n_wb * self.cost.write_back)
@@ -672,9 +702,10 @@ class Cache:
         sets = self._page_sets(cache_page)
         want = self._page_tags(pa_page_base)
         if self.associativity == 1 and self.hierarchy is None:
-            hits, n_dirty = flush_lines(self._tags[0], self._dirty[0],
-                                        self._data[0], self._mem_lines,
-                                        sets, want)
+            hits, n_dirty = flush_lines(self._tags[0, sets],
+                                        self._dirty[0, sets],
+                                        self._data[0, sets],
+                                        self._mem_lines, want)
         else:
             hits, n_dirty = self._flush_masked(sets, want)
         self.counters.write_backs += n_dirty
@@ -728,7 +759,8 @@ class Cache:
         sets = self._page_sets(cache_page)
         want = self._page_tags(pa_page_base)
         if self.associativity == 1:
-            hits = purge_lines(self._tags[0], self._dirty[0], sets, want)
+            hits = purge_lines(self._tags[0, sets], self._dirty[0, sets],
+                               want)
         else:
             match = self._tags[:, sets] == want
             hits = int(match.sum())
@@ -807,8 +839,9 @@ class Cache:
         lines = np.asarray(values, dtype=np.uint64).reshape(
             self.geo.lines_per_page, self.words_per_line)
         if self.hierarchy is None:
-            n_wb = store_lines(self._tags[0], self._dirty[0], self._data[0],
-                               self._mem_lines, sets, want, lines)
+            n_wb = store_lines(self._tags[0, sets], self._dirty[0, sets],
+                               self._data[0, sets], self._mem_lines, want,
+                               lines)
             self.counters.write_backs += n_wb
             self.clock.cycles += n_wb * self.cost.write_back
         else:

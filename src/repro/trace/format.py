@@ -302,9 +302,11 @@ def load_trace(path: str) -> Trace:
     garbled or whose array region or sidecar fails the header's sha256,
     one whose start images or op stream do not fit the machine its
     header's config describes, one whose sparse memory image is not its
-    one canonical encoding (see the module docstring), and one whose
-    cost model, clocks or counters images are not ones
-    :func:`save_trace` writes raise :class:`TraceFormatError`;
+    one canonical encoding (see the module docstring), one whose ops
+    name an opcode, cache page, reason or sidecar entry that replay
+    cannot honour, and one whose cost model, clocks or counters images
+    are not ones :func:`save_trace` writes raise
+    :class:`TraceFormatError`;
     a file that cannot be opened raises :class:`InputFileError`.
     """
     with open_input(path, "rb") as f:
@@ -367,6 +369,7 @@ def _decode(path: str, header: dict, blob: bytes, offset: int) -> Trace:
     _check_image_shapes(path, config, arrays)
     _check_memory_image(path, config, arrays)
     _check_addresses(path, config, arrays)
+    _check_op_fields(path, config, arrays["ops"], len(sidecar))
     start, end = header["start"], header["end"]
     # Replay builds its machine from these fields, which the sha256 does
     # not cover: decode them here, so that a doctored one fails to load.
@@ -497,3 +500,42 @@ def _check_addresses(path: str, config: dict, arrays: dict) -> None:
             raise TraceFormatError(
                 f"{path}: the {prefix} image tags lines outside the "
                 f"{lines}-line memory of the header's config")
+
+
+_FLUSH_PURGE_OPS = {"dcache": (OP_D_FLUSH, OP_D_PURGE),
+                    "icache": (OP_I_FLUSH, OP_I_PURGE)}
+
+
+def _check_op_fields(path: str, config: dict, ops: np.ndarray,
+                     sidecar_len: int) -> None:
+    """Every op field replay indexes with must name something that
+    exists: the opcode one of the alphabet's, a flush or purge's cache
+    page (``va``) one of its cache's and its reason (``asid``) one of
+    :data:`REASONS`, and a SYNC's ``aux`` -1 or a sidecar entry, a BUS's
+    a sidecar entry.  Replay would otherwise index past a table, or
+    wrap a negative index round to its last entry and run on silently.
+    """
+    op, va, asid, aux = ops["op"], ops["va"], ops["asid"], ops["aux"]
+
+    def refuse(bad: np.ndarray, field: np.ndarray, what: str) -> None:
+        if bad.any():
+            at = int(bad.argmax())
+            raise TraceFormatError(
+                f"{path}: op {at} (opcode {int(op[at])}) names "
+                f"{what} {int(field[at])}")
+
+    unknown = (op < OP_SYNC) | (op > OP_I_INVAL)
+    if unknown.any():
+        at = int(unknown.argmax())
+        raise TraceFormatError(f"{path}: op {at} has opcode {int(op[at])}, "
+                               f"outside {OP_SYNC}..{OP_I_INVAL}")
+    for prefix, codes in _FLUSH_PURGE_OPS.items():
+        pages = CacheGeometry(**config[prefix]).num_cache_pages
+        mine = np.isin(op, codes)
+        refuse(mine & ((va < 0) | (va >= pages)), va,
+               f"{prefix} cache page (of 0..{pages - 1})")
+        refuse(mine & ((asid < 0) | (asid >= len(REASONS))), asid,
+               f"reason index (of 0..{len(REASONS) - 1})")
+    refuse(((op == OP_SYNC) & ((aux < -1) | (aux >= sidecar_len)))
+           | ((op == OP_BUS) & ((aux < 0) | (aux >= sidecar_len))), aux,
+           f"sidecar entry (of {sidecar_len})")

@@ -23,7 +23,7 @@ in scalar form.  Every op executes in stream order, exactly once.
 
 Multi-line runs stay calls: in the paper's traces every one is a whole
 page, which ``Cache.read_run``/``write_run`` already handle with the
-same fill kernel.
+same fill kernel.  A run of no words is a call too: it changes nothing.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ _D_READ1 = 3        # (op, set, tag, n_words)
 _D_WRITE1 = 4       # (op, set, tag, n_words, first_word, values_view)
 _I_READ1 = 5        # (op, set, tag, n_words)
 _CALL = 6           # (op, callable, args_tuple)
-_FLUSH = 7          # (op, pack, sets, want, cell)
-_PURGE = 8          # (op, pack, sets, want, cell, const_cycles)
-_RPAGE = 9          # (op, pack, sets, want)
-_WPAGE = 10         # (op, pack, sets, want, values_page_view)
+_FLUSH = 7          # (op, pack, want, cell)
+_PURGE = 8          # (op, pack, want, cell, const_cycles)
+_RPAGE = 9          # (op, pack, want)
+_WPAGE = 10         # (op, pack, want, values_page_view)
 
 
 @dataclass
@@ -173,24 +173,25 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
     fast = tuple(g.associativity == 1 and not g.write_through for g in geos)
     line_size = tuple(g.line_size for g in geos)
     num_sets = tuple(g.num_sets for g in geos)
+    num_cache_pages = tuple(g.num_cache_pages for g in geos)
+    page_size = tuple(g.page_size for g in geos)
     phys_idx = tuple(g.physically_indexed for g in geos)
     caches = (dcache, icache)
     zeros = tuple(np.zeros(g.words_per_page, dtype=np.uint64) for g in geos)
     read1_code = (_D_READ1, _I_READ1)
     lpp = tuple(g.lines_per_page for g in geos)
-    # The set slice of each cache page, built once: a new slice object
-    # per page instruction made compiling measurably slower.
-    page_sets = tuple([slice(cp * n, (cp + 1) * n)
-                       for cp in range(g.num_cache_pages)]
-                      for g, n in zip(geos, lpp))
-    # Per-cache view pack for the specialized page-granularity
-    # instructions: the page kernels' way-0 and memory-line views, lines
-    # per page, and the all-hit page access cost.
+    # Per-cache-page view pack for the specialized page-granularity
+    # instructions, built once per cache page: the page kernels' way-0
+    # views of the page's set slice and the memory-line view, lines per
+    # page, and the all-hit page access cost.  Slicing the views per
+    # instruction would cost three numpy calls each time it runs.
     cost = dcache.cost
     packs = tuple(
-        (c._tags[0], c._dirty[0], c._data[0], c._mem_lines,
-         g.lines_per_page, g.words_per_page * cost.cache_hit)
-        for c, g in zip(caches, geos))
+        [(c._tags[0, s], c._dirty[0, s], c._data[0, s], c._mem_lines, n,
+          g.words_per_page * cost.cache_hit)
+         for s in (slice(cp * n, (cp + 1) * n)
+                   for cp in range(g.num_cache_pages))]
+        for c, g, n in zip(caches, geos, lpp))
 
     sync_cache: dict[int, tuple] = {}
     prog: list = []
@@ -201,11 +202,15 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
     # compile time (every instruction runs exactly once) and applied once.
     defer = bus is None
     sync_aux = deferred.sync_aux
+    sync_clock = 0
+    # Each cache's page-tag memo, read here first: most page ops name a
+    # frame an earlier op already did.
+    page_tags = tuple(c._page_tags_cache for c in caches)
 
     for op, asid, va, ln, aux in rows:
         if op == OP_SYNC:
             if defer:
-                deferred.sync_clock += va
+                sync_clock += va
                 if aux >= 0:
                     sync_aux[aux] = sync_aux.get(aux, 0) + 1
                 continue
@@ -228,7 +233,7 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
             if is_write:
                 vals = values[vpos:vpos + ln]
                 vpos += ln
-            if fast[cache_idx]:
+            if fast[cache_idx] and ln > 0:
                 ls = line_size[cache_idx]
                 tag0 = aux // ls
                 if (aux + (ln - 1) * WORD_SIZE) // ls == tag0:  # one line
@@ -288,10 +293,11 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
                 prog.append((_CALL, cache.purge_page_frame,
                              (va, aux, REASONS[asid])))
             continue
-        pack = packs[cache_idx]
-        want = cache._page_tags(aux)
+        want = page_tags[cache_idx].get(aux)
+        if want is None:
+            want = cache._page_tags(aux)
         if base >= 3:                                   # flush / purge
-            sets = page_sets[cache_idx][va]
+            pack = packs[cache_idx][va]
             if bus is not None:
                 # The events path must publish with exact per-op fields;
                 # keep it on the cache methods.
@@ -303,7 +309,7 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
                 cell = deferred.flush_cells.get(key)
                 if cell is None:
                     cell = deferred.flush_cells[key] = [0, 0]
-                prog.append((_FLUSH, pack, sets, want, cell))
+                prog.append((_FLUSH, pack, want, cell))
             else:
                 key = (cache.name, REASONS[asid])
                 cell = deferred.purge_cells.get(key)
@@ -311,22 +317,22 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
                     cell = deferred.purge_cells[key] = [0, 0]
                 const = (cache.cost.icache_purge_page
                          if cache.is_icache else -1)
-                prog.append((_PURGE, pack, sets, want, cell, const))
+                prog.append((_PURGE, pack, want, cell, const))
             continue
-        geo = geos[cache_idx]
         addr = aux if phys_idx[cache_idx] else va
-        cp = (addr // geo.page_size) % geo.num_cache_pages
-        sets = page_sets[cache_idx][cp]
+        pack = packs[cache_idx][(addr // page_size[cache_idx])
+                                % num_cache_pages[cache_idx]]
         if base == 0:                                   # *_READ_PAGE
-            prog.append((_RPAGE, pack, sets, want))
+            prog.append((_RPAGE, pack, want))
         elif base == 1:                                 # *_WRITE_PAGE
             vals = values[vpos:vpos + ln]
             vpos += ln
-            prog.append((_WPAGE, pack, sets, want,
+            prog.append((_WPAGE, pack, want,
                          vals.reshape(lpp[cache_idx], -1)))
         else:                                           # *_ZERO_PAGE
-            prog.append((_WPAGE, pack, sets, want,
+            prog.append((_WPAGE, pack, want,
                          zeros[cache_idx].reshape(lpp[cache_idx], -1)))
+    deferred.sync_clock = sync_clock
     return prog, vpos, deferred
 
 
@@ -441,18 +447,18 @@ def _execute(prog, ctx) -> None:
             for counter, key, v in item[3]:
                 counter[key] += v
         elif code == _FLUSH:
-            _, pack, sets, want, cell = item
+            _, pack, want, cell = item
             t, dy, dat, mem_lines, lpp, _page_hit = pack
-            hits, nd = flush_lines(t, dy, dat, mem_lines, sets, want)
+            hits, nd = flush_lines(t, dy, dat, mem_lines, want)
             wbk += nd
             cycles = hits * fl_hit + (lpp - hits) * fl_miss + nd * cost_wb
             cyc += cycles
             cell[0] += 1
             cell[1] += cycles
         elif code == _PURGE:
-            _, pack, sets, want, cell, const_cycles = item
+            _, pack, want, cell, const_cycles = item
             t, dy, _dat, _mem_lines, lpp, _page_hit = pack
-            hits = purge_lines(t, dy, sets, want)
+            hits = purge_lines(t, dy, want)
             if const_cycles >= 0:
                 cycles = const_cycles
             else:
@@ -461,18 +467,18 @@ def _execute(prog, ctx) -> None:
             cell[0] += 1
             cell[1] += cycles
         elif code == _RPAGE:
-            _, pack, sets, want = item
+            _, pack, want = item
             t, dy, dat, mem_lines, lpp, page_hit = pack
-            n_miss, nv = fill_lines(t, dy, dat, mem_lines, sets, want)
+            n_miss, nv = fill_lines(t, dy, dat, mem_lines, want)
             r_hit += lpp - n_miss
             r_miss += n_miss
             wbk += nv
             cyc += ((lpp - n_miss) * (page_hit // lpp) + n_miss * cost_fill
                     + nv * cost_wb)
         elif code == _WPAGE:
-            _, pack, sets, want, vals2d = item
+            _, pack, want, vals2d = item
             t, dy, dat, mem_lines, lpp, page_hit = pack
-            nv = store_lines(t, dy, dat, mem_lines, sets, want, vals2d)
+            nv = store_lines(t, dy, dat, mem_lines, want, vals2d)
             wbk += nv
             cyc += page_hit + nv * cost_wb
         else:  # pragma: no cover - compile emits only the codes above

@@ -3,8 +3,9 @@
 On a direct-mapped cache, :meth:`Cache.flush_page_frame` and
 :meth:`Cache.purge_page_frame` split on how many lines of the frame are
 resident: none touches no array, the whole page clears its set slice
-(an all-dirty page writes back as one page copy), and a few lines move
-one by one.  Associative caches keep the masked form over every way.
+(an all-dirty page writes back as one page copy), up to four lines move
+one by one and more by one gather and scatter.  Associative caches keep
+the masked form over every way.
 
 Every shape must leave exactly the state the masked form leaves.  The
 reference below is that form, kept verbatim: each case builds two
@@ -19,7 +20,8 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.hw.cache import Cache
+from repro.hw.cache import (Cache, fill_lines, flush_lines, purge_lines,
+                            store_lines, write_back_victims)
 from repro.hw.hierarchy import CacheHierarchy
 from repro.hw.params import CacheGeometry, CostModel, L2Geometry
 from repro.hw.physmem import PhysicalMemory
@@ -281,3 +283,52 @@ def test_operation_sequences_match_the_masked_form(cell, seed):
         assert (LIVE[op](live, cache_page, base, reason)
                 == REF[op](ref, cache_page, base, reason))
         assert_same(live, ref)
+
+
+#: the cells whose page operations run the page kernels: direct-mapped,
+#: with no hierarchy below
+KERNEL_CELLS = sorted(cell for cell, (opts, geo_opts) in CELLS.items()
+                      if "associativity" not in geo_opts
+                      and not opts.get("hierarchy"))
+
+
+@pytest.mark.parametrize("dirty", DIRTY)
+@pytest.mark.parametrize("resident", RESIDENT)
+@pytest.mark.parametrize("cell", KERNEL_CELLS)
+def test_the_page_kernels_return_python_ints(cell, resident, dirty):
+    """Every count a page kernel returns is a Python ``int``, in every
+    shape: a numpy integer would reach the counters, and from them JSON
+    encoders that refuse it."""
+    seed = zlib.crc32(f"kernels/{cell}/{resident}/{dirty}".encode())
+    rng = np.random.default_rng(seed)
+    cache = make_cache(cell)
+    frame, cache_page = target(cache, rng)
+    seed_state(cache, rng, frame, cache_page, resident, dirty)
+    sets = cache._page_sets(cache_page)
+    want = cache._page_tags(frame * PAGE)
+    lines = rng.integers(0, 2**32, cache._data[0, sets].shape,
+                         dtype=np.uint64)
+
+    def views():
+        """Fresh copies of the page's way-0 views and of memory."""
+        return (cache._tags[0, sets].copy(), cache._dirty[0, sets].copy(),
+                cache._data[0, sets].copy(), cache._mem_lines.copy())
+
+    counts = {
+        "flush_lines": flush_lines(*views(), want),
+        "purge_lines": purge_lines(*views()[:2], want),
+        "fill_lines": fill_lines(*views(), want),
+        "store_lines": store_lines(*views(), want, lines),
+    }
+    tv, dyv, datv, mem_lines = views()
+    counts["write_back_victims"] = write_back_victims(
+        tv, dyv, datv, mem_lines, tv != want)
+    # Every line another frame's and dirty: every line a victim.
+    tv[:] = want + len(want) if frame + 1 < NUM_PAGES else want - len(want)
+    dyv[:] = True
+    counts["write_back_victims/every-line"] = write_back_victims(
+        tv, dyv, datv, mem_lines, tv != want)
+    assert counts["write_back_victims/every-line"] == len(want)
+    for name, got in counts.items():
+        for count in got if isinstance(got, tuple) else (got,):
+            assert type(count) is int, (name, got)

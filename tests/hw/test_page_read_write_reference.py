@@ -323,3 +323,37 @@ def test_sequences_match_the_reference(cell, seed):
             live.zero_page(va, pa)
             ref_zero_page(ref, va, pa)
         assert state(live) == state(ref), f"step {step}"
+
+
+@pytest.mark.parametrize("op", ("read", "write", "zero"))
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_a_page_of_dirty_victims_matches_the_reference(cell, op):
+    """Every line of the cache page holds another frame's dirty line, so
+    every line is a victim: the shape whose write-back takes the victims'
+    tags whole.  (The random states above leave a fifth of the lines
+    invalid, so they never reach it.)"""
+    seed = zlib.crc32(f"victims/{cell}/{op}".encode())
+    (live, ref), va, pa = build(cell, seed, "all-miss", 1.0, False)
+    geo = live.geo
+    lpp = geo.lines_per_page
+    cache_page = live.cache_page_of(va, pa)
+    sets = slice(cache_page * lpp, (cache_page + 1) * lpp)
+    step = geo.num_cache_pages if geo.physically_indexed else 1
+    other = (pa // PAGE + step) % NUM_PAGES
+    for cache in (live, ref):
+        cache._tags[0, sets] = other * lpp + np.arange(lpp)
+        cache._dirty[0, sets] = True
+    if op == "read":
+        np.testing.assert_array_equal(live.read_page(va, pa),
+                                      ref_read_page(ref, va, pa))
+    elif op == "zero":
+        live.zero_page(va, pa)
+        ref_zero_page(ref, va, pa)
+    else:
+        values = np.random.default_rng(seed).integers(0, 2**32, WPP,
+                                                      dtype=np.uint64)
+        live.write_page(va, pa, values)
+        ref_write_page(ref, va, pa, values)
+    assert state(live) == state(ref)
+    if not geo.write_through:
+        assert live.counters.write_backs == lpp

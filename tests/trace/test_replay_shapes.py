@@ -14,7 +14,9 @@ shapes the target page, then runs a one-row op-stream through
 :class:`Cache` method on an identical copy, and compares everything
 either can touch: tags, dirty bits, data, LRU stamps and tick of both
 caches, memory, the clock, the counters snapshot and the full-fidelity
-counters encoding.
+counters encoding.  Random multi-row streams then mix every op kind on
+both caches, so each handler also runs from the states the others
+leave.
 
 Random states keep the cache's index invariant: the line held by set
 ``s`` has page offset ``s % lines_per_page``, so a physical line can sit
@@ -35,8 +37,9 @@ from repro.hw.params import WORD_SIZE, CacheGeometry, CostModel
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.stats import Clock, Counters, Reason
 from repro.trace.format import (OP_D_FLUSH, OP_D_PURGE, OP_D_READ_PAGE,
-                                OP_D_WRITE_PAGE, OP_D_ZERO_PAGE, OP_I_PURGE,
-                                REASON_INDEX, encode_counters)
+                                OP_D_READ_RUN, OP_D_WRITE_PAGE,
+                                OP_D_WRITE_RUN, OP_D_ZERO_PAGE, OP_I_PURGE,
+                                OP_I_READ_PAGE, REASON_INDEX, encode_counters)
 from repro.trace.interp import _run
 
 PAGE = 4096
@@ -112,17 +115,21 @@ def state(memory, dcache, icache):
             dcache.counters.snapshot(), encode_counters(dcache.counters))
 
 
-def check_row(machine, row, live, values=()):
-    """Replay ``row`` on a copy of ``machine`` and run ``live`` on
-    another; both must end in the same state."""
+def check_rows(machine, rows, live, values=()):
+    """Replay op-stream ``rows`` on a copy of ``machine`` and run
+    ``live`` on another; both must end in the same state."""
     replayed = copy.deepcopy(machine)
     values = np.asarray(values, dtype=np.uint64)
-    consumed = _run([row], values, [], replayed[1], replayed[2],
+    consumed = _run(rows, values, [], replayed[1], replayed[2],
                     replayed[0], None)
     assert consumed == len(values)
     expected = copy.deepcopy(machine)
     live(*expected)
     assert state(*replayed) == state(*expected)
+
+
+def check_row(machine, row, live, values=()):
+    check_rows(machine, [row], live, values)
 
 
 def pick(rng, k, within=range(LPP)):
@@ -231,3 +238,112 @@ def test_write_page(geo, victims, zero, seed):
         values = rng.integers(0, 2**32, WPP, dtype=np.uint64)
         check_row(machine, (OP_D_WRITE_PAGE, 0, va, WPP, pa),
                   lambda m, d, i: d.write_page(va, pa, values), values)
+
+
+@pytest.mark.parametrize("geo", sorted(GEOMETRIES))
+@pytest.mark.parametrize("write", (False, True), ids=("read", "write"))
+def test_zero_word_run(geo, write):
+    """A run of no words changes nothing, live and replayed, even where
+    its address is inside a line the cache does not hold (the one-line
+    instruction would fill it)."""
+    rng = np.random.default_rng(7)
+    machine = random_machine(rng, GEOMETRIES[geo], dirty_p=0.5)
+    shape_page(rng, machine[1], 0, 0, (), ())
+    va = pa = 2 * WORD_SIZE
+
+    def live(memory, dcache, icache):
+        if write:
+            dcache.write_run(va, pa, np.empty(0, np.uint64))
+        else:
+            dcache.read_run(va, pa, 0)
+
+    op = OP_D_WRITE_RUN if write else OP_D_READ_RUN
+    check_row(machine, (op, 0, va, 0, pa), live)
+
+
+# ---- op sequences -------------------------------------------------------------
+
+#: the op kinds a random stream draws from; ``*-run`` is a run over
+#: several lines of one page, ``page-*`` one over the whole page
+KINDS = ("read1", "write1", "read-page", "write-page", "zero-page", "flush",
+         "purge", "read-run", "write-run", "read-page-run",
+         "write-page-run")
+#: the physical pages a stream touches: few, so that its ops meet the
+#: lines earlier ops left, hit, alias and evict
+STREAM_PAGES = 3
+REASONS_DRAWN = (Reason.EXPLICIT, Reason.ALIAS_WRITE, Reason.DMA_READ)
+
+
+def random_stream(rng, geo, n_ops):
+    """A random op stream on both caches of a machine of geometry
+    ``geo``; returns ``(rows, values, live, kinds)``: the rows, the
+    value words their writes consume, the function that runs the same
+    ops through the live :class:`Cache` methods, and the kinds drawn."""
+    rows, values, calls, kinds = [], [], [], []
+    for _ in range(n_ops):
+        kind = KINDS[int(rng.integers(len(KINDS)))]
+        which = int(rng.random() < 0.3)               # 0 dcache, 1 icache
+        shift = 0 if which == 0 else OP_I_READ_PAGE - OP_D_READ_PAGE
+        ppage = int(rng.integers(STREAM_PAGES))
+        pa = ppage * PAGE
+        va = int(rng.integers(4)) * PAGE
+        kinds.append(kind)
+        if kind in ("flush", "purge"):
+            cp = int(rng.integers(geo.num_cache_pages))
+            reason = REASONS_DRAWN[int(rng.integers(len(REASONS_DRAWN)))]
+            op = (OP_D_FLUSH if kind == "flush" else OP_D_PURGE) + shift
+            rows.append((op, REASON_INDEX[reason], cp, 0, pa))
+            method = ("flush_page_frame" if kind == "flush"
+                      else "purge_page_frame")
+            calls.append((which, method, (cp, pa, reason)))
+        elif kind in ("read-page", "write-page", "zero-page"):
+            op = {"read-page": OP_D_READ_PAGE, "write-page": OP_D_WRITE_PAGE,
+                  "zero-page": OP_D_ZERO_PAGE}[kind] + shift
+            if kind == "write-page":
+                vals = rng.integers(0, 2**32, WPP, dtype=np.uint64)
+                values.append(vals)
+                rows.append((op, 0, va, WPP, pa))
+                calls.append((which, "write_page", (va, pa, vals)))
+            else:
+                rows.append((op, 0, va, 0, pa))
+                calls.append((which, kind.replace("-", "_"), (va, pa)))
+        else:
+            if kind in ("read1", "write1"):
+                first = int(rng.integers(WPP))
+                n = int(rng.integers(1, WPL - first % WPL + 1))
+            elif kind in ("read-run", "write-run"):
+                first = int(rng.integers(WPP - WPL))
+                n = int(rng.integers(WPL - first % WPL + 1, WPP - first + 1))
+            else:
+                first, n = 0, WPP
+            va += first * WORD_SIZE
+            pa += first * WORD_SIZE
+            write = kind.startswith("write")
+            op = (OP_D_WRITE_RUN if write else OP_D_READ_RUN) + shift
+            rows.append((op, 0, va, n, pa))
+            if write:
+                vals = rng.integers(0, 2**32, n, dtype=np.uint64)
+                values.append(vals)
+                calls.append((which, "write_run", (va, pa, vals)))
+            else:
+                calls.append((which, "read_run", (va, pa, n)))
+
+    def live(memory, dcache, icache):
+        for which, method, args in calls:
+            getattr((dcache, icache)[which], method)(*args)
+
+    flat = np.concatenate(values) if values else np.empty(0, np.uint64)
+    return rows, flat, live, set(kinds)
+
+
+@pytest.mark.parametrize("geo", sorted(GEOMETRIES))
+@pytest.mark.parametrize("seed", range(8))
+def test_op_sequence(geo, seed):
+    """A 150-op random stream over both caches ends in the same state
+    replayed as live."""
+    rng = np.random.default_rng(500 + seed)
+    geometry = GEOMETRIES[geo]
+    machine = random_machine(rng, geometry, dirty_p=0.5)
+    rows, values, live, kinds = random_stream(rng, geometry, 150)
+    assert kinds == set(KINDS)
+    check_rows(machine, rows, live, values)

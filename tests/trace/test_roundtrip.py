@@ -21,12 +21,14 @@ from hypothesis import strategies as st
 
 from repro.analysis.experiments import evaluation_machine, make_workload
 from repro.cli import main
-from repro.hw.params import WORD_SIZE
+from repro.hw.params import WORD_SIZE, CacheGeometry
 from repro.hw.physmem import PhysicalMemory
 from repro.kernel.kernel import Kernel
 from repro.policy import get_policy
 from repro.trace import compile_workload, load_trace, replay_trace, save_trace
-from repro.trace.format import (MAGIC, OP_D_READ_RUN, OP_D_WRITE_RUN,
+from repro.trace.format import (MAGIC, OP_BUS, OP_D_FLUSH, OP_D_PURGE,
+                                OP_D_READ_RUN, OP_D_WRITE_RUN, OP_I_FLUSH,
+                                OP_I_INVAL, OP_I_PURGE, OP_SYNC, REASONS,
                                 TraceFormatError, decode_counters)
 from repro.trace.interp import _restore_memory
 from repro.trace.record import capture_memory_image, record_run
@@ -539,6 +541,92 @@ class TestMalformedArtifacts:
         path = tmp_path_factory.mktemp("orig") / "t.trace"
         path.write_bytes(blob)
         return path
+
+
+class TestUnhonourableOps:
+    """An op field replay would index a table with must name an entry of
+    that table.  The sha256 covers the op stream, so each case below is a
+    re-saved trace: before these checks, a flush of cache page -1 replayed
+    silently on the last cache page, opcode -3 replayed as a zero-page,
+    and reason 99 or a SYNC's sidecar index past the end raised a raw
+    ``IndexError``."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        """A policy-A paper trace with events: it holds data-cache
+        flushes, SYNC deltas and BUS ops."""
+        trace = compile_workload(make_workload("latex-paper", 0.1),
+                                 get_policy("A"), trace_events=True)
+        for opcode in (OP_D_FLUSH, OP_SYNC, OP_BUS):
+            assert (trace.ops["op"] == opcode).any()
+        assert (trace.ops["aux"][trace.ops["op"] == OP_SYNC] >= 0).any()
+        return trace
+
+    @staticmethod
+    def load_doctored(trace, tmp_path, opcodes, field, value):
+        """Save ``trace`` with ``field`` of its first op among ``opcodes``
+        set to ``value`` (a SYNC the first with a sidecar entry), load it,
+        and return the :class:`TraceFormatError` raised."""
+        ops = trace.ops.copy()
+        mine = np.isin(ops["op"], opcodes)
+        if opcodes == (OP_SYNC,):
+            mine &= ops["aux"] >= 0
+        ops[field][mine.argmax()] = value
+        path = tmp_path / "doctored.trace"
+        save_trace(path, dataclasses.replace(trace, ops=ops))
+        with pytest.raises(TraceFormatError) as error:
+            load_trace(path)
+        return str(error.value)
+
+    def test_the_undoctored_trace_loads_and_replays(self, trace, tmp_path):
+        path = tmp_path / "t.trace"
+        save_trace(path, trace)
+        assert_roundtrip(load_trace(path))
+
+    @pytest.mark.parametrize("opcode", (-3, -1, OP_I_INVAL + 1, 1000))
+    def test_an_opcode_outside_the_alphabet_is_refused(self, trace, tmp_path,
+                                                       opcode):
+        message = self.load_doctored(trace, tmp_path, (OP_SYNC,), "op",
+                                     opcode)
+        assert f"has opcode {opcode}, outside 0..{OP_I_INVAL}" in message
+
+    @pytest.mark.parametrize("opcode", (OP_D_FLUSH, OP_D_PURGE, OP_I_FLUSH,
+                                        OP_I_PURGE))
+    @pytest.mark.parametrize("page", ("minus-one", "one-past"))
+    def test_a_cache_page_outside_its_cache_is_refused(self, trace, tmp_path,
+                                                       opcode, page):
+        cache = "dcache" if opcode in (OP_D_FLUSH, OP_D_PURGE) else "icache"
+        pages = CacheGeometry(**trace.config[cache]).num_cache_pages
+        value = -1 if page == "minus-one" else pages
+        if not (trace.ops["op"] == opcode).any():
+            # Make the trace's first data-cache flush this op.
+            trace = dataclasses.replace(trace, ops=trace.ops.copy())
+            trace.ops["op"][(trace.ops["op"] == OP_D_FLUSH).argmax()] = opcode
+        message = self.load_doctored(trace, tmp_path, (opcode,), "va", value)
+        assert (f"names {cache} cache page (of 0..{pages - 1}) {value}"
+                in message)
+
+    @pytest.mark.parametrize("reason", (-1, len(REASONS), 99))
+    def test_a_reason_outside_the_table_is_refused(self, trace, tmp_path,
+                                                   reason):
+        message = self.load_doctored(trace, tmp_path, (OP_D_FLUSH,), "asid",
+                                     reason)
+        assert (f"names reason index (of 0..{len(REASONS) - 1}) {reason}"
+                in message)
+
+    @pytest.mark.parametrize("opcode,aux", [
+        (OP_SYNC, "len"), (OP_SYNC, "len+5"), (OP_SYNC, -2),
+        (OP_BUS, "len"), (OP_BUS, -1)], ids=(
+            "sync-len", "sync-len+5", "sync-minus-two", "bus-len",
+            "bus-minus-one"))
+    def test_a_sidecar_index_past_the_sidecar_is_refused(self, trace,
+                                                         tmp_path, opcode,
+                                                         aux):
+        n = len(trace.sidecar)
+        value = {"len": n, "len+5": n + 5}.get(aux, aux)
+        message = self.load_doctored(trace, tmp_path, (opcode,), "aux",
+                                     value)
+        assert f"names sidecar entry (of {n}) {value}" in message
 
 
 def memory_lines(trace, cache: str) -> int:
