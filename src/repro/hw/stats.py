@@ -14,7 +14,8 @@ from __future__ import annotations
 import enum
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 
 
 class Clock:
@@ -92,15 +93,87 @@ class FaultKind(enum.Enum):
         return self.value
 
 
-@dataclass
+# ``index``, a member's position in declaration order, is its slot in a
+# tally (for a Reason, ``format.REASON_INDEX``, fixed by the trace format).
+# A plain attribute: ``record_*`` reads it on every call, where hashing
+# the member would go through Enum.__hash__.
+for _kind in (Reason, FaultKind):
+    for _index, _member in enumerate(_kind):
+        _member.index = _index
+
+N_REASONS = len(Reason)
+N_KINDS = len(FaultKind)
+#: Where each breakdown lives: the fault breakdowns at these offsets in
+#: :attr:`Counters.fault_tally`, a cache's four at these offsets from its
+#: row in :attr:`Counters.cache_tally` (see :meth:`Counters.row`).
+KIND_OFFSETS = {"faults": 0, "fault_cycles": N_KINDS}
+PAIR_OFFSETS = {"page_flushes": 0, "page_purges": N_REASONS,
+                "flush_cycles": 2 * N_REASONS, "purge_cycles": 3 * N_REASONS}
+#: the six breakdowns, by name
+BREAKDOWNS = tuple(PAIR_OFFSETS) + tuple(KIND_OFFSETS)
+_CYCLES = PAIR_OFFSETS["flush_cycles"]     # from a row's count slot
+
+
+class Breakdown(Mapping):
+    """One breakdown of a :class:`Counters`' tallies, read-only, with
+    ``Counter`` semantics: a missing key reads 0 and a key is present
+    while its tally is nonzero.  Its keys are ``(cache name, Reason)``
+    pairs, or ``FaultKind`` members.  There is no way to write through
+    it."""
+
+    __slots__ = ("_counters", "_offset", "_pairs")
+
+    def __init__(self, counters: "Counters", offset: int, pairs: bool):
+        self._counters, self._offset, self._pairs = counters, offset, pairs
+
+    def __getitem__(self, key) -> int:
+        counters = self._counters
+        if not self._pairs:
+            return counters.fault_tally[self._offset + key.index]
+        cache, reason = key
+        base = counters.rows.get(cache)
+        if base is None:
+            return 0
+        return counters.cache_tally[base + self._offset + reason.index]
+
+    def __iter__(self):
+        counters, offset = self._counters, self._offset
+        if not self._pairs:
+            return (kind for kind in FaultKind
+                    if counters.fault_tally[offset + kind.index])
+        tally = counters.cache_tally
+        return ((cache, reason) for cache, base in counters.rows.items()
+                for reason in Reason if tally[base + offset + reason.index])
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __contains__(self, key) -> bool:
+        return any(k == key for k in self)
+
+    def copy(self) -> Counter:
+        return Counter(self)
+
+
+def _view(name: str) -> property:
+    pairs = name in PAIR_OFFSETS
+    offset = PAIR_OFFSETS[name] if pairs else KIND_OFFSETS[name]
+    return property(lambda self: Breakdown(self, offset, pairs))
+
+
+@dataclass(eq=False)
 class Counters:
     """Mutable event counters with cycle attribution.
 
     One instance is shared by the machine, its caches, the DMA engine and
-    the kernel so that a single object describes a whole run.  During a
-    live run, :meth:`record_flush`, :meth:`record_purge` and
-    :meth:`record_fault` are the only writers of the six ``Counter``
-    fields; the trace recorder relies on this and checks it.
+    the kernel so that a single object describes a whole run.
+
+    The six breakdowns (flushes and purges by cache and :class:`Reason`,
+    faults by :class:`FaultKind`, each as a count and as cycles) are
+    fixed-index integer tallies, :attr:`fault_tally` and one row per
+    cache name in :attr:`cache_tally`.  ``record_*`` are their writers;
+    ``page_flushes[(cache, reason)]``, ``faults[kind]`` and the rest are
+    read-only :class:`Breakdown` views.
     """
 
     # cache traffic
@@ -109,16 +182,6 @@ class Counters:
     write_hits: int = 0
     write_misses: int = 0
     write_backs: int = 0
-
-    # cache management, split per cache name ("dcache"/"icache") and reason
-    page_flushes: Counter = field(default_factory=Counter)   # (cache, Reason) -> n
-    page_purges: Counter = field(default_factory=Counter)    # (cache, Reason) -> n
-    flush_cycles: Counter = field(default_factory=Counter)   # (cache, Reason) -> cycles
-    purge_cycles: Counter = field(default_factory=Counter)   # (cache, Reason) -> cycles
-
-    # faults
-    faults: Counter = field(default_factory=Counter)         # FaultKind -> n
-    fault_cycles: Counter = field(default_factory=Counter)   # FaultKind -> cycles
 
     # TLB
     tlb_hits: int = 0
@@ -158,6 +221,27 @@ class Counters:
     frames_quarantined: int = 0     # frames retired after failing DMA
                                     # transfer verification repeatedly
 
+    # cache management, per cache name ("dcache"/"icache") and reason
+    page_flushes = _view("page_flushes")   # (cache, Reason) -> n
+    page_purges = _view("page_purges")     # (cache, Reason) -> n
+    flush_cycles = _view("flush_cycles")   # (cache, Reason) -> cycles
+    purge_cycles = _view("purge_cycles")   # (cache, Reason) -> cycles
+
+    # faults
+    faults = _view("faults")               # FaultKind -> n
+    fault_cycles = _view("fault_cycles")   # FaultKind -> cycles
+
+    def __post_init__(self) -> None:
+        self.fault_tally: list[int] = [0] * (2 * N_KINDS)
+        self.cache_tally: list[int] = []
+        self.rows: dict[str, int] = {}   # cache name -> its row
+
+    def __eq__(self, other):
+        if type(other) is not Counters:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in SCALAR_FIELDS + BREAKDOWNS)
+
     def __repr__(self) -> str:
         return (f"Counters(reads={self.read_hits}h/{self.read_misses}m, "
                 f"writes={self.write_hits}h/{self.write_misses}m, "
@@ -167,45 +251,60 @@ class Counters:
                 f"purges={self.total_purges()}, "
                 f"faults={sum(self.faults.values())})")
 
+    def row(self, cache: str) -> int:
+        """The start of ``cache``'s row in :attr:`cache_tally`, registering
+        the row on first use."""
+        base = self.rows.get(cache)
+        if base is None:
+            base = self.rows[cache] = len(self.cache_tally)
+            self.cache_tally.extend([0] * (4 * N_REASONS))
+        return base
+
     def record_flush(self, cache: str, reason: Reason, cycles: int) -> None:
-        self.page_flushes[(cache, reason)] += 1
-        self.flush_cycles[(cache, reason)] += cycles
+        slot = self.row(cache) + reason.index
+        tally = self.cache_tally
+        tally[slot] += 1
+        tally[slot + _CYCLES] += cycles
 
     def record_purge(self, cache: str, reason: Reason, cycles: int) -> None:
-        self.page_purges[(cache, reason)] += 1
-        self.purge_cycles[(cache, reason)] += cycles
+        slot = self.row(cache) + N_REASONS + reason.index
+        tally = self.cache_tally
+        tally[slot] += 1
+        tally[slot + _CYCLES] += cycles
 
     def record_fault(self, kind: FaultKind, cycles: int) -> None:
-        self.faults[kind] += 1
-        self.fault_cycles[kind] += cycles
+        tally = self.fault_tally
+        tally[kind.index] += 1
+        tally[kind.index + N_KINDS] += cycles
 
     # ---- aggregation helpers used by the analysis layer -------------------
 
     def total_flushes(self, cache: str | None = None,
                       reason: Reason | None = None) -> int:
-        return self._total(self.page_flushes, cache, reason)
+        return self._total(PAIR_OFFSETS["page_flushes"], cache, reason)
 
     def total_purges(self, cache: str | None = None,
                      reason: Reason | None = None) -> int:
-        return self._total(self.page_purges, cache, reason)
+        return self._total(PAIR_OFFSETS["page_purges"], cache, reason)
 
     def total_flush_cycles(self, cache: str | None = None,
                            reason: Reason | None = None) -> int:
-        return self._total(self.flush_cycles, cache, reason)
+        return self._total(PAIR_OFFSETS["flush_cycles"], cache, reason)
 
     def total_purge_cycles(self, cache: str | None = None,
                            reason: Reason | None = None) -> int:
-        return self._total(self.purge_cycles, cache, reason)
+        return self._total(PAIR_OFFSETS["purge_cycles"], cache, reason)
 
-    @staticmethod
-    def _total(counter: Counter, cache: str | None, reason: Reason | None) -> int:
+    def _total(self, offset: int, cache: str | None,
+               reason: Reason | None) -> int:
         # A cluster's per-CPU caches record under "cpu{i}.dcache"; a query
         # for "dcache" aggregates them so the analysis layer is agnostic
         # to how many CPUs produced the traffic.
-        return sum(n for (c, r), n in counter.items()
-                   if (cache is None or c == cache
-                       or c.endswith("." + cache))
-                   and (reason is None or r == reason))
+        slots = range(N_REASONS) if reason is None else (reason.index,)
+        return sum(self.cache_tally[base + offset + i]
+                   for name, base in self.rows.items()
+                   if cache is None or name == cache
+                   or name.endswith("." + cache) for i in slots)
 
     def snapshot(self) -> dict:
         """A plain-dict summary convenient for table rendering.
@@ -218,15 +317,16 @@ class Counters:
         the events chaos runs exist to count.
         """
         snap = {name: getattr(self, name) for name in SCALAR_FIELDS}
+        tally = self.fault_tally
         snap.update(
             page_flushes=self.total_flushes(),
             page_purges=self.total_purges(),
             flush_cycles=self.total_flush_cycles(),
             purge_cycles=self.total_purge_cycles(),
-            mapping_faults=self.faults[FaultKind.MAPPING],
-            consistency_faults=self.faults[FaultKind.CONSISTENCY],
-            protection_faults=self.faults[FaultKind.PROTECTION],
-            fault_cycles=sum(self.fault_cycles.values()))
+            mapping_faults=tally[FaultKind.MAPPING.index],
+            consistency_faults=tally[FaultKind.CONSISTENCY.index],
+            protection_faults=tally[FaultKind.PROTECTION.index],
+            fault_cycles=sum(tally[N_KINDS:2 * N_KINDS]))
         return snap
 
 
@@ -234,5 +334,4 @@ class Counters:
 #: :meth:`Counters.snapshot` and the metrics export
 #: (:mod:`repro.obs.export`) carry one-to-one, so a new counter reaches
 #: both without a hand-kept list.
-SCALAR_FIELDS = tuple(f.name for f in fields(Counters)
-                      if isinstance(f.default, int))
+SCALAR_FIELDS = tuple(f.name for f in fields(Counters))

@@ -55,7 +55,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReproError, open_input
 from repro.hw.params import WORD_SIZE, CacheGeometry, CostModel
-from repro.hw.stats import SCALAR_FIELDS, Counters, FaultKind, Reason
+from repro.hw.stats import (KIND_OFFSETS, PAIR_OFFSETS, SCALAR_FIELDS,
+                             Counters, FaultKind, Reason)
 
 FORMAT_VERSION = 3
 MAGIC = b"RTRACE1\n"
@@ -89,7 +90,8 @@ OP_DTYPE = np.dtype([("op", np.int16), ("asid", np.int32),
                      ("aux", np.int64)])
 
 # Flush/purge reasons are encoded by index into this tuple; enum member
-# order is part of the format (append-only).
+# order is part of the format (append-only).  ``Reason.index`` is the
+# same number.
 REASONS = tuple(Reason)
 REASON_INDEX = {reason: i for i, reason in enumerate(REASONS)}
 
@@ -118,32 +120,36 @@ COUNTER_SCALARS = (
 #: refuses a window in which one moved rather than drop it silently.
 UNENCODED_SCALARS = tuple(name for name in SCALAR_FIELDS
                           if name not in COUNTER_SCALARS)
-COUNTER_PAIR_FIELDS = ("page_flushes", "page_purges",
-                       "flush_cycles", "purge_cycles")   # (cache, Reason) -> n
-COUNTER_KIND_FIELDS = ("faults", "fault_cycles")          # FaultKind -> n
+COUNTER_PAIR_FIELDS = tuple(PAIR_OFFSETS)   # (cache, Reason) -> n
+COUNTER_KIND_FIELDS = tuple(KIND_OFFSETS)   # FaultKind -> n
 COUNTER_DICT_FIELDS = COUNTER_PAIR_FIELDS + COUNTER_KIND_FIELDS
 
-
-def _pair_key(key) -> str:
-    cache, reason = key
-    return f"{cache}|{reason.value}"
-
-
-def _kind_key(kind) -> str:
-    return kind.value
-
-
-#: how each of ``COUNTER_DICT_FIELDS`` spells its keys in the image
-COUNTER_KEY_ENCODERS = ((_pair_key,) * len(COUNTER_PAIR_FIELDS)
-                        + (_kind_key,) * len(COUNTER_KIND_FIELDS))
+def encode_tally(rows: dict, cache_tally, fault_tally) -> dict:
+    """The six breakdowns of a :class:`Counters`' tallies, cache rows laid
+    out by ``rows``, as the image spells them: ``"cache|reason"`` or
+    ``"kind"`` by the enums' values, nonzero slots only."""
+    image: dict = {name: {} for name in COUNTER_DICT_FIELDS}
+    for name, offset in KIND_OFFSETS.items():
+        field = image[name]
+        for kind in FaultKind:
+            n = fault_tally[offset + kind.index]
+            if n:
+                field[kind.value] = n
+    for cache, base in rows.items():
+        for name, offset in PAIR_OFFSETS.items():
+            field = image[name]
+            for reason in REASONS:
+                n = cache_tally[base + offset + reason.index]
+                if n:
+                    field[f"{cache}|{reason.value}"] = n
+    return image
 
 
 def encode_counters(counters: Counters) -> dict:
     """Lossless, JSON-able image of a :class:`Counters` instance."""
     state: dict = {name: getattr(counters, name) for name in COUNTER_SCALARS}
-    for name, key_of in zip(COUNTER_DICT_FIELDS, COUNTER_KEY_ENCODERS):
-        state[name] = {key_of(key): n
-                       for key, n in getattr(counters, name).items() if n}
+    state.update(encode_tally(counters.rows, counters.cache_tally,
+                              counters.fault_tally))
     return state
 
 
@@ -156,35 +162,30 @@ def decode_counters(state: dict) -> Counters:
 
 def diff_counters(before: dict, after: dict) -> dict:
     """Sparse delta such that ``before + delta == after`` (all-additive)."""
-    delta: dict = {}
-    for name in COUNTER_SCALARS:
-        d = after[name] - before[name]
-        if d:
-            delta[name] = d
-    for name in COUNTER_DICT_FIELDS:
-        b, a = before[name], after[name]
-        sub = {key: a.get(key, 0) - b.get(key, 0)
-               for key in set(a) | set(b)
-               if a.get(key, 0) != b.get(key, 0)}
-        if sub:
-            delta[name] = sub
-    return delta
+    counters = decode_counters(after)
+    apply_counters_delta(counters, before, -1)
+    return {name: value for name, value in encode_counters(counters).items()
+            if value}
 
 
-def apply_counters_delta(counters: Counters, delta: dict) -> None:
-    """Add a :func:`diff_counters` delta (or a full encoded state) in place."""
+def apply_counters_delta(counters: Counters, delta: dict,
+                         times: int = 1) -> None:
+    """Add ``times`` copies of a :func:`diff_counters` delta (or of a full
+    encoded state) in place."""
     for name, value in delta.items():
-        if name in COUNTER_PAIR_FIELDS:
-            counter = getattr(counters, name)
+        if name in PAIR_OFFSETS:
+            offset = PAIR_OFFSETS[name]
             for key, n in value.items():
                 cache, reason = key.split("|", 1)
-                counter[(cache, Reason(reason))] += n
-        elif name in COUNTER_KIND_FIELDS:
-            counter = getattr(counters, name)
+                counters.cache_tally[counters.row(cache) + offset
+                                     + Reason(reason).index] += n * times
+        elif name in KIND_OFFSETS:
+            offset = KIND_OFFSETS[name]
             for key, n in value.items():
-                counter[FaultKind(key)] += n
+                counters.fault_tally[offset + FaultKind(key).index] += (
+                    n * times)
         else:
-            setattr(counters, name, getattr(counters, name) + value)
+            setattr(counters, name, getattr(counters, name) + value * times)
 
 
 # ---- machine-config codec ---------------------------------------------------

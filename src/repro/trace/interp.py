@@ -11,9 +11,9 @@ ops.  That asymmetry is the speedup.
 The op-stream is first *compiled* into a threaded program — a flat list
 of instruction tuples with every operand pre-resolved (set index and
 physical line tag computed, value-stream slices taken, SYNC counter
-deltas parsed into attribute adds, flush reasons interned).  Hot
-single-line runs, page operations and SYNC deltas become specialized
-instructions; everything else becomes a direct call into the very same
+deltas summed, flush and purge tallies resolved to their slots).  Hot
+single-line runs and page operations become specialized instructions;
+everything else becomes a direct call into the very same
 :class:`~repro.hw.cache.Cache` methods the live machine uses.  The page
 instructions call the same page kernels as those methods
 (:func:`~repro.hw.cache.flush_lines`, ``purge_lines``, ``fill_lines``,
@@ -38,10 +38,10 @@ from repro.hw.cache import (_INVALID, Cache, fill_lines, flush_lines,
                             purge_lines, store_lines)
 from repro.hw.params import WORD_SIZE, CacheGeometry, CostModel
 from repro.hw.physmem import PhysicalMemory
-from repro.hw.stats import Clock, Counters, FaultKind, Reason
+from repro.hw.stats import PAIR_OFFSETS, Clock, Counters
 from repro.obs.events import EventBus
 from repro.trace.format import (
-    COUNTER_KIND_FIELDS, COUNTER_PAIR_FIELDS, OP_BUS, OP_D_INVAL,
+    OP_BUS, OP_D_INVAL,
     OP_D_READ_PAGE, OP_D_READ_RUN, OP_D_WRITE_RUN, OP_I_INVAL,
     OP_I_READ_PAGE, OP_I_READ_RUN, OP_I_WRITE_RUN, OP_MEM_WRITE, OP_SYNC,
     REASONS, Trace, TraceFormatError, apply_counters_delta, diff_counters,
@@ -53,20 +53,22 @@ _RUN_OPS = {OP_D_READ_RUN: (0, False), OP_D_WRITE_RUN: (0, True),
             OP_I_READ_RUN: (1, False), OP_I_WRITE_RUN: (1, True)}
 
 # Threaded-program instruction codes (first element of each tuple).
-# SYNC instructions appear only on the events path: without a bus, every
-# instruction executes exactly once, so all SYNC effects are summed at
-# compile time and applied after execution (see ``_Deferred``).
+# SYNC instructions appear only on the events path, and carry only the
+# clock: every instruction executes exactly once and nothing reads the
+# counters between instructions, so all SYNC counter deltas (and, without
+# a bus, their clock deltas too) are summed at compile time and applied
+# after execution.
 _SYNC_CLOCK = 0     # (op, clock_delta)
-_SYNC_TLB = 1       # (op, clock_delta, tlb_hits)
-_SYNC_DELTA = 2     # (op, clock_delta, scalar_adds, counter_adds)
-_D_READ1 = 3        # (op, set, tag, n_words)
-_D_WRITE1 = 4       # (op, set, tag, n_words, first_word, values_view)
-_I_READ1 = 5        # (op, set, tag, n_words)
-_CALL = 6           # (op, callable, args_tuple)
-_FLUSH = 7          # (op, pack, want, cell)
-_PURGE = 8          # (op, pack, want, cell, const_cycles)
-_RPAGE = 9          # (op, pack, want)
-_WPAGE = 10         # (op, pack, want, values_page_view)
+_D_READ1 = 1        # (op, set, tag, n_words)
+_D_WRITE1 = 2       # (op, set, tag, n_words, first_word, values_view)
+_I_READ1 = 3        # (op, set, tag, n_words)
+_CALL = 4           # (op, callable, args_tuple)
+_FLUSH = 5          # (op, pack, want, count_slot)
+_PURGE = 6          # (op, pack, want, count_slot, const_cycles)
+_RPAGE = 7          # (op, pack, want)
+_WPAGE = 8          # (op, pack, want, values_page_view)
+#: a flush or purge tally's cycles slot, from its count slot
+_CYCLES = PAIR_OFFSETS["flush_cycles"] - PAIR_OFFSETS["page_flushes"]
 
 
 @dataclass
@@ -87,77 +89,6 @@ class ReplayResult:
     icache: Cache | None = field(default=None, repr=False)
 
 
-def _merge_delta(acc: dict, delta: dict, times: int) -> None:
-    """Additively merge ``times`` copies of a sparse counters delta."""
-    for name, value in delta.items():
-        if isinstance(value, dict):
-            sub = acc.setdefault(name, {})
-            for key, n in value.items():
-                sub[key] = sub.get(key, 0) + n * times
-        else:
-            acc[name] = acc.get(name, 0) + value * times
-
-
-@dataclass
-class _Deferred:
-    """Compile-time-summed effects applied once after execution.
-
-    Without an event bus nothing observes the clock or counters between
-    instructions, and every instruction executes exactly once — so the
-    SYNC ops' clock and counter deltas are constants of the *program*,
-    not of its execution, and the per-reason flush/purge tallies can
-    accumulate in plain list cells (one per distinct reason) instead of
-    hashing a ``(cache, Reason)`` key per operation.
-    """
-
-    sync_clock: int = 0
-    sync_aux: dict = field(default_factory=dict)    # sidecar idx -> count
-    flush_cells: dict = field(default_factory=dict)  # key -> [n, cycles]
-    purge_cells: dict = field(default_factory=dict)
-
-    def apply(self, clock: Clock, counters: Counters, sidecar) -> None:
-        clock.cycles += self.sync_clock
-        total: dict = {}
-        for aux, times in self.sync_aux.items():
-            _merge_delta(total, sidecar[aux], times)
-        apply_counters_delta(counters, total)
-        for (pairs, cells) in (
-                ((counters.page_flushes, counters.flush_cycles),
-                 self.flush_cells),
-                ((counters.page_purges, counters.purge_cycles),
-                 self.purge_cells)):
-            count_ctr, cycle_ctr = pairs
-            for key, (n, cycles) in cells.items():
-                count_ctr[key] += n
-                cycle_ctr[key] += cycles
-
-
-def _compile_sync(counters: Counters, delta: dict):
-    """Pre-parse one sidecar counters delta into instruction operands.
-
-    Returns ``("tlb", n)`` for the overwhelmingly common pure-TLB-hit
-    delta, else ``(scalar_adds, counter_adds)`` with enum keys resolved
-    once instead of on every application.
-    """
-    if len(delta) == 1 and "tlb_hits" in delta:
-        return ("tlb", delta["tlb_hits"])
-    scalars = []
-    ctr = []
-    for name, value in delta.items():
-        if name in COUNTER_PAIR_FIELDS:
-            counter = getattr(counters, name)
-            for key, n in value.items():
-                cache, reason = key.split("|", 1)
-                ctr.append((counter, (cache, Reason(reason)), n))
-        elif name in COUNTER_KIND_FIELDS:
-            counter = getattr(counters, name)
-            for key, n in value.items():
-                ctr.append((counter, FaultKind(key), n))
-        else:
-            scalars.append((name, value))
-    return (tuple(scalars), tuple(ctr))
-
-
 def _compile(rows, values, sidecar, dcache, icache, memory, counters,
              bus):
     """Lower the op-stream into a threaded program for this machine.
@@ -165,7 +96,9 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
     Every instruction operand is resolved against the live replay state
     (array views, bound methods, interned enum keys), so execution is a
     tight dispatch loop with no per-op parsing.  Returns ``(program,
-    words_consumed, deferred)``.
+    words_consumed, sync_clock, sync_aux)``: the clock deltas of the SYNC
+    ops left out of the program and each SYNC counters delta's
+    occurrences, by sidecar index.
     """
     geos = (dcache.geo, icache.geo)
     # The specialized instructions assume direct-mapped write-back
@@ -193,15 +126,13 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
                    for cp in range(g.num_cache_pages))]
         for c, g, n in zip(caches, geos, lpp))
 
-    sync_cache: dict[int, tuple] = {}
     prog: list = []
     vpos = 0
-    deferred = _Deferred()
     # Events need the clock exact at every publish, so the events path
-    # keeps SYNC as in-stream instructions; otherwise SYNC is summed at
-    # compile time (every instruction runs exactly once) and applied once.
+    # keeps the SYNC clock deltas as in-stream instructions; otherwise
+    # they are summed here too.
     defer = bus is None
-    sync_aux = deferred.sync_aux
+    sync_aux: dict = {}
     sync_clock = 0
     # Each cache's page-tag memo, read here first: most page ops name a
     # frame an earlier op already did.
@@ -209,23 +140,12 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
 
     for op, asid, va, ln, aux in rows:
         if op == OP_SYNC:
+            if aux >= 0:
+                sync_aux[aux] = sync_aux.get(aux, 0) + 1
             if defer:
                 sync_clock += va
-                if aux >= 0:
-                    sync_aux[aux] = sync_aux.get(aux, 0) + 1
-                continue
-            if aux < 0:
-                instr = (_SYNC_CLOCK, va)
             else:
-                compiled = sync_cache.get(aux)
-                if compiled is None:
-                    compiled = sync_cache[aux] = _compile_sync(
-                        counters, sidecar[aux])
-                if compiled[0] == "tlb":
-                    instr = (_SYNC_TLB, va, compiled[1])
-                else:
-                    instr = (_SYNC_DELTA, va, compiled[0], compiled[1])
-            prog.append(instr)
+                prog.append((_SYNC_CLOCK, va))
             continue
         info = _RUN_OPS.get(op)
         if info is not None:
@@ -305,19 +225,13 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
                           else cache.purge_page_frame)
                 prog.append((_CALL, method, (va, aux, REASONS[asid])))
             elif base == 3:
-                key = (cache.name, REASONS[asid])
-                cell = deferred.flush_cells.get(key)
-                if cell is None:
-                    cell = deferred.flush_cells[key] = [0, 0]
-                prog.append((_FLUSH, pack, want, cell))
+                prog.append((_FLUSH, pack, want, counters.row(cache.name)
+                             + PAIR_OFFSETS["page_flushes"] + asid))
             else:
-                key = (cache.name, REASONS[asid])
-                cell = deferred.purge_cells.get(key)
-                if cell is None:
-                    cell = deferred.purge_cells[key] = [0, 0]
                 const = (cache.cost.icache_purge_page
                          if cache.is_icache else -1)
-                prog.append((_PURGE, pack, want, cell, const))
+                prog.append((_PURGE, pack, want, counters.row(cache.name)
+                             + PAIR_OFFSETS["page_purges"] + asid, const))
             continue
         addr = aux if phys_idx[cache_idx] else va
         pack = packs[cache_idx][(addr // page_size[cache_idx])
@@ -332,8 +246,7 @@ def _compile(rows, values, sidecar, dcache, icache, memory, counters,
         else:                                           # *_ZERO_PAGE
             prog.append((_WPAGE, pack, want,
                          zeros[cache_idx].reshape(lpp[cache_idx], -1)))
-    deferred.sync_clock = sync_clock
-    return prog, vpos, deferred
+    return prog, vpos, sync_clock, sync_aux
 
 
 def _execute(prog, ctx) -> None:
@@ -364,15 +277,13 @@ def _execute(prog, ctx) -> None:
     fl_miss = cost.flush_line_miss
     pl_hit = cost.purge_line_hit
     pl_miss = cost.purge_line_miss
-    cyc = tlb_h = r_hit = r_miss = w_hit = w_miss = wbk = 0
+    tally = co.cache_tally
+    cyc = r_hit = r_miss = w_hit = w_miss = wbk = 0
     tick_d = dcache._tick
     tick_i = icache._tick
     for item in prog:
         code = item[0]
-        if code == _SYNC_TLB:
-            cyc += item[1]
-            tlb_h += item[2]
-        elif code == _D_READ1:
+        if code == _D_READ1:
             _, s, tag, n = item
             old = td.item(s)
             if old == tag:
@@ -440,23 +351,17 @@ def _execute(prog, ctx) -> None:
                 r_hit += n - 1
             tick_i += n
             lrui[s] = tick_i
-        elif code == _SYNC_DELTA:
-            cyc += item[1]
-            for name, v in item[2]:
-                setattr(co, name, getattr(co, name) + v)
-            for counter, key, v in item[3]:
-                counter[key] += v
         elif code == _FLUSH:
-            _, pack, want, cell = item
+            _, pack, want, slot = item
             t, dy, dat, mem_lines, lpp, _page_hit = pack
             hits, nd = flush_lines(t, dy, dat, mem_lines, want)
             wbk += nd
             cycles = hits * fl_hit + (lpp - hits) * fl_miss + nd * cost_wb
             cyc += cycles
-            cell[0] += 1
-            cell[1] += cycles
+            tally[slot] += 1
+            tally[slot + _CYCLES] += cycles
         elif code == _PURGE:
-            _, pack, want, cell, const_cycles = item
+            _, pack, want, slot, const_cycles = item
             t, dy, _dat, _mem_lines, lpp, _page_hit = pack
             hits = purge_lines(t, dy, want)
             if const_cycles >= 0:
@@ -464,8 +369,8 @@ def _execute(prog, ctx) -> None:
             else:
                 cycles = hits * pl_hit + (lpp - hits) * pl_miss
             cyc += cycles
-            cell[0] += 1
-            cell[1] += cycles
+            tally[slot] += 1
+            tally[slot + _CYCLES] += cycles
         elif code == _RPAGE:
             _, pack, want = item
             t, dy, dat, mem_lines, lpp, page_hit = pack
@@ -484,7 +389,6 @@ def _execute(prog, ctx) -> None:
         else:  # pragma: no cover - compile emits only the codes above
             raise TraceFormatError(f"unknown instruction code {code}")
     ck.cycles += cyc
-    co.tlb_hits += tlb_h
     co.read_hits += r_hit
     co.read_misses += r_miss
     co.write_hits += w_hit
@@ -499,15 +403,17 @@ def _run(rows, values, sidecar, dcache: Cache, icache: Cache,
     """Compile and execute op-stream ``rows`` on caches sharing one
     clock, counters and ``memory``; return the value words consumed."""
     clock, counters = dcache.clock, dcache.counters
-    prog, vpos, deferred = _compile(rows, values, sidecar, dcache, icache,
-                                    memory, counters, bus)
+    prog, vpos, sync_clock, sync_aux = _compile(
+        rows, values, sidecar, dcache, icache, memory, counters, bus)
     ctx = (clock, counters, memory._words, (dcache, icache),
            dcache._tags[0], dcache._dirty[0], dcache._data[0],
            dcache._lru[0], dcache.geo.words_per_line,
            icache._tags[0], icache._dirty[0], icache._data[0],
            icache._lru[0], icache.geo.words_per_line)
     _execute(prog, ctx)
-    deferred.apply(clock, counters, sidecar)
+    clock.cycles += sync_clock
+    for aux, times in sync_aux.items():
+        apply_counters_delta(counters, sidecar[aux], times)
     return vpos
 
 

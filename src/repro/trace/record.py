@@ -14,16 +14,15 @@ Everything else the system does to the shared clock and counters between
 recorded ops — TLB accounting, fault handling, DMA setup charges,
 compute time, injection recovery — is reconciled by SYNC deltas emitted
 lazily before the next op.  This is what makes the compiler total: it
-needs no model of the kernel, only of drift.  Drift is learnt where it
-happens.  The clock and the 17 encoded scalars are marked after each op
-and compared before the next.  The six ``Counter`` fields (flushes,
-purges and faults by cache, reason and kind) are never compared: their
-only writers, ``Counters.record_flush``/``record_purge``/
-``record_fault``, are wrapped too, and a call between ops (a fault)
-adds to the pending SYNC delta while a call inside an op belongs to
-that op.  :func:`record_run` checks at the end of the window that the
-fields equal their start plus every call the wrappers saw, and refuses
-a window that wrote them any other way.
+needs no model of the kernel, only of drift.  The clock and the counters
+are marked after each op and compared before the next: the 17 encoded
+scalars, and the six breakdowns (flushes, purges and faults by cache,
+reason and kind) as :class:`Counters`' two tallies.  The breakdowns'
+only writers are ``Counters.record_*``; read through their views, they
+cannot change behind the mark.  Between most ops only the clock, the
+TLB's two counters and, after a fault, the fault tally move, so one
+comparison of everything else finds that case and its delta is interned
+by those few differences.
 
 Composed with the conformance monitor, the recorder attaches first
 (innermost) and the monitor second, so the monitor's judgments run
@@ -37,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
-from collections import Counter
+from itertools import zip_longest
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from repro.analysis.experiments import (EVALUATION_BUFFER_CACHE_PAGES,
                                         FailStop, boot, evaluation_machine)
 from repro.errors import ConfigurationError
 from repro.hw.machine import Machine
-from repro.hw.stats import Counters, Reason
+from repro.hw.stats import N_KINDS, Reason
 from repro.obs.patch import Observer, Patches
 from repro.policy import resolve
 from repro.trace.format import (
@@ -53,9 +52,9 @@ from repro.trace.format import (
     OP_D_READ_RUN, OP_D_WRITE_PAGE, OP_D_WRITE_RUN, OP_D_ZERO_PAGE,
     OP_I_FLUSH, OP_I_INVAL, OP_I_PURGE, OP_I_READ_PAGE, OP_I_READ_RUN,
     OP_I_WRITE_PAGE, OP_I_WRITE_RUN, OP_I_ZERO_PAGE, OP_MEM_WRITE,
-    OP_SYNC, OP_DTYPE, REASON_INDEX, COUNTER_DICT_FIELDS,
-    COUNTER_KEY_ENCODERS, COUNTER_SCALARS, UNENCODED_SCALARS, CacheImage,
-    Trace, TraceFormatError, encode_cost, encode_counters, encode_geometry,
+    OP_SYNC, OP_DTYPE, COUNTER_SCALARS, UNENCODED_SCALARS,
+    CacheImage, Trace, TraceFormatError, encode_cost, encode_counters,
+    encode_geometry, encode_tally,
 )
 
 #: the cache entry points recorded at depth 0 (management + data ops).
@@ -67,17 +66,20 @@ _CACHE_METHODS = ("read", "write", "read_run", "write_run", "read_page",
 #: ``zero_page`` have no depth-0 callers.
 _MEMORY_METHODS = ("write_word", "write_words", "write_page")
 
-_scalars = operator.attrgetter(*COUNTER_SCALARS)
+#: the encoded scalars but the TLB's two, which move between most ops
+_COLD_SCALARS = tuple(name for name in COUNTER_SCALARS
+                      if name not in ("tlb_hits", "tlb_misses"))
+_cold = operator.attrgetter(*_COLD_SCALARS)
 _unencoded = operator.attrgetter(*UNENCODED_SCALARS)
-_KEY_OF = dict(zip(COUNTER_DICT_FIELDS, COUNTER_KEY_ENCODERS))
-#: the only writers of the six Counter fields during a live run: each
-#: method's two fields, the count and the cycles under one key.
-_TALLY_METHODS = (("record_flush", "page_flushes", "flush_cycles"),
-                  ("record_purge", "page_purges", "purge_cycles"),
-                  ("record_fault", "faults", "fault_cycles"))
-# dict's own equality, not Counter's (which counts a zero entry as
-# absent): the guard refuses a key added or dropped behind the wrappers.
-_dict_eq = dict.__eq__
+_NO_FAULTS = (0,) * (2 * N_KINDS)
+
+
+def _moved(now: list, then: list) -> tuple:
+    """The cache tally's ``now - then`` slot by slot (a row registered
+    since counts from zero), or () if no slot moved."""
+    if now == then:
+        return ()
+    return tuple(n - m for n, m in zip_longest(now, then, fillvalue=0))
 
 
 def _delta_key(delta: dict) -> frozenset:
@@ -114,23 +116,26 @@ class TraceRecorder(Observer):
         self.counters = machine.counters
         self._depth = 0
         self._ops: list[tuple] = []
-        self._values: list = []          # ints and uint64 arrays, in op order
+        self._values: list = []          # uint64 arrays, in op order
         self._sidecar: list = []
         self._sidecar_index: dict = {}   # canonical key -> sidecar index
         self._sync_index: dict = {}      # raw drift key -> sidecar index
-        self._pending: dict = {}         # (field, encoded key) -> amount
+        self._faults_mark = None
+        self._cold_mark = ((), None)
         self._mark()
 
     # ---- drift reconciliation ------------------------------------------------
     #
-    # The scalar mark is the clock plus the 17 encoded scalars as one
-    # tuple; "nothing moved" is an exact equality against it.  The six
-    # Counter fields are not marked: their writers (``Counters.record_*``)
-    # are wrapped, and a call at depth 0 adds its encoded amounts to
-    # ``_pending``.  A SYNC's sidecar slot is found by the raw scalar
-    # difference plus the pending amounts; the encoded delta and its
-    # canonical key are built once per distinct raw key.  The delta
-    # equals ``diff_counters(encode_counters(mark), encode_counters(now))``.
+    # Between most ops only the clock and the hot counters move: the TLB's
+    # hits and misses, and the fault tally when a fault was taken.  The
+    # mark keeps those one by one, and everything else (the cold part:
+    # the other 15 encoded scalars as one tuple and a copy of the cache
+    # tally) as one pair, so one equality finds the common case and its
+    # delta is interned by the hot differences alone.  Other drift is
+    # keyed by the cold differences too.  A tally is copied again only
+    # when it moved.  The encoded delta and its canonical key are built
+    # once per distinct raw key, and equal
+    # ``diff_counters(encode_counters(mark), encode_counters(now))``.
 
     def _sidecar_ref(self, entry, key) -> int:
         """Intern a sidecar entry under ``key``; equal keys share a slot."""
@@ -141,33 +146,57 @@ class TraceRecorder(Observer):
             self._sidecar_index[key] = idx
         return idx
 
-    def _sync_ref(self, diff: tuple, pending: dict) -> int:
-        """The sidecar slot of a SYNC delta (-1 if it encodes to nothing)."""
-        raw = (diff, frozenset(pending.items()) if pending else None)
+    def _sync_ref(self, hot: tuple, scalars: tuple = (),
+                  caches: tuple = ()) -> int:
+        """The sidecar slot of a SYNC delta (-1 if it encodes to nothing):
+        ``hot`` is the TLB hits', TLB misses' and fault tally's
+        differences, ``scalars`` and ``caches`` the cold part's (empty if
+        it did not move)."""
+        raw = (hot, scalars, caches) if scalars else hot
         idx = self._sync_index.get(raw)
         if idx is None:
-            delta = {name: d for name, d in zip(COUNTER_SCALARS, diff) if d}
-            for (name, key), n in pending.items():
-                if n:
-                    delta.setdefault(name, {})[key] = n
+            hits, misses, faults = hot
+            delta = {name: d for name, d in (("tlb_hits", hits),
+                                             ("tlb_misses", misses)) if d}
+            delta.update((name, d) for name, d in zip(_COLD_SCALARS,
+                                                       scalars) if d)
+            if faults or caches:
+                delta.update((name, moved) for name, moved in encode_tally(
+                    self.counters.rows if caches else {}, caches,
+                    faults or _NO_FAULTS).items() if moved)
             idx = self._sidecar_ref(delta, _delta_key(delta)) if delta else -1
             self._sync_index[raw] = idx
         return idx
 
     def _pre_op(self) -> None:
         """Emit a SYNC for any clock/counter drift since the last op."""
+        counters = self.counters
         clock_now = self.clock.cycles
-        scalars = _scalars(self.counters)
-        pending = self._pending
-        if (not pending and clock_now == self._clock_mark
-                and scalars == self._scalars_mark):
-            return
-        aux = -1
-        if pending or scalars != self._scalars_mark:
-            aux = self._sync_ref(tuple(map(operator.sub, scalars,
-                                           self._scalars_mark)), pending)
-            pending.clear()
-            self._scalars_mark = scalars
+        hits = counters.tlb_hits - self._hits_mark
+        misses = counters.tlb_misses - self._misses_mark
+        faults = counters.fault_tally
+        faults = (() if faults == self._faults_mark
+                  else tuple(map(operator.sub, faults, self._faults_mark)))
+        cold = (_cold(counters), counters.cache_tally)
+        if cold == self._cold_mark:
+            if not (hits or misses or faults):
+                if clock_now == self._clock_mark:
+                    return
+                aux = -1
+            else:
+                aux = self._sync_ref((hits, misses, faults))
+        else:
+            scalars, caches = self._cold_mark
+            caches_moved = _moved(cold[1], caches)
+            aux = self._sync_ref(
+                (hits, misses, faults),
+                tuple(map(operator.sub, cold[0], scalars)), caches_moved)
+            self._cold_mark = (cold[0],
+                               cold[1][:] if caches_moved else caches)
+        self._hits_mark += hits
+        self._misses_mark += misses
+        if faults:
+            self._faults_mark = counters.fault_tally[:]
         # Amounts that cancel encode to nothing: with the clock still,
         # there is no drift to emit.
         if aux >= 0 or clock_now != self._clock_mark:
@@ -176,136 +205,92 @@ class TraceRecorder(Observer):
             self._clock_mark = clock_now
 
     def _mark(self) -> None:
-        """Mark the clock and scalars: before attach and after each op."""
+        """Mark the clock and counters: before attach and after each op."""
+        counters = self.counters
         self._clock_mark = self.clock.cycles
-        self._scalars_mark = _scalars(self.counters)
-
-    def untallied_fields(self) -> list[str]:
-        """The Counter fields that differ from their image at attach plus
-        every ``record_*`` call the wrappers saw: written some other way."""
-        return [name for name in COUNTER_DICT_FIELDS
-                if not _dict_eq(getattr(self.counters, name),
-                                getattr(self._tallied, name))]
+        self._hits_mark = counters.tlb_hits
+        self._misses_mark = counters.tlb_misses
+        if counters.fault_tally != self._faults_mark:
+            self._faults_mark = counters.fault_tally[:]
+        caches = self._cold_mark[1]
+        if counters.cache_tally != caches:
+            caches = counters.cache_tally[:]
+        self._cold_mark = (_cold(counters), caches)
 
     # ---- wrapping -------------------------------------------------------------
 
-    def _wrap(self, patches: Patches, obj, name: str, emit) -> None:
+    def _wrap(self, patches: Patches, obj, name: str, row) -> None:
+        """Record each depth-0 call of ``obj.name`` as the op ``row(*args)``
+        returns; ``row`` queues any values the op consumes."""
+        pre_op, mark, append = self._pre_op, self._mark, self._ops.append
+
         def make(orig):
             def wrapper(*args, **kwargs):
                 if self._depth:
                     return orig(*args, **kwargs)
-                self._pre_op()
-                emit(*args, **kwargs)
+                pre_op()
+                append(row(*args, **kwargs))
                 self._depth += 1
                 try:
                     return orig(*args, **kwargs)
                 finally:
                     self._depth -= 1
-                    self._mark()
+                    mark()
             return wrapper
 
         patches.wrap(obj, name, make)
 
-    def _emit(self, op: int, asid: int = 0, va: int = 0, length: int = 0,
-              aux: int = 0) -> None:
-        self._ops.append((op, asid, int(va), int(length), int(aux)))
+    def _queue(self, values) -> int:
+        """Queue an op's values; return how many."""
+        self._values.append(np.array(values, dtype=np.uint64))
+        return len(values)
 
-    def _wrap_cache(self, patches: Patches, cache, base: dict) -> None:
-        emitters = {
-            "read": lambda va, pa: self._emit(base["run_r"], va=va,
-                                              length=1, aux=pa),
-            "read_run": lambda va, pa, n: self._emit(base["run_r"], va=va,
-                                                     length=n, aux=pa),
-            "write": lambda va, pa, value: (
-                self._emit(base["run_w"], va=va, length=1, aux=pa),
-                self._values.append(int(np.uint64(value)))),
-            "write_run": lambda va, pa, values: (
-                self._emit(base["run_w"], va=va, length=len(values), aux=pa),
-                self._values.append(np.array(values, dtype=np.uint64))),
-            "read_page": lambda va, pa: self._emit(base["page_r"], va=va,
-                                                   aux=pa),
-            "write_page": lambda va, pa, values: (
-                self._emit(base["page_w"], va=va, length=len(values), aux=pa),
-                self._values.append(np.array(values, dtype=np.uint64))),
-            "zero_page": lambda va, pa: self._emit(base["page_z"], va=va,
-                                                   aux=pa),
+    def _wrap_cache(self, patches: Patches, cache, ops: tuple) -> None:
+        run_r, run_w, page_r, page_w, page_z, flush, purge, inval = ops
+        queue = self._queue
+        rows = {
+            "read": lambda va, pa: (run_r, 0, int(va), 1, int(pa)),
+            "read_run": lambda va, pa, n: (run_r, 0, int(va), int(n),
+                                           int(pa)),
+            "write": lambda va, pa, value: (run_w, 0, int(va),
+                                            queue((value,)), int(pa)),
+            "write_run": lambda va, pa, values: (run_w, 0, int(va),
+                                                 queue(values), int(pa)),
+            "read_page": lambda va, pa: (page_r, 0, int(va), 0, int(pa)),
+            "write_page": lambda va, pa, values: (page_w, 0, int(va),
+                                                  queue(values), int(pa)),
+            "zero_page": lambda va, pa: (page_z, 0, int(va), 0, int(pa)),
             "flush_page_frame": lambda cp, pa, reason=Reason.EXPLICIT:
-                self._emit(base["flush"], asid=REASON_INDEX[reason],
-                           va=cp, aux=pa),
+                (flush, reason.index, int(cp), 0, int(pa)),
             "purge_page_frame": lambda cp, pa, reason=Reason.EXPLICIT:
-                self._emit(base["purge"], asid=REASON_INDEX[reason],
-                           va=cp, aux=pa),
-            "invalidate_all": lambda: self._emit(base["inval"]),
+                (purge, reason.index, int(cp), 0, int(pa)),
+            "invalidate_all": lambda: (inval, 0, 0, 0, 0),
         }
         for name in _CACHE_METHODS:
-            self._wrap(patches, cache, name, emitters[name])
-
-    def _wrap_tally(self, patches: Patches, method: str, count_field: str,
-                    cycles_field: str) -> None:
-        """Wrap one writer of the Counter fields.  Every call is repeated
-        on ``_tallied`` for the end-of-window guard.  A call at depth 0
-        (a fault between ops) also adds its encoded amounts to the
-        pending SYNC; one inside a recorded op belongs to the op, and
-        replay reproduces it."""
-        key_of = _KEY_OF[count_field]
-        shadow = getattr(self._tallied, method)
-        pending = self._pending
-
-        def make(orig):
-            def wrapper(*args):          # (cache, reason, cycles) or
-                orig(*args)              # (kind, cycles)
-                shadow(*args)
-                if not self._depth:
-                    cycles = args[-1]
-                    key = key_of(args[0] if len(args) == 2 else args[:2])
-                    count = (count_field, key)
-                    pending[count] = pending.get(count, 0) + 1
-                    if cycles:
-                        spent = (cycles_field, key)
-                        pending[spent] = pending.get(spent, 0) + cycles
-            return wrapper
-
-        patches.wrap(self.counters, method, make)
+            self._wrap(patches, cache, name, rows[name])
 
     def _install(self, patches: Patches) -> None:
         machine = self.machine
         self._mark()
-        self._pending.clear()
-        # The guard's reference: the Counter fields at attach (a copy
-        # keeps zero entries), then every call the wrappers see.
-        self._tallied = Counters()
-        for name in COUNTER_DICT_FIELDS:
-            setattr(self._tallied, name,
-                    Counter(getattr(machine.counters, name)))
-        for method, count_field, cycles_field in _TALLY_METHODS:
-            self._wrap_tally(patches, method, count_field, cycles_field)
-        self._wrap_cache(patches, machine.dcache, {
-            "run_r": OP_D_READ_RUN, "run_w": OP_D_WRITE_RUN,
-            "page_r": OP_D_READ_PAGE, "page_w": OP_D_WRITE_PAGE,
-            "page_z": OP_D_ZERO_PAGE, "flush": OP_D_FLUSH,
-            "purge": OP_D_PURGE, "inval": OP_D_INVAL})
-        self._wrap_cache(patches, machine.icache, {
-            "run_r": OP_I_READ_RUN, "run_w": OP_I_WRITE_RUN,
-            "page_r": OP_I_READ_PAGE, "page_w": OP_I_WRITE_PAGE,
-            "page_z": OP_I_ZERO_PAGE, "flush": OP_I_FLUSH,
-            "purge": OP_I_PURGE, "inval": OP_I_INVAL})
+        self._wrap_cache(patches, machine.dcache, (
+            OP_D_READ_RUN, OP_D_WRITE_RUN, OP_D_READ_PAGE, OP_D_WRITE_PAGE,
+            OP_D_ZERO_PAGE, OP_D_FLUSH, OP_D_PURGE, OP_D_INVAL))
+        self._wrap_cache(patches, machine.icache, (
+            OP_I_READ_RUN, OP_I_WRITE_RUN, OP_I_READ_PAGE, OP_I_WRITE_PAGE,
+            OP_I_ZERO_PAGE, OP_I_FLUSH, OP_I_PURGE, OP_I_INVAL))
 
-        memory = machine.memory
-        page_size = memory.page_size
-        mem_emitters = {
-            "write_word": lambda pa, value: (
-                self._emit(OP_MEM_WRITE, va=pa, length=1),
-                self._values.append(int(np.uint64(value)))),
-            "write_words": lambda pa, values: (
-                self._emit(OP_MEM_WRITE, va=pa, length=len(values)),
-                self._values.append(np.array(values, dtype=np.uint64))),
+        page_size = machine.memory.page_size
+        queue = self._queue
+        rows = {
+            "write_word": lambda pa, value: (OP_MEM_WRITE, 0, int(pa),
+                                             queue((value,)), 0),
+            "write_words": lambda pa, values: (OP_MEM_WRITE, 0, int(pa),
+                                               queue(values), 0),
             "write_page": lambda ppage, values: (
-                self._emit(OP_MEM_WRITE, va=ppage * page_size,
-                           length=len(values)),
-                self._values.append(np.array(values, dtype=np.uint64))),
+                OP_MEM_WRITE, 0, int(ppage * page_size), queue(values), 0),
         }
         for name in _MEMORY_METHODS:
-            self._wrap(patches, memory, name, mem_emitters[name])
+            self._wrap(patches, machine.memory, name, rows[name])
 
         patches.set(machine.bus, "tap", self._on_publish)
 
@@ -326,7 +311,7 @@ class TraceRecorder(Observer):
         jsonable = json.loads(json.dumps(detail, default=str))
         entry = {"k": kind, "d": jsonable}
         key = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        self._emit(OP_BUS, aux=self._sidecar_ref(entry, key))
+        self._ops.append((OP_BUS, 0, 0, 0, self._sidecar_ref(entry, key)))
 
     # ---- assembly -------------------------------------------------------------
 
@@ -334,12 +319,8 @@ class TraceRecorder(Observer):
         """Emit the trailing drift SYNC and build the final arrays."""
         self._pre_op()
         ops = np.array(self._ops, dtype=OP_DTYPE)
-        if self._values:
-            parts = [np.atleast_1d(np.asarray(v, dtype=np.uint64))
-                     for v in self._values]
-            values = np.concatenate(parts)
-        else:
-            values = np.zeros(0, dtype=np.uint64)
+        values = (np.concatenate(self._values) if self._values
+                  else np.zeros(0, dtype=np.uint64))
         return ops, values, self._sidecar
 
 
@@ -356,9 +337,7 @@ def record_run(workload, kernel, trace_events: bool = False,
     An unattached :class:`ConformanceMonitor` may be passed in; it is
     attached outside the recorder (see the module docstring on ordering).
     A window that moves a counter the codec does not encode
-    (:data:`~repro.trace.format.UNENCODED_SCALARS`), or that changes one
-    of the six ``Counter`` fields other than through ``Counters.record_*``
-    (which the recorder wraps to place that change), raises
+    (:data:`~repro.trace.format.UNENCODED_SCALARS`) raises
     :class:`TraceFormatError`: replay could not reproduce it.
     """
     machine = kernel.machine
@@ -393,12 +372,6 @@ def record_run(workload, kernel, trace_events: bool = False,
         raise TraceFormatError(
             f"{workload.name}: {', '.join(moved)} moved during the "
             f"recorded window; the trace format does not encode them")
-    untallied = recorder.untallied_fields()
-    if untallied:
-        raise TraceFormatError(
-            f"{workload.name}: {', '.join(untallied)} changed during the "
-            f"recorded window other than through Counters.record_*; the "
-            f"recorder could not place the change in the op stream")
     ops, values, sidecar = recorder.finish()
 
     jsonl = sha = None

@@ -60,7 +60,10 @@ class AddressSpace:
         self.asid = asid
         self.num_cache_pages = num_cache_pages
         self._pages: dict[int, PageDescriptor] = {}
-        self._cursor = first_vpage
+        self._first_vpage = first_vpage
+        # The lowest page that may be free: every page from first_vpage
+        # up to it is mapped, so every search starts here.
+        self._low = first_vpage
         self._max_vpage = max_vpage
         self._shared_allocator = shared_allocator
 
@@ -79,10 +82,12 @@ class AddressSpace:
             raise KernelError("must allocate at least one page")
         if self._shared_allocator is not None:
             return self._shared_allocator(npages)
-        start = self._cursor
+        first = self._first_vpage
+        start = self._low
         step = 1
         if color is not None:
             step = self.num_cache_pages
+            first += (color - first) % step
             start += (color - start) % step
         pages = self._pages
         # A candidate's first page decides most probes with one dict
@@ -90,8 +95,9 @@ class AddressSpace:
         while start in pages or (npages > 1 and not self._range_free(
                 start + 1, npages - 1)):
             start += step
-            if start + npages > self._max_vpage:
-                raise KernelError(f"asid {self.asid}: address space exhausted")
+        # The first candidate is returned even if it overhangs the end.
+        if start != first and start + npages > self._max_vpage:
+            raise KernelError(f"asid {self.asid}: address space exhausted")
         return start
 
     def _range_free(self, start: int, npages: int) -> bool:
@@ -104,6 +110,11 @@ class AddressSpace:
             raise KernelError(f"asid {self.asid}: vpage {vpage} already mapped")
         descriptor.vm_object.reference()
         self._pages[vpage] = descriptor
+        if vpage == self._low:
+            low = vpage + 1
+            while low in self._pages:
+                low += 1
+            self._low = low
 
     def unmap_page(self, vpage: int) -> PageDescriptor:
         try:
@@ -112,6 +123,8 @@ class AddressSpace:
             raise KernelError(
                 f"asid {self.asid}: vpage {vpage} not mapped") from None
         descriptor.vm_object.dereference()
+        if self._first_vpage <= vpage < self._low:
+            self._low = vpage
         return descriptor
 
     def descriptor(self, vpage: int) -> PageDescriptor | None:

@@ -10,7 +10,7 @@ from repro.faults import (ALL_POINTS, CONSISTENCY_POINTS, DIVERGENCE_POINTS,
 from repro.hw.params import CacheGeometry, CostModel
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.smp import CoherentCluster
-from repro.hw.stats import Clock, Counters
+from repro.hw.stats import Clock, Counters, Reason
 from tests.hw.smp_helpers import on_cpu, resident_copies
 
 PAGE = 4096
@@ -100,7 +100,7 @@ class TestWritebackLost:
         assert cluster.counters.coherence_writebacks == 0
         # cpu1's own store landed; the dirty 42 never reached memory.
         cluster.flush_page_frame(cluster.caches[0].cache_page_of(0, 0), 0,
-                                 None)
+                                 Reason.EXPLICIT)
         assert mem.read_word(0) == 7
         [record] = inj.audit
         assert record.consequential

@@ -1,11 +1,16 @@
 """Tests for counters, the clock, and reason-tagged accounting."""
 
+import copy
 import dataclasses
+import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from repro.hw.stats import Clock, Counters, FaultKind, Reason
+from repro.hw.stats import (BREAKDOWNS, Breakdown, Clock, Counters,
+                             FaultKind, Reason)
+from repro.trace.format import REASON_INDEX, REASONS
 
 
 class TestClock:
@@ -95,26 +100,44 @@ class TestReasonTaggedAccounting:
         assert snap["frames_quarantined"] == 1
 
     def test_snapshot_is_complete(self):
-        """Mutating any public Counters field must change the snapshot —
-        i.e. every field is represented, so nothing can silently drop out
-        of a table again."""
+        """Mutating any public Counters field or breakdown must change the
+        snapshot — i.e. every one is represented, so nothing can silently
+        drop out of a table again."""
         baseline = Counters().snapshot()
         for f in dataclasses.fields(Counters):
             counters = Counters()
-            value = getattr(counters, f.name)
-            if isinstance(value, int):
-                setattr(counters, f.name, value + 1)
-            elif f.name in ("page_flushes", "flush_cycles",
-                            "page_purges", "purge_cycles"):
-                # mutate exactly this Counter, not its count/cycles twin
-                value[("dcache", Reason.EXPLICIT)] += 5
-            elif f.name in ("faults", "fault_cycles"):
-                value[FaultKind.PROTECTION] += 5
-            else:  # a new field landed without snapshot coverage
-                raise AssertionError(
-                    f"no mutation strategy for Counters.{f.name}")
+            setattr(counters, f.name, getattr(counters, f.name) + 1)
             assert counters.snapshot() != baseline, \
                 f"Counters.{f.name} is not represented in snapshot()"
+        # Each record_* call moves a count and its cycles twin, so the
+        # snapshot must tell apart a call with cycles from one without.
+        writes = {
+            "page_flushes": lambda c: c.record_flush(
+                "dcache", Reason.EXPLICIT, 0),
+            "flush_cycles": lambda c: c.record_flush(
+                "dcache", Reason.EXPLICIT, 5),
+            "page_purges": lambda c: c.record_purge(
+                "dcache", Reason.EXPLICIT, 0),
+            "purge_cycles": lambda c: c.record_purge(
+                "dcache", Reason.EXPLICIT, 5),
+            "faults": lambda c: c.record_fault(FaultKind.PROTECTION, 0),
+            "fault_cycles": lambda c: c.record_fault(
+                FaultKind.PROTECTION, 5),
+        }
+        assert set(writes) == set(BREAKDOWNS)
+        snapshots = {}
+        for name, write in writes.items():
+            counters = Counters()
+            write(counters)
+            assert getattr(counters, name), name
+            snapshots[name] = counters.snapshot()
+            assert snapshots[name] != baseline, \
+                f"Counters.{name} is not represented in snapshot()"
+        for count, cycles in (("page_flushes", "flush_cycles"),
+                              ("page_purges", "purge_cycles"),
+                              ("faults", "fault_cycles")):
+            assert snapshots[count] != snapshots[cycles], \
+                f"Counters.{cycles} is not represented in snapshot()"
 
     def test_every_reason_has_a_distinct_label(self):
         labels = {str(reason) for reason in Reason}
@@ -123,3 +146,66 @@ class TestReasonTaggedAccounting:
     def test_fault_kinds(self):
         assert {str(k) for k in FaultKind} == {
             "mapping", "consistency", "protection"}
+
+
+class TestTallies:
+    def test_enum_indices_are_the_trace_formats(self):
+        """``index`` is declaration order, which the trace format fixes."""
+        assert [r.index for r in Reason] == list(range(len(Reason)))
+        assert {r: r.index for r in Reason} == REASON_INDEX
+        assert REASONS == tuple(Reason)
+        assert [k.index for k in FaultKind] == list(range(len(FaultKind)))
+
+    def test_breakdowns_read_as_counters(self):
+        counters = Counters()
+        counters.record_flush("cpu3.dcache", Reason.DMA_READ, 7)
+        counters.record_flush("cpu3.dcache", Reason.DMA_READ, 0)
+        counters.record_fault(FaultKind.MAPPING, 4)
+        key = ("cpu3.dcache", Reason.DMA_READ)
+        assert all(isinstance(getattr(counters, name), Breakdown)
+                   for name in BREAKDOWNS)
+        assert counters.page_flushes == Counter({key: 2})
+        assert counters.flush_cycles == {key: 7}
+        assert dict(counters.page_purges) == {}
+        assert counters.page_purges[key] == 0          # a missing key reads 0
+        assert counters.page_flushes[("icache", Reason.PAGEOUT)] == 0
+        assert key in counters.page_flushes
+        assert key not in counters.page_purges
+        assert list(counters.faults.items()) == [(FaultKind.MAPPING, 1)]
+        assert counters.fault_cycles.copy() == Counter({FaultKind.MAPPING: 4})
+        assert counters.total_flushes("dcache") == 2   # a cluster's rows
+        assert counters.total_flush_cycles(reason=Reason.DMA_READ) == 7
+
+    @pytest.mark.parametrize("write", [
+        lambda c: c.faults.__setitem__(FaultKind.MAPPING, 1),
+        lambda c: c.page_flushes.__delitem__(("dcache", Reason.PAGEOUT)),
+        lambda c: setattr(c, "faults", Counter()),
+    ], ids=["set", "delete", "rebind"])
+    def test_breakdowns_are_read_only(self, write):
+        with pytest.raises((TypeError, AttributeError)):
+            write(Counters())
+
+    def test_equality_ignores_row_order_and_zero_rows(self):
+        a, b = Counters(), Counters()
+        a.record_purge("icache", Reason.D_TO_I_COPY, 3)
+        a.record_flush("dcache", Reason.PAGEOUT, 9)
+        b.row("cpu1.dcache")                  # registered, never written
+        b.record_flush("dcache", Reason.PAGEOUT, 9)
+        assert a != b
+        b.record_purge("icache", Reason.D_TO_I_COPY, 3)
+        assert a == b and a.rows != b.rows
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy,
+                                       lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_are_independent_and_equal(self, clone):
+        """The profiler deep-copies a machine's counters as its baseline."""
+        counters = Counters(read_hits=3)
+        counters.record_flush("dcache", Reason.NEW_MAPPING, 11)
+        counters.record_fault(FaultKind.CONSISTENCY, 300)
+        twin = clone(counters)
+        assert twin == counters
+        assert twin.snapshot() == counters.snapshot()
+        twin.record_flush("dcache", Reason.NEW_MAPPING, 1)
+        assert counters.page_flushes[("dcache", Reason.NEW_MAPPING)] == 1
+        assert twin.page_flushes[("dcache", Reason.NEW_MAPPING)] == 2

@@ -8,7 +8,7 @@ from repro.hw.cache import Cache
 from repro.hw.params import CacheGeometry, CostModel
 from repro.hw.physmem import PhysicalMemory
 from repro.hw.smp import CoherentCluster
-from repro.hw.stats import Clock, Counters
+from repro.hw.stats import Clock, Counters, Reason
 from tests.hw.smp_helpers import dirty_copies, on_cpu
 
 PAGE = 4096
@@ -79,7 +79,7 @@ class TestCoherentClusterProperties:
                 reference[paddr] = value
             else:
                 on_cpu(cluster, cpu).read(vaddr, paddr)
-        cluster.flush_page_frame(0, 0, None)
+        cluster.flush_page_frame(0, 0, Reason.EXPLICIT)
         for paddr, value in reference.items():
             assert mem.read_word(paddr) == value
 
@@ -116,9 +116,9 @@ def drive(target, ops, geo):
         elif op == "write_run":
             target.write_run(vaddr, paddr, [value, value ^ 1, value ^ 2])
         elif op == "flush":
-            target.flush_page_frame(0, 0, None)
+            target.flush_page_frame(0, 0, Reason.EXPLICIT)
         else:
-            target.purge_page_frame(0, 0, None)
+            target.purge_page_frame(0, 0, Reason.EXPLICIT)
     return observed
 
 
@@ -139,8 +139,8 @@ class TestUniprocessorDegeneracy:
         assert drive(flat, ops, geo) == drive(cluster, ops, geo)
         # Same data everywhere -- cached state included, so flush both
         # and compare raw memory.
-        flat.flush_page_frame(0, 0, None)
-        cluster.flush_page_frame(0, 0, None)
+        flat.flush_page_frame(0, 0, Reason.EXPLICIT)
+        cluster.flush_page_frame(0, 0, Reason.EXPLICIT)
         for word in range(128):
             assert flat_mem.read_word(word * 4) \
                 == clu_mem.read_word(word * 4)

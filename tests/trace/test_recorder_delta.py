@@ -1,15 +1,15 @@
 """The recorder's drift check against the counters codec.
 
-:class:`TraceRecorder` marks the clock and scalars at each op boundary
-and learns the six ``Counter`` fields' drift from the wrapped
-``Counters.record_*`` calls.  These tests hold it to the codec it
-replaces on the per-op path: a call between ops must make a SYNC delta
-exactly ``diff_counters(encode_counters(before), encode_counters(after))``,
-a call inside an op none, its interning key must agree with the canonical
-JSON spelling, whole compiles must produce the same ops, values and
-sidecar as a reference recorder that encodes every counter at every op,
-and a window that writes a ``Counter`` field behind the wrappers is
-refused.
+:class:`TraceRecorder` marks the clock, the scalars and the breakdown
+tallies at each op boundary and compares them before the next.  These
+tests hold it to the codec it replaces on the per-op path: a write
+between ops must make a SYNC delta exactly
+``diff_counters(encode_counters(before), encode_counters(after))``, a
+write inside an op none, its interning key must agree with the canonical
+JSON spelling, and whole compiles must produce the same ops, values and
+sidecar as a reference recorder that encodes every counter at every op.
+The breakdowns cannot be written behind ``Counters.record_*``: each
+write through their views raises.
 """
 
 import contextlib
@@ -26,20 +26,23 @@ from repro.analysis.experiments import (boot, evaluation_machine,
                                         make_workload)
 from repro.hw.machine import Machine
 from repro.hw.params import apply_geometry, small_machine
-from repro.hw.stats import SCALAR_FIELDS, Counters, FaultKind, Reason
+from repro.hw.stats import (KIND_OFFSETS, PAIR_OFFSETS, SCALAR_FIELDS,
+                             Counters, FaultKind, Reason)
 from repro.kernel.task import Task
 from repro.policy import get_policy
 from repro.trace import compile_workload, record_run, save_trace
 from repro.trace.format import (COUNTER_KIND_FIELDS, COUNTER_PAIR_FIELDS,
                                 COUNTER_SCALARS,
                                 OP_BUS, OP_SYNC, UNENCODED_SCALARS,
-                                TraceFormatError, diff_counters,
+                                TraceFormatError, apply_counters_delta,
+                                decode_counters, diff_counters,
                                 encode_counters)
 from repro.trace.record import TraceRecorder, _delta_key
 from repro.workloads import RandomOps
 from repro.workloads.base import Workload
 
-CACHES = ("dcache", "icache")
+#: the cluster name is a row a bare ``Counters()`` has not seen
+CACHES = ("dcache", "icache", "cpu3.dcache")
 
 # ---- one mutation of a Counters instance ------------------------------------
 
@@ -55,8 +58,8 @@ mutations = st.one_of(
     st.tuples(st.just("drop"), st.sampled_from(COUNTER_PAIR_FIELDS
                                                + COUNTER_KIND_FIELDS)),
 )
-#: the writes a live run makes: scalars directly, the Counter fields
-#: only through ``Counters.record_*``
+#: the writes a live run makes: scalars directly, the breakdowns only
+#: through ``Counters.record_*``
 tallies = st.one_of(
     st.tuples(st.just("scalar"), st.sampled_from(COUNTER_SCALARS), amounts),
     st.tuples(st.sampled_from(("record_flush", "record_purge")), pair_keys,
@@ -71,22 +74,89 @@ def mutate(counters: Counters, mutation) -> None:
     if kind == "scalar":
         _, name, n = mutation
         setattr(counters, name, getattr(counters, name) + n)
-    elif kind == "drop":                  # a key leaves the Counter
-        counter = getattr(counters, mutation[1])
-        if counter:
-            del counter[next(iter(counter))]
+    elif kind == "drop":                  # a key's tally returns to zero
+        name = mutation[1]
+        image = encode_counters(counters)[name]
+        if image:
+            key = next(iter(image))
+            apply_counters_delta(counters, {name: {key: -image[key]}})
     elif kind == "record_fault":
         counters.record_fault(mutation[1], mutation[2])
     elif kind.startswith("record_"):
         (cache, reason), cycles = mutation[1:]
         getattr(counters, kind)(cache, reason, cycles)
-    else:
+    else:                                 # through the codec, as replay does
         _, name, key, n = mutation
-        getattr(counters, name)[key] += n
+        key = f"{key[0]}|{key[1].value}" if kind == "pair" else key.value
+        apply_counters_delta(counters, {name: {key: n}})
 
 
 def canonical(entry) -> str:
     return json.dumps(entry, sort_keys=True, separators=(",", ":"))
+
+
+#: any tally contents, written straight into the list
+slot_writes = st.lists(st.tuples(
+    st.sampled_from(COUNTER_PAIR_FIELDS + COUNTER_KIND_FIELDS),
+    st.sampled_from(CACHES), st.sampled_from(list(Reason)),
+    st.sampled_from(list(FaultKind)), st.integers(-5, 400)), max_size=16)
+scalar_writes = st.lists(st.tuples(st.sampled_from(COUNTER_SCALARS),
+                                   st.integers(0, 400)), max_size=6)
+
+
+def tallied(scalars, writes) -> Counters:
+    counters = Counters()
+    for name, n in scalars:
+        setattr(counters, name, n)
+    for name, cache, reason, kind, n in writes:
+        if name in PAIR_OFFSETS:
+            counters.cache_tally[counters.row(cache) + PAIR_OFFSETS[name]
+                                 + reason.index] += n
+        else:
+            counters.fault_tally[KIND_OFFSETS[name] + kind.index] += n
+    return counters
+
+
+class TestCodecOverTallies:
+    @settings(max_examples=300, deadline=None)
+    @given(scalars=scalar_writes, writes=slot_writes)
+    def test_image_spells_the_views(self, scalars, writes):
+        """The image is each breakdown's nonzero entries, keyed by the
+        enums' values: what the ``Counter`` fields encoded to."""
+        counters = tallied(scalars, writes)
+        image = encode_counters(counters)
+        for name in COUNTER_PAIR_FIELDS:
+            assert image[name] == {f"{c}|{r.value}": n for (c, r), n
+                                   in getattr(counters, name).items()}
+        for name in COUNTER_KIND_FIELDS:
+            assert image[name] == {k.value: n for k, n
+                                   in getattr(counters, name).items()}
+        assert all(n for name in COUNTER_PAIR_FIELDS + COUNTER_KIND_FIELDS
+                   for n in image[name].values())
+        back = decode_counters(json.loads(canonical(image)))
+        assert back == counters
+        assert encode_counters(back) == image
+
+    @settings(max_examples=300, deadline=None)
+    @given(before=st.tuples(scalar_writes, slot_writes),
+           after=st.tuples(scalar_writes, slot_writes),
+           times=st.integers(-2, 3))
+    def test_diff_and_apply_are_a_subtraction_and_an_add(self, before,
+                                                         after, times):
+        a, b = tallied(*before), tallied(*after)
+        delta = diff_counters(encode_counters(a), encode_counters(b))
+        assert all(delta.values())          # sparse: nothing zero or empty
+        moved = decode_counters(encode_counters(a))
+        apply_counters_delta(moved, delta)
+        assert moved == b
+        assert encode_counters(moved) == encode_counters(b)
+        # ``times`` copies at once equal ``times`` single adds.
+        once, at_once = decode_counters(encode_counters(a)), Counters()
+        apply_counters_delta(at_once, encode_counters(a))
+        for _ in range(abs(times)):
+            apply_counters_delta(once, delta, 1 if times > 0 else -1)
+        apply_counters_delta(at_once, delta, times)
+        assert once == at_once
 
 
 class TestDeltaIsTheCodecsDelta:
@@ -111,7 +181,6 @@ class TestDeltaIsTheCodecsDelta:
             if depth:                     # the op ends: its drift is its own
                 recorder._mark()
             recorder._pre_op()
-            assert recorder.untallied_fields() == []
         expected = diff_counters(before, encode_counters(counters))
 
         if depth or (not expected and not cycles):
@@ -154,8 +223,8 @@ class TestDeltaIsTheCodecsDelta:
                 recorder._pre_op()
             counters.record_fault(FaultKind.CONSISTENCY, 7)
             recorder._pre_op()
-            # Two raw keys, one delta: cycles that cancel encode to
-            # nothing, so both intern to the third slot.
+            # Cycles that cancel encode to nothing: both windows move the
+            # tally alike, so they share the third slot and its raw key.
             for spent in ((0, 0), (5, -5)):
                 for cycles in spent:
                     counters.record_flush("dcache", Reason.PAGEOUT, cycles)
@@ -167,16 +236,14 @@ class TestDeltaIsTheCodecsDelta:
             {"faults": {"consistency": 1},
              "fault_cycles": {"consistency": 7}},
             {"page_flushes": {"dcache|pageout": 2}}]
-        assert len(recorder._sync_index) == 4
+        assert len(recorder._sync_index) == 3
 
 
 # ---- whole compiles against the encode-per-op reference -----------------------
 
 class EncodingRecorder(TraceRecorder):
     """The reference: encode every counter at every op boundary, diff
-    the encodings on drift and intern deltas by their JSON spelling.
-    (It ignores the pending amounts of the ``record_*`` wrappers it
-    inherits; they feed only the end-of-window guard here.)"""
+    the encodings on drift and intern deltas by their JSON spelling."""
 
     def _mark(self) -> None:
         self._clock_mark = self.clock.cycles
@@ -300,7 +367,7 @@ def test_a_window_that_moves_an_unencoded_counter_is_refused():
         record_run(workload, kernel)
 
 
-# ---- the Counter fields written behind the wrappers ---------------------------
+# ---- the breakdowns have one writer ------------------------------------------
 
 def _increment(counters):
     counters.faults[FaultKind.MAPPING] += 1
@@ -314,32 +381,15 @@ def _zero_entry(counters):
     counters.flush_cycles[("dcache", Reason.PAGEOUT)] += 0
 
 
-class WritesBehindTheWrappers(Workload):
-    """Tallies one fault through ``record_fault``, then writes a Counter
-    field directly."""
-
-    name = "writes-behind"
-
-    def __init__(self, write):
-        self.write = write
-
-    def setup(self, kernel):
-        pass
-
-    def execute(self, kernel):
-        counters = kernel.machine.counters
-        counters.record_fault(FaultKind.MAPPING, 5)
-        self.write(counters)
-
-
-@pytest.mark.parametrize("write, field", [
-    (_increment, "faults"), (_drop, "faults"), (_zero_entry, "flush_cycles"),
-], ids=["increment", "dropped-key", "zero-entry"])
-def test_a_counter_field_written_behind_the_wrappers_is_refused(write,
-                                                               field):
-    """The message names exactly the field written: the tally the
-    wrappers saw is not blamed."""
-    kernel = boot(get_policy("F")).kernel
-    with pytest.raises(TraceFormatError,
-                       match=rf"^writes-behind: {field} changed"):
-        record_run(WritesBehindTheWrappers(write), kernel)
+@pytest.mark.parametrize("write", [_increment, _drop, _zero_entry],
+                         ids=["increment", "dropped-key", "zero-entry"])
+def test_a_write_through_a_breakdown_view_raises(write):
+    """Only ``Counters.record_*`` writes a breakdown, so nothing can
+    move one behind the recorder's mark."""
+    counters = Counters()
+    counters.record_fault(FaultKind.MAPPING, 5)
+    counters.record_flush("dcache", Reason.PAGEOUT, 3)
+    before = encode_counters(counters)
+    with pytest.raises(TypeError):
+        write(counters)
+    assert encode_counters(counters) == before

@@ -126,6 +126,40 @@ class TestAllocatorAgainstReference:
                 space.map_page(vpage, descriptor())
                 mapped.add(vpage)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("allocate"), st.integers(1, 3),
+                  st.one_of(st.none(), st.integers(0, NCP - 1))),
+        st.tuples(st.just("map"), st.integers(0, 40)),
+        st.tuples(st.just("unmap"), st.integers(0, 63))), max_size=60))
+    def test_the_lowest_free_hint_keeps_first_fit(self, steps):
+        """Pages mapped anywhere, below ``first_vpage`` and out of order
+        included, and unmapped in any order: the allocator that starts
+        at its lowest-free hint returns the plain scan's page."""
+        space = AddressSpace(1, NCP, first_vpage=self.FIRST,
+                             max_vpage=self.MAX)
+        mapped: set[int] = set()
+        for step in steps:
+            if step[0] == "map":
+                if step[1] not in mapped:
+                    space.map_page(step[1], descriptor())
+                    mapped.add(step[1])
+            elif step[0] == "unmap":
+                if mapped:
+                    vpage = sorted(mapped)[step[1] % len(mapped)]
+                    space.unmap_page(vpage)
+                    mapped.discard(vpage)
+            else:
+                _, npages, color = step
+                try:
+                    want = reference_allocate(mapped, self.FIRST, NCP,
+                                              self.MAX, npages, color)
+                except KernelError:
+                    with pytest.raises(KernelError, match="exhausted"):
+                        space.allocate_vpages(npages, color=color)
+                    continue
+                assert space.allocate_vpages(npages, color=color) == want
+
     @pytest.mark.parametrize("npages,color", [(1, None), (1, 2), (3, None),
                                               (2, 5)])
     def test_a_full_space_is_exhausted_at_max_vpage(self, npages, color):
